@@ -6,8 +6,10 @@
 //
 // The harness section measures whole-problem assignment-MILP node
 // throughput (nodes/second through the zero-copy B&B with warm-started
-// LPs) and writes BENCH_milp.json for regression tracking
-// (--bench-json / --bench-reps, see harness.h).
+// LPs) and the column-generated master on the served EPTAS workload
+// (eps 0.5, the five request families at each instance's final guess),
+// and writes BENCH_milp.json for regression tracking (--bench-json /
+// --bench-reps, see harness.h).
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -15,6 +17,7 @@
 
 #include "api/api.h"
 #include "eptas/classify.h"
+#include "eptas/eptas.h"
 #include "eptas/milp_model.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
@@ -23,6 +26,7 @@
 #include "milp/branch_and_bound.h"
 #include "model/lower_bounds.h"
 #include "util/csv.h"
+#include "util/grid.h"
 #include "util/prng.h"
 #include "util/stopwatch.h"
 
@@ -190,12 +194,78 @@ void run_harness_cases(bagsched::bench::Harness& harness) {
   }
 }
 
+/// The column-generated master at the final guess of eps-0.5 EPTAS solves
+/// of the five served request families (24 jobs on 4 machines; replica 40
+/// on 6), eight seeded instances per family. Each timed repetition runs
+/// the eight masters; the metrics are per master solve.
+void run_master_cases(bagsched::bench::Harness& harness) {
+  constexpr double kEps = 0.5;
+  constexpr int kInstances = 8;
+  struct Prepared {
+    eptas::Classification cls;
+    eptas::Transformed transformed;
+    eptas::PatternSpace space;
+  };
+  const eptas::EptasConfig config;
+  const int reps = harness.reps(5);
+  for (const char* family :
+       {"uniform", "planted", "bagheavy", "smallbags", "replica"}) {
+    const bool replica = std::string(family) == "replica";
+    std::vector<Prepared> masters;
+    for (int seed = 1; seed <= kInstances; ++seed) {
+      const Instance instance = gen::by_name(
+          family, replica ? 40 : 24, replica ? 6 : 4,
+          static_cast<std::uint64_t>(seed));
+      const auto solved = eptas::eptas_schedule(instance, kEps, config);
+      if (!solved.stats.pipeline_succeeded) continue;
+      const bagsched::util::EpsGrid grid(kEps);
+      std::vector<double> rounded;
+      for (const auto& job : instance.jobs()) {
+        rounded.push_back(grid.value(
+            grid.index_above(job.size / solved.stats.final_guess)));
+      }
+      auto cls = eptas::classify(instance, kEps, config, &rounded);
+      if (!cls) continue;
+      auto transformed = eptas::transform(instance, *cls);
+      auto space = eptas::build_pattern_space(transformed, *cls);
+      masters.push_back(
+          Prepared{std::move(*cls), std::move(transformed), std::move(space)});
+    }
+    eptas::MasterStats total;
+    int solved = 0;
+    auto& entry = harness.run_case(
+        std::string("master/") + family, reps, [&] {
+          total = {};
+          solved = 0;
+          for (const Prepared& prep : masters) {
+            const auto master = eptas::solve_master(
+                prep.space, prep.transformed, prep.cls, config);
+            if (!master) continue;
+            ++solved;
+            total.columns += master->stats.columns;
+            total.pricing_rounds += master->stats.pricing_rounds;
+            total.lp_iterations += master->stats.lp_iterations;
+            total.pricing_nodes += master->stats.pricing_nodes;
+          }
+        });
+    const double per = solved > 0 ? 1.0 / solved : 0.0;
+    entry.metrics.set("masters", solved);
+    entry.metrics.set("columns", total.columns * per);
+    entry.metrics.set("pricing_rounds", total.pricing_rounds * per);
+    entry.metrics.set("lp_iterations",
+                      static_cast<double>(total.lp_iterations) * per);
+    entry.metrics.set("pricing_nodes",
+                      static_cast<double>(total.pricing_nodes) * per);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bagsched::bench::Harness harness("milp", &argc, argv);
   print_master_table();
   run_harness_cases(harness);
+  run_master_cases(harness);
   if (!harness.finish(std::cout)) return 1;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

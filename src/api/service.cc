@@ -1051,11 +1051,12 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
     canonical.stats.erase("request_id");
     canonical.stats.erase("queue_seconds");
     canonical.schedule = cache::to_canonical(result.schedule, state->form);
-    cache_.insert(state->key, canonical);
+    const auto payload = cache_.insert(state->key, std::move(canonical));
+    // The rounded key shares the payload; only its canonical order differs.
     if (state->rounded_enabled) {
-      canonical.schedule =
-          cache::to_canonical(result.schedule, state->rounded_form);
-      cache_.insert(state->rounded_key, std::move(canonical));
+      cache_.insert_alias(
+          state->rounded_key, payload,
+          cache::to_canonical(result.schedule, state->rounded_form));
     }
     result.stats["cache_stored"] = true;
   }

@@ -1,6 +1,9 @@
 #include "cache/solve_cache.h"
 
 #include <bit>
+#include <cstring>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "api/options_digest.h"
@@ -22,10 +25,96 @@ std::uint64_t options_digest(const api::SolveOptions& options) {
   return api::options_digest(options);
 }
 
+namespace {
+
+std::size_t schedule_heap_bytes(const model::Schedule& schedule) {
+  return schedule.assignment().capacity() * sizeof(model::MachineId);
+}
+
+static_assert(std::is_same_v<api::TelemetryValue,
+                             std::variant<long long, double, bool,
+                                          std::string>>,
+              "pack_telemetry/unpack_telemetry mirror this alternative order");
+
+/// Telemetry flattened into one buffer. A std::map spends a node
+/// allocation per key — several times the data — and a cached result is
+/// only ever read whole. Per key: u32 key length, key bytes, u8 variant
+/// index, then the value (u32 length + bytes for strings).
+std::string pack_telemetry(const api::Telemetry& stats) {
+  std::string out;
+  const auto put = [&out](const void* data, std::size_t size) {
+    out.append(static_cast<const char*>(data), size);
+  };
+  const auto put_text = [&put](const std::string& text) {
+    const auto size = static_cast<std::uint32_t>(text.size());
+    put(&size, sizeof size);
+    put(text.data(), text.size());
+  };
+  for (const auto& [key, value] : stats) {
+    put_text(key);
+    const auto index = static_cast<std::uint8_t>(value.index());
+    put(&index, sizeof index);
+    std::visit(
+        [&](const auto& v) {
+          if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                       std::string>) {
+            put_text(v);
+          } else {
+            put(&v, sizeof v);
+          }
+        },
+        value);
+  }
+  out.shrink_to_fit();
+  return out;
+}
+
+api::Telemetry unpack_telemetry(std::string_view packed) {
+  api::Telemetry stats;
+  std::size_t at = 0;
+  const auto take = [&](void* data, std::size_t size) {
+    std::memcpy(data, packed.data() + at, size);
+    at += size;
+  };
+  const auto take_text = [&] {
+    std::uint32_t size = 0;
+    take(&size, sizeof size);
+    std::string text(packed.substr(at, size));
+    at += size;
+    return text;
+  };
+  const auto take_value = [&](auto value) {
+    take(&value, sizeof value);
+    return api::TelemetryValue(value);
+  };
+  while (at < packed.size()) {
+    std::string key = take_text();
+    std::uint8_t index = 0;
+    take(&index, sizeof index);
+    api::TelemetryValue value;
+    switch (index) {
+      case 0: value = take_value(0LL); break;
+      case 1: value = take_value(0.0); break;
+      case 2: value = take_value(false); break;
+      default: value = take_text(); break;
+    }
+    stats.emplace_hint(stats.end(), std::move(key), std::move(value));
+  }
+  return stats;
+}
+
+}  // namespace
+
+/// The shared payload: the result with its telemetry packed.
+struct SolveCache::StoredResult {
+  api::SolveResult head;  ///< every field but `stats`
+  std::string telemetry;  ///< pack_telemetry(stats)
+  std::size_t bytes = 0;  ///< approx_result_bytes of the unpacked result
+};
+
 std::size_t approx_result_bytes(const api::SolveResult& result) {
   std::size_t bytes = sizeof(api::SolveResult);
-  bytes += result.schedule.assignment().capacity() *
-           sizeof(model::MachineId);
+  bytes += schedule_heap_bytes(result.schedule);
   bytes += result.solver.capacity() + result.error.capacity();
   for (const auto& [key, value] : result.stats) {
     bytes += sizeof(value) + key.capacity() + 48;  // node overhead
@@ -54,24 +143,56 @@ SolveCache::Shard& SolveCache::shard_for(const CacheKey& key) {
 }
 
 std::optional<api::SolveResult> SolveCache::lookup(const CacheKey& key) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return std::nullopt;
+  Payload payload;
+  std::optional<model::Schedule> schedule;
+  {
+    Shard& shard = shard_for(key);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    const auto it = shard.index.find(key);
+    if (it == shard.index.end()) {
+      ++shard.misses;
+      return std::nullopt;
+    }
+    ++shard.hits;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    payload = it->second->payload;
+    schedule = it->second->schedule;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->result;
+  // The payload is immutable: unpack outside the shard lock.
+  api::SolveResult result = payload->head;
+  result.stats = unpack_telemetry(payload->telemetry);
+  if (schedule) result.schedule = std::move(*schedule);
+  return result;
 }
 
-void SolveCache::insert(const CacheKey& key, api::SolveResult result) {
+SolveCache::Payload SolveCache::insert(const CacheKey& key,
+                                       api::SolveResult result) {
+  auto stored = std::make_shared<StoredResult>();
+  stored->bytes = approx_result_bytes(result);
+  stored->telemetry = pack_telemetry(result.stats);
+  result.stats.clear();
+  stored->head = std::move(result);
+  Payload payload = std::move(stored);
   // Injected memory pressure: the insert is silently dropped, as if the
   // entry were immediately evicted. Correctness never depends on an insert
   // landing — lookups just miss and the solve re-runs.
+  if (BAGSCHED_FAULT("cache.insert")) return payload;
+  store(key, Entry{key, payload, std::nullopt, payload->bytes});
+  return payload;
+}
+
+void SolveCache::insert_alias(const CacheKey& key, const Payload& payload,
+                              model::Schedule schedule) {
   if (BAGSCHED_FAULT("cache.insert")) return;
-  const std::size_t bytes = approx_result_bytes(result);
+  // Held only by the caller: no entry pays for the shared part yet.
+  const std::size_t shared = payload.use_count() <= 1 ? payload->bytes : 0;
+  const std::size_t bytes =
+      shared + sizeof(model::Schedule) + schedule_heap_bytes(schedule);
+  store(key, Entry{key, payload, std::move(schedule), bytes});
+}
+
+void SolveCache::store(const CacheKey& key, Entry entry) {
+  const std::size_t bytes = entry.bytes;
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (bytes > shard_budget_) {
@@ -90,7 +211,7 @@ void SolveCache::insert(const CacheKey& key, api::SolveResult result) {
     shard.lru.pop_back();
     ++shard.evictions;
   }
-  shard.lru.push_front(Entry{key, std::move(result), bytes});
+  shard.lru.push_front(std::move(entry));
   shard.index.emplace(key, shard.lru.begin());
   shard.bytes += bytes;
   ++shard.insertions;

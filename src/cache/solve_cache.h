@@ -16,6 +16,13 @@
 // (schedule + telemetry strings), so a flood of large instances cannot
 // grow the cache beyond its budget. Hit/miss/insert/evict counters are
 // per-shard and aggregated by stats().
+//
+// One fresh solve is stored under two keys (exact and eps-rounded) whose
+// results differ only in the canonical-order schedule. The second key is
+// an alias: it shares the first key's immutable payload and keeps only
+// its own schedule, so the budget charges the shared part once. Payloads
+// keep their telemetry packed in one buffer; the budget still charges the
+// unpacked approx_result_bytes.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +86,10 @@ std::size_t approx_result_bytes(const api::SolveResult& result);
 
 class SolveCache {
  public:
+  struct StoredResult;
+  /// A stored canonical-order result, shared by every key filed under it.
+  using Payload = std::shared_ptr<const StoredResult>;
+
   explicit SolveCache(CacheConfig config = {});
 
   /// The stored canonical-order result, or nullopt. A hit refreshes the
@@ -88,7 +99,17 @@ class SolveCache {
   /// Inserts (or replaces) the canonical-order result under `key`,
   /// evicting least-recently-used entries until the shard fits its budget.
   /// Entries larger than a whole shard budget are skipped (and counted).
-  void insert(const CacheKey& key, api::SolveResult result);
+  /// Returns the payload for insert_alias — also when the insert itself
+  /// was skipped.
+  Payload insert(const CacheKey& key, api::SolveResult result);
+
+  /// Files `payload` under a second key whose canonical order differs:
+  /// lookups return the payload with `schedule` in its place. The entry is
+  /// charged its own schedule, plus the shared part when no other entry
+  /// holds the payload (the first insert was dropped or skipped). Counted,
+  /// budgeted, evicted and fault-injected like insert().
+  void insert_alias(const CacheKey& key, const Payload& payload,
+                    model::Schedule schedule);
 
   /// Aggregated over all shards; counters are monotone, entries/bytes are
   /// a live snapshot.
@@ -102,7 +123,8 @@ class SolveCache {
  private:
   struct Entry {
     CacheKey key;
-    api::SolveResult result;
+    Payload payload;
+    std::optional<model::Schedule> schedule;  ///< alias entries only
     std::size_t bytes = 0;
   };
   struct Shard {
@@ -119,6 +141,7 @@ class SolveCache {
   };
 
   Shard& shard_for(const CacheKey& key);
+  void store(const CacheKey& key, Entry entry);
 
   CacheConfig config_;
   std::size_t shard_budget_ = 0;

@@ -59,14 +59,11 @@ MasterShape compute_shape(const PatternSpace& space,
   return shape;
 }
 
-/// Builds the master model for the given pattern pool. Returns the model,
-/// the variable index of the first pattern column (they are contiguous) and
-/// the indices of the penalty variables.
+/// The master model plus the row ids needed to add pattern columns and to
+/// extract duals.
 struct BuiltMaster {
   lp::Model model;
-  int first_pattern_var = 0;
   std::vector<int> penalty_vars;
-  // Row ids for dual extraction.
   int row_machine = 0;
   std::vector<std::vector<int>> rows_priority;  ///< per (pbag, size)
   std::vector<int> rows_x;
@@ -74,78 +71,59 @@ struct BuiltMaster {
   std::vector<int> rows_small;  ///< -1 when the bag has no small jobs
 };
 
+/// Adds one pattern as a master column (rows R1-R5); returns its variable.
+int add_pattern_column(BuiltMaster& built, const PatternSpace& space,
+                       const Pattern& pattern) {
+  std::vector<std::pair<int, double>> terms;
+  terms.emplace_back(built.row_machine, 1.0);
+  for (int i = 0; i < space.num_priority(); ++i) {
+    const int choice = pattern.pchoice[static_cast<std::size_t>(i)];
+    if (choice < 0) continue;
+    terms.emplace_back(built.rows_priority[static_cast<std::size_t>(i)]
+                                          [static_cast<std::size_t>(choice)],
+                       1.0);
+    const int small_row = built.rows_small[static_cast<std::size_t>(i)];
+    if (small_row >= 0) terms.emplace_back(small_row, 1.0);
+  }
+  for (int s = 0; s < space.num_x_sizes(); ++s) {
+    const int count = pattern.xcount[static_cast<std::size_t>(s)];
+    if (count > 0) {
+      terms.emplace_back(built.rows_x[static_cast<std::size_t>(s)], count);
+    }
+  }
+  if (pattern.height > 0.0) terms.emplace_back(built.row_area, pattern.height);
+  return built.model.add_column(pattern_cost(pattern), std::move(terms));
+}
+
+/// Builds the master model for the given pattern pool: pattern variables
+/// first (variable p is pool[p]), then one penalty per coverage row.
 BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
                          const std::vector<Pattern>& pool) {
   BuiltMaster built;
   lp::Model& model = built.model;
   model.set_objective(lp::Objective::Minimize);
 
-  built.first_pattern_var = 0;
-  for (const Pattern& pattern : pool) {
-    model.add_variable(pattern_cost(pattern));
-  }
-
   // R1: sum x_p <= m.
-  {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      terms.emplace_back(static_cast<int>(p), 1.0);
-    }
-    built.row_machine = model.add_constraint(std::move(terms),
-                                             lp::Sense::LessEqual,
-                                             shape.num_machines);
-  }
-
-  // R2: priority coverage (with penalty).
+  built.row_machine =
+      model.add_constraint({}, lp::Sense::LessEqual, shape.num_machines);
+  // R2: priority coverage.
   built.rows_priority.resize(
       static_cast<std::size_t>(space.num_priority()));
   for (int i = 0; i < space.num_priority(); ++i) {
     const auto& pbag = space.priority_bags[static_cast<std::size_t>(i)];
-    for (std::size_t s = 0; s < pbag.sizes.size(); ++s) {
-      std::vector<std::pair<int, double>> terms;
-      for (std::size_t p = 0; p < pool.size(); ++p) {
-        if (pool[p].pchoice[static_cast<std::size_t>(i)] ==
-            static_cast<int>(s)) {
-          terms.emplace_back(static_cast<int>(p), 1.0);
-        }
-      }
-      const int penalty = model.add_variable(kPenaltyCost);
-      built.penalty_vars.push_back(penalty);
-      terms.emplace_back(penalty, 1.0);
+    for (const int count : pbag.counts) {
       built.rows_priority[static_cast<std::size_t>(i)].push_back(
-          model.add_constraint(std::move(terms), lp::Sense::GreaterEqual,
-                               pbag.counts[s]));
+          model.add_constraint({}, lp::Sense::GreaterEqual, count));
     }
   }
-
-  // R3: x-size coverage (with penalty).
-  for (int s = 0; s < space.num_x_sizes(); ++s) {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      const int count = pool[p].xcount[static_cast<std::size_t>(s)];
-      if (count > 0) terms.emplace_back(static_cast<int>(p), count);
-    }
-    const int penalty = model.add_variable(kPenaltyCost);
-    built.penalty_vars.push_back(penalty);
-    terms.emplace_back(penalty, 1.0);
-    built.rows_x.push_back(model.add_constraint(
-        std::move(terms), lp::Sense::GreaterEqual,
-        space.x_avail[static_cast<std::size_t>(s)]));
+  // R3: x-size coverage.
+  for (const int avail : space.x_avail) {
+    built.rows_x.push_back(
+        model.add_constraint({}, lp::Sense::GreaterEqual, avail));
   }
-
   // R4: aggregate free-area.
-  {
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      if (pool[p].height > 0.0) {
-        terms.emplace_back(static_cast<int>(p), pool[p].height);
-      }
-    }
-    built.row_area = model.add_constraint(std::move(terms),
-                                          lp::Sense::LessEqual,
-                                          shape.free_area_rhs);
-  }
-
+  built.row_area = model.add_constraint({}, lp::Sense::LessEqual,
+                                        shape.free_area_rhs);
   // R5: per priority bag with small jobs.
   built.rows_small.assign(static_cast<std::size_t>(space.num_priority()),
                           -1);
@@ -153,15 +131,22 @@ BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
     const int small_count =
         shape.priority_small_count[static_cast<std::size_t>(i)];
     if (small_count == 0) continue;
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t p = 0; p < pool.size(); ++p) {
-      if (pool[p].contains_priority(i)) {
-        terms.emplace_back(static_cast<int>(p), 1.0);
-      }
-    }
     built.rows_small[static_cast<std::size_t>(i)] = model.add_constraint(
-        std::move(terms), lp::Sense::LessEqual,
-        shape.num_machines - small_count);
+        {}, lp::Sense::LessEqual, shape.num_machines - small_count);
+  }
+
+  for (const Pattern& pattern : pool) {
+    add_pattern_column(built, space, pattern);
+  }
+  // Coverage penalties keep the LP feasible for any pool.
+  for (const auto& rows : built.rows_priority) {
+    for (const int row : rows) {
+      built.penalty_vars.push_back(
+          model.add_column(kPenaltyCost, {{row, 1.0}}));
+    }
+  }
+  for (const int row : built.rows_x) {
+    built.penalty_vars.push_back(model.add_column(kPenaltyCost, {{row, 1.0}}));
   }
   return built;
 }
@@ -238,6 +223,17 @@ std::vector<Pattern> seed_pool(const PatternSpace& space,
 
 }  // namespace
 
+std::optional<MasterLp> solve_master_lp(const PatternSpace& space,
+                                        const Transformed& transformed,
+                                        const Classification& cls,
+                                        const std::vector<Pattern>& pool) {
+  const MasterShape shape = compute_shape(space, transformed, cls);
+  const BuiltMaster built = build_master(space, shape, pool);
+  const lp::LpResult result = lp::solve(built.model);
+  if (result.status != lp::SolveStatus::Optimal) return std::nullopt;
+  return MasterLp{result.objective, extract_duals(space, built, result)};
+}
+
 std::optional<MasterSolution> solve_master(
     const PatternSpace& space, const Transformed& transformed,
     const Classification& cls, const EptasConfig& config,
@@ -272,21 +268,36 @@ std::optional<MasterSolution> solve_master(
   }
 
   // --- Column generation at the root ---------------------------------------
-  const int max_rounds = 80;
-  for (int round = 0; round < max_rounds; ++round) {
-    if (util::stop_requested(config.milp.cancel)) break;
-    if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
-    BuiltMaster built = build_master(space, shape, pool);
-    const lp::LpResult lp_result = lp::solve(built.model);
-    stats.lp_iterations += lp_result.iterations;
-    if (lp_result.status != lp::SolveStatus::Optimal) break;
-    ++stats.pricing_rounds;
+  // One live tableau: the seed master is cold-solved once, then each priced
+  // pattern joins it as a column and the re-solve runs primal pivots only.
+  {
+    BuiltMaster live = build_master(space, shape, pool);
+    lp::IncrementalSimplex simplex(live.model);
+    const int max_rounds = 80;
+    for (int round = 0; round < max_rounds; ++round) {
+      if (util::stop_requested(config.milp.cancel)) break;
+      if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
+      const lp::LpResult lp_result = simplex.resolve(live.model);
+      stats.lp_iterations += lp_result.iterations;
+      if (lp_result.status != lp::SolveStatus::Optimal) break;
+      ++stats.pricing_rounds;
+      stats.lp_objective = lp_result.objective;
 
-    const PricingDuals duals = extract_duals(space, built, lp_result);
-    const auto column = price_pattern(space, duals);
-    if (!column) break;  // LP optimal over all patterns
-    if (!signatures.insert(column->signature()).second) break;  // repeat
-    pool.push_back(*column);
+      const PricingDuals duals = extract_duals(space, live, lp_result);
+      PricingStats pricing;
+      const auto column = price_pattern(space, duals, {}, &pricing);
+      stats.pricing_nodes += pricing.nodes;
+      if (pricing.truncated) ++stats.pricing_truncations;
+      if (!column) {
+        // Only an exhaustive search proves the LP optimal over all
+        // patterns; a truncated one just ran out of budget.
+        stats.lp_optimal = !pricing.truncated;
+        break;
+      }
+      if (!signatures.insert(column->signature()).second) break;  // repeat
+      pool.push_back(*column);
+      add_pattern_column(live, space, *column);
+    }
   }
   stats.columns = static_cast<int>(pool.size());
 

@@ -35,8 +35,18 @@ namespace bagsched::eptas {
 struct MasterStats {
   int columns = 0;
   int pricing_rounds = 0;
-  long long lp_iterations = 0;
+  long long lp_iterations = 0;  ///< column-generation LP pivots
+  long long pricing_nodes = 0;
   long long milp_nodes = 0;
+  /// Objective of the last column-generation LP solved.
+  double lp_objective = 0.0;
+  /// Column generation ended because pricing proved that no pattern
+  /// improves the LP: lp_objective is the LP optimum over ALL patterns.
+  bool lp_optimal = false;
+  /// Pricing rounds cut short by PricingOptions::max_nodes. A truncated
+  /// round that finds no column ends column generation without the
+  /// lp_optimal proof.
+  int pricing_truncations = 0;
   /// Warm-start columns accepted into the pool (cross-guess reuse).
   int warm_columns = 0;
   /// Warm-start columns the integral optimum uses with positive
@@ -54,6 +64,10 @@ struct MasterSolution {
 /// Runs column generation + branch-and-bound. Returns nullopt when the
 /// guessed makespan T (implicit in space.max_height) admits no solution.
 ///
+/// Column generation keeps one lp::IncrementalSimplex across its rounds:
+/// the master is built and cold-solved once, and each priced pattern is
+/// appended to the live tableau (DESIGN.md §2).
+///
 /// `warm_machines`, when given, lists the medium/large content of each
 /// machine of a previously certified probe as I'-job-id lists; every list
 /// that still parses as a valid pattern of `space` (height <= T', one entry
@@ -64,5 +78,18 @@ std::optional<MasterSolution> solve_master(
     const PatternSpace& space, const Transformed& transformed,
     const Classification& cls, const EptasConfig& config,
     const std::vector<std::vector<model::JobId>>* warm_machines = nullptr);
+
+/// The master LP relaxation over exactly `pool`, solved cold by lp::solve:
+/// its optimum and the duals pricing reads. Column generation from scratch
+/// on top of it is the reference the warm loop in solve_master must agree
+/// with. nullopt when the LP is not solved to optimality.
+struct MasterLp {
+  double objective = 0.0;
+  PricingDuals duals;
+};
+std::optional<MasterLp> solve_master_lp(const PatternSpace& space,
+                                        const Transformed& transformed,
+                                        const Classification& cls,
+                                        const std::vector<Pattern>& pool);
 
 }  // namespace bagsched::eptas

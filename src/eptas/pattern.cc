@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "util/grid.h"
@@ -132,6 +133,25 @@ double pattern_cost(const Pattern& pattern) {
   return pattern.height * pattern.height;
 }
 
+double pattern_score(const PatternSpace& space, const PricingDuals& duals,
+                     const Pattern& pattern) {
+  double score = duals.machine + duals.area * pattern.height -
+                 pattern_cost(pattern);
+  for (int i = 0; i < space.num_priority(); ++i) {
+    const int choice = pattern.pchoice[static_cast<std::size_t>(i)];
+    if (choice >= 0) {
+      score += duals.priority[static_cast<std::size_t>(i)]
+                             [static_cast<std::size_t>(choice)] +
+               duals.small_block[static_cast<std::size_t>(i)];
+    }
+  }
+  for (int s = 0; s < space.num_x_sizes(); ++s) {
+    score += duals.x_size[static_cast<std::size_t>(s)] *
+             pattern.xcount[static_cast<std::size_t>(s)];
+  }
+  return score;
+}
+
 namespace {
 
 /// Depth-first branch-and-bound for the pricing problem.
@@ -143,28 +163,39 @@ namespace {
 ///   + sum over x entries of x_size dual
 ///   + duals.area * height          (R4 coefficient is the height)
 ///   - height^2                      (master objective cost)
+///
+/// A subtree is pruned by the smaller of two optimistic bounds on the
+/// score its remaining levels can add (see Pricer's constructor).
 class Pricer {
  public:
   Pricer(const PatternSpace& space, const PricingDuals& duals,
          const PricingOptions& options)
       : space_(space), duals_(duals), options_(options) {
     best_ = empty_pattern(space_);
-    best_score_ = score_of(best_);
+    best_score_ = pattern_score(space_, duals_, best_);
     current_ = best_;
 
-    // Optimistic per-level gains for pruning: the best possible additional
-    // score from the remaining levels, ignoring the height budget and the
-    // quadratic cost growth (both only reduce the true score).
+    // Per remaining-level suffix, two optimistic bounds:
+    //  * optimistic_suffix_: every remaining positive gain, ignoring the
+    //    height budget and the quadratic cost growth;
+    //  * best_ratio_: the best linear gain per unit of height r. Entries of
+    //    total height h then gain at most r*h while the cost grows by
+    //    exactly 2Hh + h^2 on top of the current height H.
     const int levels = space_.num_priority() + space_.num_x_sizes();
     optimistic_suffix_.assign(static_cast<std::size_t>(levels) + 1, 0.0);
+    best_ratio_.assign(static_cast<std::size_t>(levels) + 1,
+                       -std::numeric_limits<double>::infinity());
     for (int level = levels - 1; level >= 0; --level) {
       double gain = 0.0;
+      double ratio = -std::numeric_limits<double>::infinity();
       if (level < space_.num_priority()) {
         const auto& pbag =
             space_.priority_bags[static_cast<std::size_t>(level)];
         for (std::size_t s = 0; s < pbag.sizes.size(); ++s) {
-          gain = std::max(
-              gain, entry_gain_priority(level, static_cast<int>(s)));
+          const double entry =
+              entry_gain_priority(level, static_cast<int>(s));
+          gain = std::max(gain, entry);
+          ratio = std::max(ratio, entry / pbag.sizes[s]);
         }
       } else {
         const int xs = level - space_.num_priority();
@@ -172,15 +203,21 @@ class Pricer {
         if (unit > 0) {
           gain = unit * space_.x_avail[static_cast<std::size_t>(xs)];
         }
+        ratio = unit / space_.x_sizes[static_cast<std::size_t>(xs)];
       }
-      optimistic_suffix_[static_cast<std::size_t>(level)] =
-          optimistic_suffix_[static_cast<std::size_t>(level) + 1] +
-          std::max(0.0, gain);
+      const auto at = static_cast<std::size_t>(level);
+      optimistic_suffix_[at] =
+          optimistic_suffix_[at + 1] + std::max(0.0, gain);
+      best_ratio_[at] = std::max(best_ratio_[at + 1], ratio);
     }
   }
 
-  std::optional<Pattern> run() {
+  std::optional<Pattern> run(PricingStats* stats) {
     dfs(0, 0.0);
+    if (stats != nullptr) {
+      stats->nodes = std::min(nodes_, options_.max_nodes);
+      stats->truncated = nodes_ > options_.max_nodes;
+    }
     if (best_score_ > options_.improvement_tolerance) return best_;
     return std::nullopt;
   }
@@ -203,23 +240,16 @@ class Pricer {
            duals_.area * size;
   }
 
-  /// Full score of a complete pattern (reduced-cost numerator).
-  double score_of(const Pattern& pattern) const {
-    double score = duals_.machine + duals_.area * pattern.height -
-                   pattern_cost(pattern);
-    for (int i = 0; i < space_.num_priority(); ++i) {
-      const int choice = pattern.pchoice[static_cast<std::size_t>(i)];
-      if (choice >= 0) {
-        score += duals_.priority[static_cast<std::size_t>(i)]
-                                [static_cast<std::size_t>(choice)] +
-                 duals_.small_block[static_cast<std::size_t>(i)];
-      }
-    }
-    for (int s = 0; s < space_.num_x_sizes(); ++s) {
-      score += duals_.x_size[static_cast<std::size_t>(s)] *
-               pattern.xcount[static_cast<std::size_t>(s)];
-    }
-    return score;
+  /// max over h in [0, room] of r*h - 2Hh - h^2: the most the remaining
+  /// levels can add at current height H (concave in h, peak at r/2 - H).
+  double height_bound(int level) const {
+    const double height = current_.height;
+    const double slope =
+        best_ratio_[static_cast<std::size_t>(level)] - 2 * height;
+    if (slope <= 0.0) return 0.0;
+    const double h =
+        std::min(slope / 2, std::max(0.0, space_.max_height - height));
+    return h * (slope - h);
   }
 
   /// `linear` accumulates all gains except the quadratic height cost.
@@ -233,11 +263,11 @@ class Pricer {
     }
     const int levels = space_.num_priority() + space_.num_x_sizes();
     if (level >= levels) return;
-    // Prune: even with every remaining gain and no extra cost we lose.
-    if (here + optimistic_suffix_[static_cast<std::size_t>(level)] <=
-        best_score_ + 1e-12) {
-      return;
-    }
+    // Prune: even the optimistic completion cannot beat the incumbent.
+    const double optimistic =
+        std::min(optimistic_suffix_[static_cast<std::size_t>(level)],
+                 height_bound(level));
+    if (here + optimistic <= best_score_ + 1e-12) return;
 
     if (level < space_.num_priority()) {
       const auto& pbag =
@@ -284,15 +314,17 @@ class Pricer {
   double best_score_ = 0.0;
   long long nodes_ = 0;
   std::vector<double> optimistic_suffix_;
+  std::vector<double> best_ratio_;  ///< per level suffix, gain per height
 };
 
 }  // namespace
 
 std::optional<Pattern> price_pattern(const PatternSpace& space,
                                      const PricingDuals& duals,
-                                     const PricingOptions& options) {
+                                     const PricingOptions& options,
+                                     PricingStats* stats) {
   Pricer pricer(space, duals, options);
-  return pricer.run();
+  return pricer.run(stats);
 }
 
 }  // namespace bagsched::eptas

@@ -87,12 +87,26 @@ struct PricingOptions {
   double improvement_tolerance = 1e-7;
 };
 
-/// Finds a pattern maximizing  sum(duals * column) - cost(pattern)  where
-/// cost(p) = height(p)^2 (the master objective). Returns nullopt when no
-/// pattern beats the tolerance, i.e. the master LP is optimal.
+/// What one pricing call did.
+struct PricingStats {
+  long long nodes = 0;     ///< search nodes visited
+  /// The node budget cut the search short: a nullopt result then does NOT
+  /// prove that no improving pattern exists.
+  bool truncated = false;
+};
+
+/// Reduced-cost numerator of a pattern:  sum(duals * column) - cost(p).
+double pattern_score(const PatternSpace& space, const PricingDuals& duals,
+                     const Pattern& pattern);
+
+/// Finds a pattern maximizing pattern_score, where cost(p) = height(p)^2
+/// (the master objective). Returns nullopt when no pattern beats the
+/// tolerance, i.e. the master LP is optimal — unless `stats` reports the
+/// search truncated.
 std::optional<Pattern> price_pattern(const PatternSpace& space,
                                      const PricingDuals& duals,
-                                     const PricingOptions& options = {});
+                                     const PricingOptions& options = {},
+                                     PricingStats* stats = nullptr);
 
 /// cost(p) = height^2: prefers spreading ml jobs over stacking them, which
 /// is what keeps room for small jobs (paper constraint (4) in spirit).

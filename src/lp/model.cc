@@ -39,6 +39,27 @@ int Model::add_constraint(std::vector<std::pair<int, double>> terms,
   return num_constraints() - 1;
 }
 
+int Model::add_column(double objective_coeff,
+                      std::vector<std::pair<int, double>> rows, double lower,
+                      double upper) {
+  std::map<int, double> merged;
+  for (const auto& [row, coeff] : rows) {
+    if (row < 0 || row >= num_constraints()) {
+      throw std::invalid_argument("Model: column references unknown row");
+    }
+    merged[row] += coeff;
+  }
+  const int var = add_variable(objective_coeff, lower, upper);
+  // The new index is the largest, so every row's terms stay sorted.
+  for (const auto& [row, coeff] : merged) {
+    if (coeff != 0.0) {
+      constraints_[static_cast<std::size_t>(row)].terms.emplace_back(var,
+                                                                     coeff);
+    }
+  }
+  return var;
+}
+
 double Model::objective_value(const std::vector<double>& x) const {
   double value = 0.0;
   for (int v = 0; v < num_variables(); ++v) {

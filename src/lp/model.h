@@ -42,6 +42,13 @@ class Model {
   int add_constraint(std::vector<std::pair<int, double>> terms, Sense sense,
                      double rhs);
 
+  /// Adds a variable together with its coefficients in existing
+  /// constraints, given as (constraint index, coeff); returns its index.
+  /// Duplicate rows are merged; unknown constraints throw.
+  int add_column(double objective_coeff,
+                 std::vector<std::pair<int, double>> rows,
+                 double lower = 0.0, double upper = kInfinity);
+
   void set_objective(Objective objective) { objective_ = objective; }
   Objective objective() const { return objective_; }
 

@@ -35,6 +35,9 @@ struct StdRow {
 /// (which account for nonbasic-at-upper columns), so pivots update it
 /// explicitly rather than by blind row elimination. Every artificial
 /// column is +e_r and doubles as column r of the implicit inverse basis.
+/// Rows are stored with a stride that may exceed num_cols + 1: appended
+/// structural columns (column generation) shift only the slack,
+/// artificial and RHS tail of each row into the spare room.
 class Tableau {
  public:
   Tableau(const std::vector<StdRow>& rows, int num_structural,
@@ -48,10 +51,9 @@ class Tableau {
     }
     first_artificial_ = num_structural_ + extra;
     num_cols_ = first_artificial_ + num_rows_;
+    stride_ = static_cast<std::size_t>(num_cols_) + 1;
 
-    matrix_.assign(static_cast<std::size_t>(num_rows_) *
-                       (static_cast<std::size_t>(num_cols_) + 1),
-                   0.0);
+    matrix_.assign(static_cast<std::size_t>(num_rows_) * stride_, 0.0);
     basis_.assign(static_cast<std::size_t>(num_rows_), -1);
     upper_.assign(static_cast<std::size_t>(num_cols_), kInf);
     at_upper_.assign(static_cast<std::size_t>(num_cols_), 0);
@@ -223,6 +225,19 @@ class Tableau {
   std::optional<SolveStatus> reoptimize(
       const std::vector<double>& structural_cost, long long& iterations) {
     load_phase2_costs(structural_cost);
+    return resume(iterations);
+  }
+
+  /// Recomputes every reduced cost from the tableau: after appended
+  /// columns, and against drift — pivot updates carry round-off forward,
+  /// and across the hundreds of pivots of a column generation run it
+  /// reaches the size of real reduced costs.
+  void refresh_reduced_costs() { build_reduced_costs(); }
+
+  /// reoptimize() against the phase-2 costs already loaded. A basis that
+  /// is primal but not dual feasible — the state after appending columns
+  /// with negative reduced cost — resumes with primal phase-2 pivots.
+  std::optional<SolveStatus> resume(long long& iterations) {
     if (dual_feasible()) return repair_and_iterate(iterations);
     // Dual infeasible (stale costs): still usable when primal feasible.
     const double tol = options_.tolerance;
@@ -390,17 +405,81 @@ class Tableau {
     return basis;
   }
 
+  /// Appends a structural column (given in standardized row space: row
+  /// flips already applied) nonbasic at its lower bound, after phase 2.
+  /// Its tableau column is B^-1 a, read off the artificial block. Its
+  /// reduced cost is left for refresh_reduced_costs(), due once the last
+  /// column of a batch is in. Returns false — leaving the tableau
+  /// untouched — when the column reaches a redundant row whose artificial
+  /// is still basic; the caller then rebuilds cold.
+  bool append_column(const std::vector<std::pair<int, double>>& terms,
+                     double cost, double upper) {
+    column_.assign(static_cast<std::size_t>(num_rows_), 0.0);
+    for (const auto& [k, a] : terms) {
+      const int inverse_col = first_artificial_ + k;
+      for (int r = 0; r < num_rows_; ++r) {
+        column_[static_cast<std::size_t>(r)] += a * at_const(r, inverse_col);
+      }
+    }
+    for (int r = 0; r < num_rows_; ++r) {
+      if (basis_[static_cast<std::size_t>(r)] >= first_artificial_ &&
+          std::abs(column_[static_cast<std::size_t>(r)]) >
+              options_.tolerance) {
+        return false;
+      }
+    }
+
+    // Open column `slot` by shifting each row's slack/artificial/RHS tail
+    // one to the right, growing the stride when the spare room is used up.
+    const int slot = num_structural_;
+    const std::size_t tail =
+        static_cast<std::size_t>(num_cols_ - slot) + 1;
+    if (static_cast<std::size_t>(num_cols_) + 2 > stride_) {
+      const std::size_t stride = static_cast<std::size_t>(num_cols_) + 2 +
+                                 std::max<std::size_t>(16, stride_ / 2);
+      std::vector<double> grown(static_cast<std::size_t>(num_rows_) * stride,
+                                0.0);
+      for (int r = 0; r < num_rows_; ++r) {
+        std::copy_n(row_ptr(r), num_cols_ + 1,
+                    grown.data() + static_cast<std::size_t>(r) * stride);
+      }
+      matrix_ = std::move(grown);
+      stride_ = stride;
+    }
+    for (int r = 0; r < num_rows_; ++r) {
+      double* row = row_ptr(r);
+      std::copy_backward(row + slot, row + slot + tail, row + slot + tail + 1);
+      row[slot] = column_[static_cast<std::size_t>(r)];
+    }
+    const auto at_slot = [slot](auto& values) {
+      return values.begin() + slot;
+    };
+    upper_.insert(at_slot(upper_), upper);
+    at_upper_.insert(at_slot(at_upper_), 0);
+    in_basis_.insert(at_slot(in_basis_), 0);
+    cost_.insert(at_slot(cost_), cost);
+    reduced_.insert(at_slot(reduced_), 0.0);
+    for (int& b : basis_) {
+      if (b >= slot) ++b;
+    }
+    for (int& c : dual_column_) {
+      if (c >= slot) ++c;
+    }
+    ++num_structural_;
+    ++first_artificial_;
+    ++num_cols_;
+    return true;
+  }
+
  private:
-  double& at(int r, int c) {
-    return matrix_[static_cast<std::size_t>(r) *
-                       (static_cast<std::size_t>(num_cols_) + 1) +
-                   static_cast<std::size_t>(c)];
+  double* row_ptr(int r) {
+    return matrix_.data() + static_cast<std::size_t>(r) * stride_;
   }
-  double at_const(int r, int c) const {
-    return matrix_[static_cast<std::size_t>(r) *
-                       (static_cast<std::size_t>(num_cols_) + 1) +
-                   static_cast<std::size_t>(c)];
+  const double* row_ptr(int r) const {
+    return matrix_.data() + static_cast<std::size_t>(r) * stride_;
   }
+  double& at(int r, int c) { return row_ptr(r)[c]; }
+  double at_const(int r, int c) const { return row_ptr(r)[c]; }
   double& rhs(int r) { return at(r, num_cols_); }
   double rhs_const(int r) const { return at_const(r, num_cols_); }
 
@@ -413,15 +492,18 @@ class Tableau {
     build_reduced_costs();
   }
 
+  /// reduced = cost - c_B . B^-1 A, accumulated row by row (rows whose
+  /// basic variable costs nothing contribute nothing).
   void build_reduced_costs() {
-    reduced_.assign(static_cast<std::size_t>(num_cols_), 0.0);
-    for (int c = 0; c < num_cols_; ++c) {
-      double value = cost_[static_cast<std::size_t>(c)];
-      for (int r = 0; r < num_rows_; ++r) {
-        const int b = basis_[static_cast<std::size_t>(r)];
-        value -= cost_[static_cast<std::size_t>(b)] * at_const(r, c);
+    reduced_.assign(cost_.begin(), cost_.end());
+    for (int r = 0; r < num_rows_; ++r) {
+      const double basic_cost =
+          cost_[static_cast<std::size_t>(basis_[static_cast<std::size_t>(r)])];
+      if (basic_cost == 0.0) continue;
+      const double* row = row_ptr(r);
+      for (int c = 0; c < num_cols_; ++c) {
+        reduced_[static_cast<std::size_t>(c)] -= basic_cost * row[c];
       }
-      reduced_[static_cast<std::size_t>(c)] = value;
     }
   }
 
@@ -450,15 +532,12 @@ class Tableau {
       value /= pivot_value;
       pivot_cols_.push_back(c);
     }
-    const double* prow =
-        &matrix_[static_cast<std::size_t>(row) *
-                 (static_cast<std::size_t>(num_cols_) + 1)];
+    const double* prow = row_ptr(row);
     for (int r = 0; r < num_rows_; ++r) {
       if (r == row) continue;
       const double factor = at(r, col);
       if (factor == 0.0) continue;
-      double* target = &matrix_[static_cast<std::size_t>(r) *
-                                (static_cast<std::size_t>(num_cols_) + 1)];
+      double* target = row_ptr(r);
       for (const int c : pivot_cols_) {
         target[c] -= factor * prow[c];
       }
@@ -614,7 +693,8 @@ class Tableau {
   int first_artificial_ = 0;
   bool phase1_done_ = false;
   SimplexOptions options_;
-  std::vector<double> matrix_;   ///< num_rows x (num_cols + 1), row-major
+  std::size_t stride_ = 0;       ///< row pitch of matrix_, >= num_cols + 1
+  std::vector<double> matrix_;   ///< num_rows x stride_, row-major
   std::vector<double> reduced_;  ///< reduced costs per column
   std::vector<double> cost_;
   std::vector<int> basis_;
@@ -626,6 +706,7 @@ class Tableau {
   std::vector<double> scratch_;    ///< update_rhs workspace
   std::vector<double> effective_;  ///< update_rhs workspace
   std::vector<int> pivot_cols_;    ///< pivot-row support workspace
+  std::vector<double> column_;     ///< append_column workspace
 };
 
 /// Standardized rows for the model: lower bounds shifted out, negative RHS
@@ -808,12 +889,63 @@ struct IncrementalSimplex::Impl {
     return result;
   }
 
+  /// Feeds the variables the model gained since the last resolve into the
+  /// live tableau, with the flip pattern fixed at setup. False when the
+  /// tableau cannot take them (changed rows, or a redundant row the new
+  /// column reaches); the caller then rebuilds cold.
+  bool append_new_columns(const Model& model) {
+    const int total = model.num_variables();
+    if (model.num_constraints() != static_cast<int>(rows.size())) {
+      return false;
+    }
+    // Column entries per new variable, read off the tail of each row (a
+    // new variable has the largest index, so Model::add_column appends).
+    std::vector<std::vector<std::pair<int, double>>> fresh(
+        static_cast<std::size_t>(total - n));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto& terms = model.constraint(static_cast<int>(r)).terms;
+      const double f = rows[r].flipped ? -1.0 : 1.0;
+      for (auto it = terms.rbegin(); it != terms.rend() && it->first >= n;
+           ++it) {
+        fresh[static_cast<std::size_t>(it->first - n)].emplace_back(
+            static_cast<int>(r), f * it->second);
+      }
+    }
+    const bool maximize = model.objective() == Objective::Maximize;
+    for (auto& column : fresh) {
+      const int v = n;
+      std::reverse(column.begin(), column.end());  // ascending rows
+      const Variable& var = model.variable(v);
+      const double c = maximize ? -var.objective : var.objective;
+      const double upper =
+          std::isfinite(var.upper) ? var.upper - var.lower : kInf;
+      if (!tableau->append_column(column, c, upper)) return false;
+      for (const auto& [r, a] : column) {
+        rows[static_cast<std::size_t>(r)].terms.emplace_back(v, a);
+      }
+      structural_cols.push_back(std::move(column));
+      cost.push_back(c);
+      ++n;
+    }
+    return true;
+  }
+
   LpResult resolve(const Model& model) {
     long long iterations = 0;
+    if (ready && model.num_variables() > n) {
+      // Column generation: the new columns join the live tableau, then the
+      // reduced-cost row is rebuilt once per round (as costly as one
+      // pivot), which also sheds round-off that could fake optimality.
+      if (append_new_columns(model)) {
+        tableau->refresh_reduced_costs();
+      } else {
+        ready = false;
+      }
+    }
     if (bounds_crossed(model, options.tolerance)) {
       LpResult result;
       result.status = SolveStatus::Infeasible;
-      result.x.assign(static_cast<std::size_t>(n), 0.0);
+      result.x.assign(static_cast<std::size_t>(model.num_variables()), 0.0);
       return result;
     }
     if (!ready) {
@@ -835,14 +967,14 @@ struct IncrementalSimplex::Impl {
     tableau->set_structural_uppers(uppers);
     compute_rhs(model);
     tableau->update_rhs(std_rhs, structural_cols);
-    if (!tableau->dual_feasible()) {
-      // An abandoned primal iteration (LP iteration limit) can leave the
-      // basis dual infeasible; rebuild once from scratch.
+    const std::optional<SolveStatus> status = tableau->resume(iterations);
+    if (!status) {
+      // Neither dual nor primal feasible (e.g. bound changes on top of an
+      // abandoned primal iteration): rebuild once from scratch.
       ready = false;
       return resolve(model);
     }
-    const SolveStatus status = tableau->repair_and_iterate(iterations);
-    return extract(model, status, iterations);
+    return extract(model, *status, iterations);
   }
 };
 

@@ -68,8 +68,9 @@ struct SimplexOptions {
 LpResult solve(const Model& model, const SimplexOptions& options = {},
                const Basis* warm_basis = nullptr);
 
-/// Persistent simplex for branch-and-bound: one tableau kept across many
-/// re-solves of the same model under changing variable bounds.
+/// Persistent simplex: one tableau kept across many re-solves of the same
+/// model under changing variable bounds (branch-and-bound) or a growing
+/// set of columns (column generation).
 ///
 /// Bound tightenings change only the standardized right-hand side, never
 /// the matrix, so each resolve() recomputes the basic solution through the
@@ -79,6 +80,13 @@ LpResult solve(const Model& model, const SimplexOptions& options = {},
 /// every variable acquiring a finite upper bound already had one at
 /// construction (otherwise the standardized row structure would change —
 /// callers like milp::solve check this precondition up front).
+///
+/// Variables appended to the model since the last resolve() (through
+/// Model::add_column; the constraint set must stay fixed) join the live
+/// tableau on the next resolve(): each costs one B^-1 a product against
+/// the artificial block and one reduced cost c - y.a, and enters nonbasic
+/// at its lower bound. The previous optimal basis therefore stays primal
+/// feasible and the re-solve runs only primal phase-2 pivots.
 class IncrementalSimplex {
  public:
   explicit IncrementalSimplex(const Model& model,
@@ -89,7 +97,8 @@ class IncrementalSimplex {
 
   /// Re-solves against the variable bounds currently stored in `model`
   /// (which must be the construction model, possibly with tightened
-  /// bounds). The first call performs the one full cold solve.
+  /// bounds and appended columns). The first call performs the one full
+  /// cold solve.
   LpResult resolve(const Model& model);
 
  private:

@@ -222,6 +222,69 @@ TEST(SolveCacheTest, ReplacingAKeyKeepsTheByteAccountingTight) {
   EXPECT_DOUBLE_EQ(hit->makespan, 9.0);
 }
 
+/// A result carrying every telemetry type and a 6-job schedule whose job
+/// j sits on machine (j + shift) % 3.
+api::SolveResult rich_result(int shift) {
+  api::SolveResult result = small_result(3.0);
+  result.schedule = model::Schedule(6, 3);
+  for (model::JobId j = 0; j < 6; ++j) {
+    result.schedule.assign(j, (j + shift) % 3);
+  }
+  result.stats["columns"] = 42LL;
+  result.stats["final_guess"] = 1.25;
+  result.stats["pipeline_succeeded"] = true;
+  result.stats["note"] =
+      std::string("a string value past the small-string size");
+  return result;
+}
+
+TEST(SolveCacheTest, AliasSharesThePayloadAndPaysForItsScheduleOnly) {
+  SolveCache cache({.num_shards = 1, .byte_budget = 1 << 20});
+  const api::SolveResult exact = rich_result(0);
+  const api::SolveResult rounded = rich_result(1);  // other canonical order
+  const auto payload = cache.insert(key_of(1), exact);
+  EXPECT_EQ(cache.stats().bytes, cache::approx_result_bytes(exact));
+  cache.insert_alias(key_of(2), payload, rounded.schedule);
+
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.insertions, 2u);
+  const std::size_t alias_bytes =
+      stats.bytes - cache::approx_result_bytes(exact);
+  EXPECT_GT(alias_bytes, 0u);
+  EXPECT_LT(alias_bytes, cache::approx_result_bytes(exact) / 2);
+
+  // Both keys return the full result, each in its own canonical order.
+  const auto hit_exact = cache.lookup(key_of(1));
+  const auto hit_rounded = cache.lookup(key_of(2));
+  ASSERT_TRUE(hit_exact.has_value());
+  ASSERT_TRUE(hit_rounded.has_value());
+  EXPECT_EQ(hit_exact->schedule.assignment(), exact.schedule.assignment());
+  EXPECT_EQ(hit_rounded->schedule.assignment(),
+            rounded.schedule.assignment());
+  for (const auto* hit : {&*hit_exact, &*hit_rounded}) {
+    EXPECT_EQ(hit->stats, exact.stats);
+    EXPECT_EQ(hit->solver, exact.solver);
+    EXPECT_DOUBLE_EQ(hit->makespan, exact.makespan);
+    EXPECT_EQ(hit->status, exact.status);
+  }
+}
+
+TEST(SolveCacheTest, AliasOfAnUnstoredPayloadPaysForTheSharedPart) {
+  // The first insert did not land (here: cleared right away; in service a
+  // dropped or oversized insert): the alias alone holds the payload.
+  SolveCache cache({.num_shards = 1, .byte_budget = 1 << 20});
+  const auto payload = cache.insert(key_of(1), rich_result(0));
+  cache.clear();
+  cache.insert_alias(key_of(2), payload, rich_result(1).schedule);
+  EXPECT_GT(cache.stats().bytes,
+            cache::approx_result_bytes(rich_result(0)));
+  const auto hit = cache.lookup(key_of(2));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->stats, rich_result(0).stats);
+  EXPECT_EQ(hit->schedule.assignment(), rich_result(1).schedule.assignment());
+}
+
 TEST(SolveCacheTest, OversizedEntriesAreSkippedNotLooped) {
   api::SolveResult big = small_result(1.0);
   big.error.assign(4096, 'x');

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
@@ -309,6 +310,183 @@ TEST(IncrementalSimplexTest, RecoversAfterInfeasibleNode) {
   const auto result = incremental.resolve(model);
   ASSERT_EQ(result.status, SolveStatus::Optimal);
   EXPECT_NEAR(result.objective, 1.0, 1e-9);  // x = 1, y = 0
+}
+
+/// Random LP for the column-append test: every row carries a high-cost
+/// penalty column (two for equality rows), so the model is feasible and,
+/// with nonnegative minimization costs or fully boxed maximization, bounded.
+/// `degenerate` draws small integer data with zero right-hand sides,
+/// duplicate and empty columns — the ties that stall the simplex.
+Model random_append_model(util::Xoshiro256& rng, bool degenerate,
+                          bool maximize) {
+  Model model;
+  if (maximize) model.set_objective(Objective::Maximize);
+  const int rows = static_cast<int>(rng.uniform_int(2, 8));
+  const int cols = static_cast<int>(rng.uniform_int(1, 6));
+  const auto coeff = [&] {
+    return degenerate ? static_cast<double>(rng.uniform_int(-1, 2))
+                      : rng.uniform_real(-1.0, 3.0);
+  };
+  const auto upper = [&] { return maximize ? rng.uniform_real(1.0, 4.0)
+                                           : lp::kInfinity; };
+  const auto cost = [&] {
+    return degenerate ? static_cast<double>(rng.uniform_int(0, 3))
+                      : rng.uniform_real(0.0, 4.0);
+  };
+  for (int c = 0; c < cols; ++c) model.add_variable(cost(), 0.0, upper());
+  for (int r = 0; r < rows; ++r) {
+    std::vector<std::pair<int, double>> terms;
+    for (int c = 0; c < cols; ++c) terms.emplace_back(c, coeff());
+    const int kind = static_cast<int>(rng.uniform_int(0, 2));
+    const Sense sense = kind == 0   ? Sense::LessEqual
+                        : kind == 1 ? Sense::GreaterEqual
+                                    : Sense::Equal;
+    // Negative right-hand sides exercise standardization's row flips.
+    const double rhs = degenerate && rng.uniform_int(0, 2) == 0
+                           ? 0.0
+                           : rng.uniform_real(-3.0, 6.0);
+    const double penalty = maximize ? -100.0 : 100.0;
+    const int up = model.add_variable(penalty, 0.0, maximize ? 50.0
+                                                             : lp::kInfinity);
+    terms.emplace_back(up, sense == Sense::LessEqual ? -1.0 : 1.0);
+    if (sense == Sense::Equal) {
+      const int down =
+          model.add_variable(penalty, 0.0, maximize ? 50.0 : lp::kInfinity);
+      terms.emplace_back(down, -1.0);
+    }
+    model.add_constraint(std::move(terms), sense, rhs);
+  }
+  return model;
+}
+
+/// Reduced costs c - y.a of the (internally minimized) model must have the
+/// sign of an optimal basis: >= 0 where x can still rise, <= 0 where it can
+/// still drop.
+void expect_dual_feasible(const Model& model, const lp::LpResult& result,
+                          const std::string& where) {
+  const double sign =
+      model.objective() == Objective::Maximize ? -1.0 : 1.0;
+  std::vector<double> reduced(static_cast<std::size_t>(model.num_variables()));
+  for (int v = 0; v < model.num_variables(); ++v) {
+    reduced[static_cast<std::size_t>(v)] = sign * model.variable(v).objective;
+  }
+  for (int r = 0; r < model.num_constraints(); ++r) {
+    for (const auto& [v, a] : model.constraint(r).terms) {
+      reduced[static_cast<std::size_t>(v)] -=
+          result.duals[static_cast<std::size_t>(r)] * a;
+    }
+  }
+  for (int v = 0; v < model.num_variables(); ++v) {
+    const lp::Variable& var = model.variable(v);
+    const double x = result.x[static_cast<std::size_t>(v)];
+    const double rc = reduced[static_cast<std::size_t>(v)];
+    if (x < var.upper - 1e-7) EXPECT_GE(rc, -1e-6) << where << " var " << v;
+    if (x > var.lower + 1e-7) EXPECT_LE(rc, 1e-6) << where << " var " << v;
+  }
+}
+
+TEST(IncrementalSimplexTest, AppendedColumnsMatchColdSolves) {
+  // Column generation on the live tableau: solve, append columns (one or
+  // several per round, some duplicating or zero), re-solve warm, and
+  // compare with a cold solve of the extended model every round.
+  constexpr int kSeeds = 240;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+    const bool degenerate = seed % 2 == 0;
+    const bool maximize = seed % 4 == 1;
+    Model model = random_append_model(rng, degenerate, maximize);
+    lp::IncrementalSimplex incremental(model);
+    const std::string replay = "seed " + std::to_string(seed);
+    ASSERT_EQ(incremental.resolve(model).status, SolveStatus::Optimal)
+        << replay;
+    const int rounds = static_cast<int>(rng.uniform_int(1, 6));
+    for (int round = 0; round < rounds; ++round) {
+      const int batch = static_cast<int>(rng.uniform_int(1, 3));
+      for (int k = 0; k < batch; ++k) {
+        std::vector<std::pair<int, double>> column;
+        const int shape = static_cast<int>(rng.uniform_int(0, 5));
+        if (shape == 0 && model.num_variables() > 0) {
+          // Duplicate of an existing variable's column.
+          const int twin = static_cast<int>(
+              rng.uniform_int(0, model.num_variables() - 1));
+          for (int r = 0; r < model.num_constraints(); ++r) {
+            for (const auto& [v, a] : model.constraint(r).terms) {
+              if (v == twin) column.emplace_back(r, a);
+            }
+          }
+        } else if (shape != 1) {  // shape 1: an empty column
+          for (int r = 0; r < model.num_constraints(); ++r) {
+            if (rng.uniform_int(0, 2) == 0) continue;
+            column.emplace_back(r, degenerate
+                                       ? static_cast<double>(
+                                             rng.uniform_int(-1, 2))
+                                       : rng.uniform_real(-2.0, 3.0));
+          }
+        }
+        const double cost =
+            degenerate ? static_cast<double>(rng.uniform_int(0, 3))
+                       : rng.uniform_real(0.0, 3.0);
+        model.add_column(cost, std::move(column), 0.0,
+                         maximize ? rng.uniform_real(1.0, 4.0)
+                                  : lp::kInfinity);
+      }
+      const std::string where = replay + " round " + std::to_string(round);
+      const auto warm = incremental.resolve(model);
+      const auto cold = lp::solve(model);
+      ASSERT_EQ(cold.status, SolveStatus::Optimal) << where;
+      ASSERT_EQ(warm.status, SolveStatus::Optimal) << where;
+      EXPECT_NEAR(warm.objective, cold.objective, 1e-7) << where;
+      EXPECT_LE(model.max_violation(warm.x), 1e-7) << where;
+      expect_dual_feasible(model, warm, where);
+    }
+  }
+}
+
+TEST(IncrementalSimplexTest, AppendAfterBoundChangesStaysConsistent) {
+  // The two uses share one tableau: a column appended after a bound walk
+  // still matches the cold solve, and so do the bound changes after it.
+  Model model = knapsack_model();
+  lp::IncrementalSimplex incremental(model);
+  ASSERT_EQ(incremental.resolve(model).status, SolveStatus::Optimal);
+  model.mutable_variable(1).upper = 0.0;
+  ASSERT_EQ(incremental.resolve(model).status, SolveStatus::Optimal);
+  model.add_column(9.0, {{0, 4.0}}, 0.0, 1.0);  // value 9, weight 4
+  const auto appended = incremental.resolve(model);
+  ASSERT_EQ(appended.status, SolveStatus::Optimal);
+  EXPECT_NEAR(appended.objective, lp::solve(model).objective, 1e-9);
+  model.mutable_variable(1).upper = 1.0;
+  model.mutable_variable(4).upper = 0.0;
+  const auto restored = incremental.resolve(model);
+  ASSERT_EQ(restored.status, SolveStatus::Optimal);
+  EXPECT_NEAR(restored.objective, lp::solve(model).objective, 1e-9);
+}
+
+TEST(IncrementalSimplexTest, AppendThroughARedundantRowRebuildsCold) {
+  // Row 1 is row 0 doubled: phase 1 cannot pivot its artificial out, so
+  // the tableau has no basis column for it. A new column that breaks the
+  // redundancy cannot join the live tableau; the resolve must rebuild.
+  Model model;
+  const int x = model.add_variable(1.0);
+  const int y = model.add_variable(2.0);
+  model.add_constraint({{x, 1.0}, {y, 1.0}}, Sense::Equal, 1.0);
+  model.add_constraint({{x, 2.0}, {y, 2.0}}, Sense::Equal, 2.0);
+  lp::IncrementalSimplex incremental(model);
+  const auto root = incremental.resolve(model);
+  ASSERT_EQ(root.status, SolveStatus::Optimal);
+  EXPECT_NEAR(root.objective, 1.0, 1e-9);
+
+  // Two profitable columns whose entries in the redundant row (whichever
+  // of the two it is) have opposite signs: without the rebuild one of them
+  // would drive that row's artificial upward, unblocked.
+  model.add_column(-1.0, {{0, 1.0}, {1, 1.0}});
+  model.add_column(-1.0, {{0, 1.0}, {1, 3.0}});
+  const auto appended = incremental.resolve(model);
+  const auto cold = lp::solve(model);
+  ASSERT_EQ(appended.status, SolveStatus::Optimal);
+  ASSERT_EQ(cold.status, SolveStatus::Optimal);
+  EXPECT_NEAR(appended.objective, cold.objective, 1e-9);
+  EXPECT_LE(model.max_violation(appended.x), 1e-9);
+  EXPECT_THROW(model.add_column(1.0, {{2, 1.0}}), std::invalid_argument);
 }
 
 }  // namespace

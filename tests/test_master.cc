@@ -2,12 +2,19 @@
 // aggregated form).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
+#include <string>
+
 #include "eptas/classify.h"
+#include "eptas/eptas.h"
 #include "eptas/milp_model.h"
 #include "eptas/pattern.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
 #include "model/lower_bounds.h"
+#include "util/grid.h"
 
 namespace bagsched {
 namespace {
@@ -159,6 +166,69 @@ TEST(MasterTest, EmptyMlInstanceTriviallySolvable) {
   const auto master = eptas::solve_master(prep->space, prep->transformed,
                                           prep->cls, EptasConfig{});
   ASSERT_TRUE(master.has_value());
+}
+
+TEST(MasterTest, WarmColumnGenerationMatchesColdReference) {
+  // Path independence of the live-tableau column generation: on the served
+  // request families (eps 0.5, 24 jobs on 4 machines; replica 40 on 6) at
+  // each instance's final guess, a master whose column generation ended by
+  // pricing reports the LP optimum over ALL patterns. A from-scratch column
+  // generation that cold-solves every round (lp::solve), starting from the
+  // empty pattern alone, must reach the same value: the optimum is unique
+  // even where degenerate duals steer the two runs to different columns.
+  constexpr double kEps = 0.5;
+  const EptasConfig config;
+  const util::EpsGrid grid(kEps);
+  int compared = 0;
+  for (const std::string family :
+       {"uniform", "planted", "bagheavy", "smallbags", "replica"}) {
+    const bool replica = family == "replica";
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const std::string replay = family + " seed " + std::to_string(seed);
+      const Instance instance = gen::by_name(family, replica ? 40 : 24,
+                                             replica ? 6 : 4, seed);
+      const auto solved = eptas::eptas_schedule(instance, kEps, config);
+      if (!solved.stats.pipeline_succeeded) continue;
+      std::vector<double> rounded;
+      for (const auto& job : instance.jobs()) {
+        rounded.push_back(grid.value(
+            grid.index_above(job.size / solved.stats.final_guess)));
+      }
+      const auto cls = eptas::classify(instance, kEps, config, &rounded);
+      ASSERT_TRUE(cls.has_value()) << replay;
+      const auto transformed = eptas::transform(instance, *cls);
+      const auto space = eptas::build_pattern_space(transformed, *cls);
+      const auto warm =
+          eptas::solve_master(space, transformed, *cls, config);
+      if (!warm || !warm->stats.lp_optimal) continue;  // ended by a cap
+      EXPECT_EQ(warm->stats.pricing_truncations, 0) << replay;
+
+      std::vector<eptas::Pattern> pool{eptas::empty_pattern(space)};
+      std::set<std::vector<int>> seen{pool.front().signature()};
+      std::optional<double> cold;
+      for (int round = 0; round < 2000 && !cold; ++round) {
+        const auto lp = eptas::solve_master_lp(space, transformed, *cls, pool);
+        ASSERT_TRUE(lp.has_value()) << replay << " round " << round;
+        eptas::PricingStats pricing;
+        const auto column =
+            eptas::price_pattern(space, lp->duals, {}, &pricing);
+        ASSERT_FALSE(pricing.truncated) << replay;
+        if (!column) {
+          cold = lp->objective;
+        } else {
+          ASSERT_TRUE(seen.insert(column->signature()).second)
+              << replay << ": cold column generation repeated a column";
+          pool.push_back(*column);
+        }
+      }
+      ASSERT_TRUE(cold.has_value()) << replay;
+      EXPECT_NEAR(warm->stats.lp_objective, *cold,
+                  1e-6 * std::max(1.0, std::abs(*cold)))
+          << replay;
+      ++compared;
+    }
+  }
+  EXPECT_GE(compared, 25);
 }
 
 }  // namespace

@@ -864,6 +864,10 @@ TEST(NetServerTest, CloseSessionRacingDrainStaysConsistent) {
       // A draining refusal (or a closed connection) is a legal outcome.
     }
     drainer.join();
+    // Hang up before waiting: a client still connected would hold the
+    // drain open for its full grace period and then the force-close
+    // backstop.
+    client.close();
     server.wait();
     EXPECT_EQ(server.service().stats().open_sessions, 0u);
     EXPECT_EQ(server.counters().connections_active, 0u);

@@ -386,6 +386,7 @@ TEST(ServiceSessionTest, OpenDeltaCloseLifecycle) {
       api::make_delta_request(opening.session, trace.deltas.front()));
   EXPECT_EQ(late.wait().status, api::SolveStatus::Error);
 
+  service.wait_idle();  // handles resolve just before the counters settle
   const auto stats = service.stats();
   EXPECT_EQ(stats.sessions_opened, 1u);
   EXPECT_EQ(stats.sessions_closed, 1u);

@@ -2,11 +2,17 @@
 // the pricing branch-and-bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "eptas/classify.h"
+#include "eptas/enumerate.h"
 #include "eptas/pattern.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
 #include "sched/greedy_bags.h"
+#include "util/prng.h"
 
 namespace bagsched {
 namespace {
@@ -184,6 +190,101 @@ TEST(PricingTest, SmallBlockDualDiscouragesBag) {
   if (column) {
     EXPECT_FALSE(column->contains_priority(0));
   }
+}
+
+/// A random entry universe: up to four priority bags with one to three
+/// descending sizes, up to three x sizes, heights around T' at eps 0.5.
+PatternSpace random_space(util::Xoshiro256& rng) {
+  PatternSpace space;
+  space.max_height = rng.uniform_real(1.0, 2.25);
+  const auto descending_sizes = [&](int count) {
+    std::vector<double> sizes;
+    for (int k = 0; k < count; ++k) sizes.push_back(rng.uniform_real(0.1, 1.2));
+    std::sort(sizes.rbegin(), sizes.rend());
+    return sizes;
+  };
+  const int priority = static_cast<int>(rng.uniform_int(0, 4));
+  for (int i = 0; i < priority; ++i) {
+    PatternSpace::PriorityBag pbag;
+    pbag.bag = i;
+    pbag.sizes = descending_sizes(static_cast<int>(rng.uniform_int(1, 3)));
+    for (std::size_t k = 0; k < pbag.sizes.size(); ++k) {
+      pbag.counts.push_back(static_cast<int>(rng.uniform_int(1, 3)));
+    }
+    space.priority_bags.push_back(std::move(pbag));
+  }
+  space.x_sizes = descending_sizes(static_cast<int>(rng.uniform_int(0, 3)));
+  for (std::size_t k = 0; k < space.x_sizes.size(); ++k) {
+    space.x_avail.push_back(static_cast<int>(rng.uniform_int(1, 4)));
+  }
+  return space;
+}
+
+PricingDuals random_duals(util::Xoshiro256& rng, const PatternSpace& space) {
+  PricingDuals duals = zero_duals(space);
+  duals.machine = rng.uniform_real(-1.0, 1.0);
+  for (auto& row : duals.priority) {
+    for (auto& value : row) value = rng.uniform_real(-0.5, 2.0);
+  }
+  for (auto& value : duals.x_size) value = rng.uniform_real(-0.5, 2.0);
+  duals.area = rng.uniform_real(-1.0, 1.0);
+  for (auto& value : duals.small_block) value = rng.uniform_real(-1.0, 0.2);
+  return duals;
+}
+
+TEST(PricingTest, MatchesBruteForceOnRandomSpaces) {
+  // The pruning bounds (remaining-gain suffix and the height-aware
+  // r*h - 2Hh - h^2) must never cut off the optimum: the priced score
+  // equals the best score over every enumerated pattern.
+  const eptas::PricingOptions options;
+  int priced = 0;
+  for (int seed = 1; seed <= 400; ++seed) {
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
+    const PatternSpace space = random_space(rng);
+    const PricingDuals duals = random_duals(rng, space);
+    const auto all = eptas::enumerate_all_patterns(space, 1 << 20);
+    ASSERT_TRUE(all.has_value()) << "seed " << seed;
+    double best = -std::numeric_limits<double>::infinity();
+    for (const Pattern& pattern : *all) {
+      best = std::max(best, eptas::pattern_score(space, duals, pattern));
+    }
+    eptas::PricingStats stats;
+    const auto column = eptas::price_pattern(space, duals, options, &stats);
+    EXPECT_FALSE(stats.truncated) << "seed " << seed;
+    EXPECT_GT(stats.nodes, 0) << "seed " << seed;
+    // Scores within 1e-9 of the acceptance threshold may go either way.
+    if (std::abs(best - options.improvement_tolerance) < 1e-9) continue;
+    if (best > options.improvement_tolerance) {
+      ASSERT_TRUE(column.has_value()) << "seed " << seed;
+      EXPECT_NEAR(eptas::pattern_score(space, duals, *column), best, 1e-9)
+          << "seed " << seed;
+      EXPECT_LE(column->height, space.max_height + 1e-9) << "seed " << seed;
+      ++priced;
+    } else {
+      EXPECT_FALSE(column.has_value()) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(priced, 100);  // the sample exercises both outcomes
+  EXPECT_LT(priced, 400);
+}
+
+TEST(PricingTest, ReportsTruncation) {
+  const Prepared prep =
+      prepare(normalized(gen::by_name("mixed", 60, 8, 8)), 0.5);
+  PricingDuals duals = zero_duals(prep.space);
+  for (auto& row : duals.priority) {
+    for (auto& value : row) value = 1.0;
+  }
+  for (auto& value : duals.x_size) value = 1.0;
+  eptas::PricingOptions options;
+  options.max_nodes = 1;
+  eptas::PricingStats stats;
+  eptas::price_pattern(prep.space, duals, options, &stats);
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(stats.nodes, 1);
+  options.max_nodes = 1 << 30;
+  eptas::price_pattern(prep.space, duals, options, &stats);
+  EXPECT_FALSE(stats.truncated);
 }
 
 }  // namespace
