@@ -76,6 +76,17 @@ CacheMode cache_mode_from_string(const std::string& text) {
   throw std::runtime_error("options: unknown cache_mode \"" + text + "\"");
 }
 
+/// A delta id or machine count narrowed to int. Every one of them is
+/// non-negative, and a value past INT_MAX would wrap into a different,
+/// possibly valid, one.
+int delta_int(long long raw, const char* field) {
+  if (raw < 0 || raw > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string("delta: ") + field + " " +
+                                std::to_string(raw) + " out of range");
+  }
+  return static_cast<int>(raw);
+}
+
 }  // namespace
 
 util::Json options_to_json(const SolveOptions& options) {
@@ -273,26 +284,27 @@ model::Delta delta_from_json(const util::Json& json) {
     for (const util::Json& entry : arrivals->as_array()) {
       delta.arrivals.push_back(model::JobArrival{
           entry.at("size").as_number(),
-          static_cast<model::BagId>(entry.at("bag").as_int())});
+          delta_int(entry.at("bag").as_int(), "bag")});
     }
   }
   if (const util::Json* departures = json.find("departures")) {
     for (const util::Json& job : departures->as_array()) {
-      delta.departures.push_back(static_cast<model::JobId>(job.as_int()));
+      delta.departures.push_back(delta_int(job.as_int(), "departure"));
     }
   }
   if (const util::Json* resizes = json.find("resizes")) {
     for (const util::Json& entry : resizes->as_array()) {
       delta.resizes.push_back(model::JobResize{
-          static_cast<model::JobId>(entry.at("job").as_int()),
+          delta_int(entry.at("job").as_int(), "resize job"),
           entry.at("size").as_number()});
     }
   }
-  delta.machines_added = static_cast<int>(json.int_or("machines_added", 0));
+  delta.machines_added =
+      delta_int(json.int_or("machines_added", 0), "machines_added");
   if (const util::Json* failed = json.find("failed_machines")) {
     for (const util::Json& machine : failed->as_array()) {
       delta.failed_machines.push_back(
-          static_cast<model::MachineId>(machine.as_int()));
+          delta_int(machine.as_int(), "failed machine"));
     }
   }
   return delta;

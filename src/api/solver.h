@@ -70,9 +70,7 @@ struct SolveOptions {
   long long max_nodes = 50'000'000;
   /// Accepted-move budget for local search.
   long long max_moves = 200'000;
-  /// Worker threads for the parallel solvers ("exact-parallel", and the
-  /// "eptas" speculative guess search — whose results are bit-identical at
-  /// every thread count); 0 = hardware concurrency.
+  /// Worker threads for "exact-parallel"; 0 = hardware concurrency.
   int num_threads = 0;
   /// Binary-search refinements for multifit.
   int multifit_iterations = 24;

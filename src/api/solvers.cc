@@ -77,16 +77,12 @@ class EptasSolver final : public Solver {
     config.milp.time_limit_seconds = std::min(
         config.milp.time_limit_seconds, options.time_limit_seconds);
     if (config.milp.cancel == nullptr) config.milp.cancel = config.cancel;
-    // Speculative parallel guess search: same semantics as exact-parallel
-    // (0 = hardware concurrency). Results are bit-identical at every
-    // thread count, so this only affects wall time.
-    config.num_threads = options.num_threads;
 
     util::Stopwatch timer;
     emit_phase(options, name(), "pipeline");
     if (options.progress && !config.on_probe) {
       // Stream every consumed dual-approximation probe as a Phase event
-      // (deterministic order; emitted from the search's controller thread).
+      // (binary-search order; emitted from the solving thread).
       config.on_probe = [&options, this,
                          &timer](const eptas::GuessProbeEvent& event) {
         std::ostringstream phase;
@@ -127,14 +123,9 @@ class EptasSolver final : public Solver {
         static_cast<long long>(stats.origin_repairs);
     result.stats["lift_swaps"] = static_cast<long long>(stats.lift_swaps);
     result.stats["rescues"] = static_cast<long long>(stats.rescues);
-    // Speculative search / cross-guess reuse telemetry. probes_launched
-    // and probes_cancelled describe the actual execution (speculation
-    // included) and vary with the thread count; the rest is deterministic.
-    result.stats["threads"] = static_cast<long long>(stats.threads_used);
+    // Guess search / cross-guess reuse telemetry.
     result.stats["probes_launched"] =
         static_cast<long long>(stats.probes_launched);
-    result.stats["probes_cancelled"] =
-        static_cast<long long>(stats.probes_cancelled);
     result.stats["probes_memo_hits"] =
         static_cast<long long>(stats.probes_memo_hits);
     result.stats["columns_warm_started"] =

@@ -16,8 +16,7 @@ namespace bagsched::eptas {
 
 enum class ConstantsProfile { Practical, PaperExact };
 
-/// One consumed dual-approximation probe, reported in the deterministic
-/// binary-search order regardless of how many worker threads ran it.
+/// One consumed dual-approximation probe, reported in binary-search order.
 struct GuessProbeEvent {
   int index = 0;          ///< guess index on the search grid
   double guess = 0.0;     ///< makespan guess T = lower * step^index
@@ -60,23 +59,16 @@ struct EptasConfig {
   double guess_step_fraction = 0.5;
 
   // --- Dual-approximation search ------------------------------------------
-  /// Worker threads for the speculative parallel guess search (1 =
-  /// sequential, 0 = hardware concurrency). The returned final_guess,
-  /// makespan and schedule are bit-identical at every thread count: probe
-  /// outcomes are pure functions of the guess's rounded grid, and the
-  /// search consumes them in the sequential binary-search order.
-  int num_threads = 1;
-
   /// Cross-guess reuse: probe the top guess first as a warm-start anchor
-  /// (its master patterns seed every other probe's column pool), memoize
-  /// probe outcomes per rounded-size grid signature (adjacent guesses often
-  /// round identically), and reuse per-probe scratch buffers. Off = every
-  /// probe runs cold, as the pre-reuse pipeline did.
+  /// (its master patterns seed every other probe's column pool) and
+  /// memoize probe outcomes per rounded-size grid signature (adjacent
+  /// guesses often round identically). Off = every probe runs cold, as the
+  /// pre-reuse pipeline did.
   bool warm_start = true;
 
-  /// Observer for consumed probes (deterministic order; called on the
-  /// search's controller thread). Used by the api layer to stream per-guess
-  /// progress. Empty = no reporting.
+  /// Observer for consumed probes (binary-search order; called on the
+  /// solving thread). Used by the api layer to stream per-guess progress.
+  /// Empty = no reporting.
   std::function<void(const GuessProbeEvent&)> on_probe;
 
   /// Cooperative cancellation: checked between makespan guesses, inside the

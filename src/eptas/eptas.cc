@@ -57,10 +57,8 @@ EptasResult eptas_schedule(const Instance& instance, double eps,
   // Search for the smallest successful guess (the standard dual
   // approximation argument: every T >= OPT "should" succeed; failures from
   // the practical caps only push the search upward, never break
-  // feasibility of the result). guess_search.cc probes guesses — possibly
-  // speculatively in parallel, with cross-guess reuse — but consumes the
-  // outcomes in the sequential binary-search order, so the result is
-  // bit-identical at every thread count.
+  // feasibility of the result). guess_search.cc runs that binary search
+  // with cross-guess reuse.
   GuessSearchResult search =
       run_guess_search(instance, eps, lower, step, num_guesses, effective);
 
@@ -69,9 +67,7 @@ EptasResult eptas_schedule(const Instance& instance, double eps,
   result.stats.guesses_tried = guesses;
   result.stats.lower_bound = lower;
   result.stats.greedy_upper = upper;
-  result.stats.threads_used = search.threads_used;
   result.stats.probes_launched = search.probes_launched;
-  result.stats.probes_cancelled = search.probes_cancelled;
   result.stats.probes_memo_hits = search.memo_hits;
   result.stats.columns_warm_started = search.columns_warm_started;
   result.stats.pricing_rounds_saved = search.pricing_rounds_saved;

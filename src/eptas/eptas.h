@@ -48,16 +48,9 @@ struct EptasStats {
   int lift_swaps = 0;      ///< Lemma 4 filler swaps
   int rescues = 0;         ///< structure-breaking placements (measured)
 
-  // Speculative search / cross-guess reuse. The deterministic counters
-  // (memo hits, warm columns, rounds saved) aggregate over the probes the
-  // binary-search replay consumed, so they are identical at every thread
-  // count; probes_launched/cancelled describe the actual execution
-  // (speculation included) and legitimately vary with thread count.
-  /// Configured worker budget (num_threads resolved against the
-  /// hardware); the search may use fewer when the guess window is small.
-  int threads_used = 1;
-  int probes_launched = 0;     ///< pipeline probes started (incl. specul.)
-  int probes_cancelled = 0;    ///< in-flight probes made moot and stopped
+  // Guess search / cross-guess reuse, aggregated over the probes the
+  // search consumed.
+  int probes_launched = 0;     ///< probes that ran the pipeline
   int probes_memo_hits = 0;    ///< probes served from the grid-signature memo
   int columns_warm_started = 0;///< anchor columns accepted into master pools
   /// Warm-started columns the final master actually used (each one stands

@@ -1,24 +1,16 @@
-// Speculative parallel dual-approximation search with cross-guess reuse.
+// Dual-approximation search over makespan guesses, with cross-guess reuse.
 //
 // The binary search over makespan guesses is the EPTAS's outer loop; this
-// module runs it so that
-//  * several guesses probe concurrently on a util::ThreadPool (a success at
-//    guess index i makes every in-flight probe above i moot, a failure makes
-//    those below moot; both are cancelled through per-probe
-//    util::CancellationTokens), and
-//  * adjacent guesses share work: probe outcomes are memoized per
-//    rounded-size grid signature (guesses that round every job identically
-//    share one pipeline run verbatim), and a warm-start anchor probe at the
-//    top guess seeds every other probe's column-generation pool with its
-//    certified machine patterns.
+// module runs it sequentially — a warm-start anchor probe at the top guess,
+// then the binary search — and lets adjacent guesses share work:
+//  * probe outcomes are memoized per rounded-size grid signature (guesses
+//    that round every job identically share one pipeline run verbatim);
+//  * the anchor's certified machine patterns seed every later probe's
+//    column-generation pool.
 //
-// Determinism contract: the returned best index, schedule and makespan are
-// bit-identical at every thread count. Probe outcomes are pure functions of
-// the guess's grid signature (the pipeline only ever sees rounded sizes,
-// see lift_solution's cls parameter), the anchor — the only probe with
-// different inputs — completes before any other probe launches, and the
-// controller consumes outcomes in the exact sequential binary-search order,
-// so speculation can only pre-compute results, never change them. See
+// The memo is sound because a probe outcome is a pure function of its
+// guess's grid signature (the pipeline only ever sees rounded sizes, see
+// lift_solution's cls parameter) plus the fixed anchor seeds. See
 // DESIGN.md §4.
 #pragma once
 
@@ -39,27 +31,19 @@ struct GuessSearchResult {
   /// Pipeline stats of the best probe (columns, pricing rounds, repairs…).
   EptasStats best_stats;
 
-  // Deterministic counters (identical at every thread count).
-  int guesses_tried = 0;       ///< probes consumed by the replay
-  int memo_hits = 0;           ///< consumed probes served from the memo
+  int guesses_tried = 0;  ///< probes the search consumed
+  int memo_hits = 0;      ///< consumed probes served from the memo
+  /// Consumed probes that ran the pipeline (guesses_tried - memo_hits).
+  int probes_launched = 0;
   int columns_warm_started = 0;
   int pricing_rounds_saved = 0;
-
-  // Execution telemetry (legitimately varies with thread count).
-  int probes_launched = 0;
-  int probes_cancelled = 0;
-  int threads_used = 1;
-
-  /// The caller's cancellation token stopped the search; `best` may still
-  /// hold the best certified schedule found before the stop.
-  bool cancelled = false;
 };
 
 /// Runs the dual-approximation search over guesses lower * step^i,
-/// i in [0, num_guesses). `config.num_threads` sets the worker count
-/// (1 = sequential, 0 = hardware concurrency); `config.warm_start` gates
-/// every cross-guess reuse mechanism. `config.cancel` / `config.milp`
-/// must already be the effective (chained) settings.
+/// i in [0, num_guesses). `config.warm_start` gates every cross-guess reuse
+/// mechanism. `config.cancel` / `config.milp` must already be the effective
+/// (chained) settings; a fired `config.cancel` stops the search, and `best`
+/// then holds the best schedule certified before the stop.
 GuessSearchResult run_guess_search(const model::Instance& instance,
                                    double eps, double lower, double step,
                                    int num_guesses,

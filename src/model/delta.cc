@@ -1,6 +1,7 @@
 #include "model/delta.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -99,10 +100,15 @@ Instance apply_delta(const Instance& instance, const Delta& delta,
     }
     failed[static_cast<std::size_t>(machine)] = 1;
   }
-  const int new_machines = old_machines + delta.machines_added -
-                           static_cast<int>(delta.failed_machines.size());
+  // 64-bit: machines_added may be anything up to INT_MAX.
+  const long long new_machines =
+      static_cast<long long>(old_machines) + delta.machines_added -
+      static_cast<long long>(delta.failed_machines.size());
   if (new_machines <= 0) {
     throw std::invalid_argument("delta: no machines left after failures");
+  }
+  if (new_machines > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("delta: machine count overflows");
   }
 
   // --- Build the post-delta job list (survivors first, then arrivals) -----
@@ -157,7 +163,7 @@ Instance apply_delta(const Instance& instance, const Delta& delta,
       }
     }
   }
-  return Instance(std::move(jobs), new_machines, num_bags);
+  return Instance(std::move(jobs), static_cast<int>(new_machines), num_bags);
 }
 
 Delta inverse_delta(const Instance& instance, const Delta& delta,

@@ -151,6 +151,31 @@ TEST(EptasTest, GuessBelowOptFails) {
   EXPECT_FALSE(schedule.has_value());
 }
 
+TEST(EptasTest, NeverWorseThanHeuristicUpperBound) {
+  // The result contract behind the fallback comparison: eptas never returns
+  // worse than the greedy + local-search upper bound it computed, and
+  // whenever it returns the pipeline's schedule, the reported pipeline
+  // makespan is the returned one.
+  for (const auto& family : gen::family_names()) {
+    for (const std::uint64_t seed : {3, 4}) {
+      const Instance instance = gen::by_name(family, 24, 4, seed);
+      for (const double eps : {0.3, 0.5, 0.7}) {
+        SCOPED_TRACE(family + " seed=" + std::to_string(seed) +
+                     " eps=" + std::to_string(eps));
+        const auto result = eptas::eptas_schedule(instance, eps);
+        EXPECT_TRUE(model::validate(instance, result.schedule).ok());
+        EXPECT_DOUBLE_EQ(result.makespan,
+                         result.schedule.makespan(instance));
+        EXPECT_LE(result.makespan, result.stats.greedy_upper + 1e-12);
+        if (!result.stats.used_fallback) {
+          EXPECT_TRUE(result.stats.pipeline_succeeded);
+          EXPECT_EQ(result.makespan, result.stats.pipeline_makespan);
+        }
+      }
+    }
+  }
+}
+
 TEST(EptasTest, DeterministicForSameInput) {
   const Instance instance = gen::by_name("uniform", 25, 4, 21);
   const auto a = eptas::eptas_schedule(instance, 0.5);

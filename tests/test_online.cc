@@ -7,6 +7,8 @@
 // semantics), and the delta JSON round trips.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -449,6 +451,38 @@ TEST(OnlineSerializeTest, DeltaJsonRoundTrip) {
   EXPECT_EQ(back.failed_machines, delta.failed_machines);
   // An empty object parses as a noop delta.
   EXPECT_TRUE(model::is_noop(api::delta_from_json(util::Json::object())));
+  // Counts and ids outside [0, INT_MAX] are rejected rather than narrowed
+  // (2^32 + 1 would wrap to one added machine).
+  for (const char* text :
+       {R"({"machines_added":4294967297})", R"({"machines_added":-1})",
+        R"({"machines_added":2147483648})",
+        R"({"arrivals":[{"size":1,"bag":4294967296}]})",
+        R"({"arrivals":[{"size":1,"bag":-1}]})",
+        R"({"departures":[4294967296]})", R"({"departures":[-2]})",
+        R"({"resizes":[{"job":2147483648,"size":1}]})",
+        R"({"failed_machines":[4294967296]})",
+        R"({"failed_machines":[-1]})"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(api::delta_from_json(util::Json::parse(text)),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(api::delta_from_json(
+                util::Json::parse(R"({"machines_added":2147483647})"))
+                .machines_added,
+            2147483647);
+}
+
+TEST(DeltaTest, MachineCountOverflowIsRejected) {
+  // old + added is computed in 64 bits: INT_MAX added machines on top of an
+  // existing fleet is a malformed delta, not signed overflow.
+  const model::Instance instance =
+      model::Instance::from_vectors({1.0, 2.0}, {0, 1}, 3);
+  model::Delta delta;
+  delta.machines_added = std::numeric_limits<int>::max();
+  EXPECT_THROW(model::apply_delta(instance, delta), std::invalid_argument);
+  delta.failed_machines = {0, 1, 2};
+  const model::Instance grown = model::apply_delta(instance, delta);
+  EXPECT_EQ(grown.num_machines(), std::numeric_limits<int>::max());
 }
 
 TEST(OnlineSerializeTest, DeltaRequestJsonRoundTrip) {
