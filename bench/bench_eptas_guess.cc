@@ -1,13 +1,18 @@
-// Guess-search benchmark of the EPTAS: cross-guess reuse (warm-start
-// anchor + grid-signature memo) versus the cold pipeline, on guess-heavy
-// two-point cases (eps = 0.1 with a fine step fraction makes the
-// dual-approximation search probe several adjacent guesses that round
-// almost identically).
+// Guess-search benchmark of the EPTAS on guess-heavy two-point cases
+// (eps = 0.1 with a fine step fraction gives the dual-approximation search
+// many adjacent guesses that round almost identically).
 //
-// Contract check: when the repetition count is high enough to trust the
-// medians (reps >= 2, i.e. the perf-gate run, not the reps=1 CI smoke), the
-// mean reuse speedup must be >= 1.3x, the acceptance bar for cross-guess
-// reuse.
+// Rows:
+//  * <case>/search — the whole eptas_schedule; the search probes the
+//    lower-bound guess first, so a certified index 0 costs one pipeline run;
+//  * twopoint-60x12-s1/from-0.8lb — run_guess_search started below the
+//    lower bound (T = 0.8 LB, step 1.02), so the first probe fails and the
+//    binary search climbs, with the grid-signature memo serving repeats.
+// Each row records guesses, probes (pipeline runs) and memo_hits.
+//
+// Contract check: when the repetition count is high enough for the
+// perf-gate run (reps >= 2, not the reps=1 CI smoke), every /search row
+// must consume exactly one guess.
 //
 // Flags: --bench-json[=path] --bench-reps=N (see harness.h).
 #include <cmath>
@@ -17,17 +22,19 @@
 #include <vector>
 
 #include "eptas/eptas.h"
+#include "eptas/guess_search.h"
 #include "gen/generators.h"
 #include "harness.h"
+#include "model/lower_bounds.h"
 #include "model/schedule.h"
+#include "sched/greedy_bags.h"
 
 namespace {
 
 namespace bench = bagsched::bench;
 namespace eptas = bagsched::eptas;
 namespace gen = bagsched::gen;
-
-constexpr double kMinReuseSpeedup = 1.3;
+namespace model = bagsched::model;
 
 struct Spec {
   const char* family;
@@ -43,11 +50,11 @@ std::string label_of(const Spec& spec) {
          std::to_string(spec.machines) + "-s" + std::to_string(spec.seed);
 }
 
-eptas::EptasConfig config_of(const Spec& spec, bool warm) {
-  eptas::EptasConfig config;
-  config.warm_start = warm;
-  config.guess_step_fraction = spec.step_fraction;
-  return config;
+void set_search_metrics(bench::CaseResult& row, int guesses, int probes,
+                        int memo_hits) {
+  row.metrics.set("guesses", static_cast<long long>(guesses));
+  row.metrics.set("probes", static_cast<long long>(probes));
+  row.metrics.set("memo_hits", static_cast<long long>(memo_hits));
 }
 
 }  // namespace
@@ -62,63 +69,54 @@ int main(int argc, char** argv) {
       {"twopoint", 60, 12, 5, 0.1, 0.25},
   };
 
-  double reuse_speedup_sum = 0.0;
-
+  bool one_guess_ok = true;
   for (const Spec& spec : specs) {
     const auto instance =
         gen::by_name(spec.family, spec.jobs, spec.machines, spec.seed);
-    const std::string label = label_of(spec);
+    eptas::EptasConfig config;
+    config.guess_step_fraction = spec.step_fraction;
 
-    eptas::EptasResult cold;
-    auto& cold_case = harness.run_case(label + "/cold", reps, [&] {
-      cold = eptas::eptas_schedule(instance, spec.eps, config_of(spec, false));
+    eptas::EptasResult result;
+    auto& row = harness.run_case(label_of(spec) + "/search", reps, [&] {
+      result = eptas::eptas_schedule(instance, spec.eps, config);
     });
-    cold_case.metrics.set("makespan", cold.makespan);
-    cold_case.metrics.set("guesses",
-                          static_cast<long long>(cold.stats.guesses_tried));
-    // References from run_case only live until the next run_case; keep the
-    // medians needed for the speedup ratios as values.
-    const double cold_median = cold_case.median_seconds;
-
-    eptas::EptasResult warm;
-    auto& warm_case = harness.run_case(label + "/warm", reps, [&] {
-      warm = eptas::eptas_schedule(instance, spec.eps, config_of(spec, true));
-    });
-    const double warm_median = warm_case.median_seconds;
-    const double reuse_speedup =
-        warm_median > 0.0 ? cold_median / warm_median : 0.0;
-    warm_case.metrics.set("makespan", warm.makespan);
-    warm_case.metrics.set("guesses",
-                          static_cast<long long>(warm.stats.guesses_tried));
-    warm_case.metrics.set(
-        "memo_hits", static_cast<long long>(warm.stats.probes_memo_hits));
-    warm_case.metrics.set(
-        "warm_columns",
-        static_cast<long long>(warm.stats.columns_warm_started));
-    warm_case.metrics.set(
-        "pricing_rounds_saved",
-        static_cast<long long>(warm.stats.pricing_rounds_saved));
-    warm_case.metrics.set("reuse_speedup", reuse_speedup);
-    reuse_speedup_sum += reuse_speedup;
+    row.metrics.set("makespan", result.makespan);
+    set_search_metrics(row, result.stats.guesses_tried,
+                       result.stats.probes_launched,
+                       result.stats.probes_memo_hits);
+    if (reps >= 2 && result.stats.guesses_tried != 1) {
+      std::cerr << "SEARCH REGRESSION: " << label_of(spec) << " consumed "
+                << result.stats.guesses_tried
+                << " guesses; the lower-bound probe should certify\n";
+      one_guess_ok = false;
+    }
   }
 
-  const double mean_reuse =
-      reuse_speedup_sum / static_cast<double>(specs.size());
-  std::cout << "\n=== eptas guess search: cross-guess reuse ===\n"
-            << "  mean speedup (warm vs cold): " << mean_reuse
-            << "x (target >= " << kMinReuseSpeedup << "x)\n";
-  auto& reuse_summary = harness.run_case("summary/reuse", 1, [] {});
-  reuse_summary.metrics.set("mean_reuse_speedup", mean_reuse);
+  // Failure path: start below the lower bound so index 0 cannot certify,
+  // and let the guess grid cover the heuristic upper bound as
+  // eptas_schedule's does.
+  {
+    const Spec spec = specs.front();  // twopoint 60x12 s1, eps 0.1
+    const auto instance =
+        gen::by_name(spec.family, spec.jobs, spec.machines, spec.seed);
+    const double lower = 0.8 * model::combined_lower_bound(instance);
+    const double upper =
+        bagsched::sched::greedy_bags(instance).makespan(instance);
+    const double step = 1.02;
+    int num_guesses = 1;
+    while (lower * std::pow(step, num_guesses - 1) < upper) ++num_guesses;
 
-  // Only trust medians from a multi-rep run; the reps=1 CI smoke stays a
-  // correctness/report run.
-  bool reuse_ok = true;
-  if (reps >= 2 && mean_reuse < kMinReuseSpeedup) {
-    std::cerr << "REUSE REGRESSION: mean warm-vs-cold speedup " << mean_reuse
-              << "x is below the " << kMinReuseSpeedup << "x target\n";
-    reuse_ok = false;
+    eptas::GuessSearchResult search;
+    auto& row = harness.run_case(label_of(spec) + "/from-0.8lb", reps, [&] {
+      search = eptas::run_guess_search(instance, spec.eps, lower, step,
+                                       num_guesses, eptas::EptasConfig{});
+    });
+    row.metrics.set("makespan",
+                    search.best ? search.best->makespan(instance) : 0.0);
+    set_search_metrics(row, search.guesses_tried, search.probes_launched,
+                       search.memo_hits);
   }
 
   const bool wrote = harness.finish(std::cout);
-  return wrote && reuse_ok ? 0 : 1;
+  return wrote && one_guess_ok ? 0 : 1;
 }

@@ -263,11 +263,7 @@ int cmd_solve(std::vector<std::string>& args) {
               << api::stat_int(result.stats, "probes_launched")
               << " launched, "
               << api::stat_int(result.stats, "probes_memo_hits")
-              << " memo hits, "
-              << api::stat_int(result.stats, "columns_warm_started")
-              << " warm columns ("
-              << api::stat_int(result.stats, "pricing_rounds_saved")
-              << " pricing rounds saved)\n";
+              << " memo hits\n";
   }
   if (single && args.size() == 4 && result.schedule.num_jobs() > 0) {
     std::ofstream out(args[3]);

@@ -20,7 +20,7 @@ std::uint64_t bits(double value) {
 
 const std::vector<DigestField>& registry() {
   // Result-relevant core options first, then the EPTAS knobs: the constants
-  // profile and its caps, the reuse/enumeration toggles, the guess grid and
+  // profile and its caps, the enumeration toggle, the guess grid and
   // the nested MILP budgets all steer which schedule comes out.
   static const std::vector<DigestField> fields = {
       BAGSCHED_DIGEST_FIELD("eps", bits(options.eps)),
@@ -53,8 +53,6 @@ const std::vector<DigestField>& registry() {
           static_cast<std::uint64_t>(options.eptas.max_milp_patterns)),
       BAGSCHED_DIGEST_FIELD("eptas.enable_rescue",
                             options.eptas.enable_rescue ? 1ULL : 0ULL),
-      BAGSCHED_DIGEST_FIELD("eptas.warm_start",
-                            options.eptas.warm_start ? 1ULL : 0ULL),
       BAGSCHED_DIGEST_FIELD("eptas.use_enumerated_milp",
                             options.eptas.use_enumerated_milp ? 1ULL : 0ULL),
       BAGSCHED_DIGEST_FIELD("eptas.guess_step_fraction",

@@ -226,7 +226,7 @@ bool is_cacheable(const SolveResult& result) {
 }  // namespace
 
 SchedulingService::SchedulingService(Config config)
-    : config_(config), pool_(config.num_threads) {
+    : config_(config), cache_(config.cache), pool_(config.num_threads) {
   max_concurrent_ =
       config_.max_concurrent != 0 ? config_.max_concurrent : pool_.size();
   std::random_device entropy;

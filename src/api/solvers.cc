@@ -82,17 +82,14 @@ class EptasSolver final : public Solver {
     emit_phase(options, name(), "pipeline");
     if (options.progress && !config.on_probe) {
       // Stream every consumed dual-approximation probe as a Phase event
-      // (binary-search order; emitted from the solving thread).
+      // (search order: the lower-bound guess, then the binary search;
+      // emitted from the solving thread).
       config.on_probe = [&options, this,
                          &timer](const eptas::GuessProbeEvent& event) {
         std::ostringstream phase;
         phase << "guess[" << event.index << "] T="
               << event.guess << (event.success ? " ok" : " fail");
-        if (event.anchor) phase << " anchor";
         if (event.memo_hit) phase << " memo";
-        if (event.warm_columns > 0) {
-          phase << " warm=" << event.warm_columns;
-        }
         emit_phase(options, name(), phase.str(), timer.seconds());
       };
     }
@@ -123,15 +120,11 @@ class EptasSolver final : public Solver {
         static_cast<long long>(stats.origin_repairs);
     result.stats["lift_swaps"] = static_cast<long long>(stats.lift_swaps);
     result.stats["rescues"] = static_cast<long long>(stats.rescues);
-    // Guess search / cross-guess reuse telemetry.
+    // Guess search telemetry.
     result.stats["probes_launched"] =
         static_cast<long long>(stats.probes_launched);
     result.stats["probes_memo_hits"] =
         static_cast<long long>(stats.probes_memo_hits);
-    result.stats["columns_warm_started"] =
-        static_cast<long long>(stats.columns_warm_started);
-    result.stats["pricing_rounds_saved"] =
-        static_cast<long long>(stats.pricing_rounds_saved);
   }
 };
 

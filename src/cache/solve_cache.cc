@@ -1,5 +1,6 @@
 #include "cache/solve_cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string_view>
@@ -34,31 +35,26 @@ std::size_t schedule_heap_bytes(const model::Schedule& schedule) {
 static_assert(std::is_same_v<api::TelemetryValue,
                              std::variant<long long, double, bool,
                                           std::string>>,
-              "pack_telemetry/unpack_telemetry mirror this alternative order");
+              "pack_values/unpack_telemetry mirror this alternative order");
 
-/// Telemetry flattened into one buffer. A std::map spends a node
-/// allocation per key — several times the data — and a cached result is
-/// only ever read whole. Per key: u32 key length, key bytes, u8 variant
-/// index, then the value (u32 length + bytes for strings).
-std::string pack_telemetry(const api::Telemetry& stats) {
+/// Telemetry values in map order, in one buffer; the key names live in the
+/// cache's interned key list. Per key: u8 variant index, then the value
+/// (u32 length + bytes for strings).
+std::string pack_values(const api::Telemetry& stats) {
   std::string out;
   const auto put = [&out](const void* data, std::size_t size) {
     out.append(static_cast<const char*>(data), size);
   };
-  const auto put_text = [&put](const std::string& text) {
-    const auto size = static_cast<std::uint32_t>(text.size());
-    put(&size, sizeof size);
-    put(text.data(), text.size());
-  };
   for (const auto& [key, value] : stats) {
-    put_text(key);
     const auto index = static_cast<std::uint8_t>(value.index());
     put(&index, sizeof index);
     std::visit(
         [&](const auto& v) {
           if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
                                        std::string>) {
-            put_text(v);
+            const auto size = static_cast<std::uint32_t>(v.size());
+            put(&size, sizeof size);
+            put(v.data(), v.size());
           } else {
             put(&v, sizeof v);
           }
@@ -69,26 +65,19 @@ std::string pack_telemetry(const api::Telemetry& stats) {
   return out;
 }
 
-api::Telemetry unpack_telemetry(std::string_view packed) {
+api::Telemetry unpack_telemetry(const std::vector<std::string>& keys,
+                                std::string_view packed) {
   api::Telemetry stats;
   std::size_t at = 0;
   const auto take = [&](void* data, std::size_t size) {
     std::memcpy(data, packed.data() + at, size);
     at += size;
   };
-  const auto take_text = [&] {
-    std::uint32_t size = 0;
-    take(&size, sizeof size);
-    std::string text(packed.substr(at, size));
-    at += size;
-    return text;
-  };
   const auto take_value = [&](auto value) {
     take(&value, sizeof value);
     return api::TelemetryValue(value);
   };
-  while (at < packed.size()) {
-    std::string key = take_text();
+  for (const std::string& key : keys) {
     std::uint8_t index = 0;
     take(&index, sizeof index);
     api::TelemetryValue value;
@@ -96,20 +85,128 @@ api::Telemetry unpack_telemetry(std::string_view packed) {
       case 0: value = take_value(0LL); break;
       case 1: value = take_value(0.0); break;
       case 2: value = take_value(false); break;
-      default: value = take_text(); break;
+      default: {
+        std::uint32_t size = 0;
+        take(&size, sizeof size);
+        value = std::string(packed.substr(at, size));
+        at += size;
+        break;
+      }
     }
-    stats.emplace_hint(stats.end(), std::move(key), std::move(value));
+    stats.emplace_hint(stats.end(), key, std::move(value));
   }
   return stats;
 }
 
+/// A schedule in one allocation: u8 width, i32 machine count, u32 job
+/// count, then per job machine id + 1 (so kUnassigned is 0) as a
+/// little-endian unsigned of `width` bytes — the narrowest of 1, 2 or 4
+/// that holds every id. Any int id round-trips.
+constexpr std::size_t kScheduleHeader = 9;
+
+std::unique_ptr<std::uint8_t[]> pack_schedule(
+    const model::Schedule& schedule) {
+  const auto& assignment = schedule.assignment();
+  std::uint32_t top = 0;
+  for (const model::MachineId machine : assignment) {
+    top = std::max(top, static_cast<std::uint32_t>(machine) + 1u);
+  }
+  const std::size_t width = top <= 0xFF ? 1 : top <= 0xFFFF ? 2 : 4;
+  auto out = std::make_unique_for_overwrite<std::uint8_t[]>(
+      kScheduleHeader + width * assignment.size());
+  const auto put = [&](std::size_t at, std::uint32_t value,
+                       std::size_t bytes) {
+    for (std::size_t b = 0; b < bytes; ++b) {
+      out[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+  };
+  put(0, static_cast<std::uint32_t>(width), 1);
+  put(1, static_cast<std::uint32_t>(schedule.num_machines()), 4);
+  put(5, static_cast<std::uint32_t>(assignment.size()), 4);
+  for (std::size_t j = 0; j < assignment.size(); ++j) {
+    put(kScheduleHeader + width * j,
+        static_cast<std::uint32_t>(assignment[j]) + 1u, width);
+  }
+  return out;
+}
+
+model::Schedule unpack_schedule(const std::uint8_t* packed) {
+  const auto get = [packed](std::size_t at, std::size_t bytes) {
+    std::uint32_t value = 0;
+    for (std::size_t b = 0; b < bytes; ++b) {
+      value |= static_cast<std::uint32_t>(packed[at + b]) << (8 * b);
+    }
+    return value;
+  };
+  const std::size_t width = get(0, 1);
+  const auto jobs = static_cast<int>(get(5, 4));
+  model::Schedule schedule(jobs, static_cast<int>(get(1, 4)));
+  for (int j = 0; j < jobs; ++j) {
+    schedule.assign(j, static_cast<model::MachineId>(
+                           get(kScheduleHeader + width * j, width) - 1u));
+  }
+  return schedule;
+}
+
 }  // namespace
 
-/// The shared payload: the result with its telemetry packed.
+/// The shared payload: every SolveResult field but the schedule (each
+/// entry keeps its own), with the telemetry split into interned keys and
+/// packed values. A field added to SolveResult must be carried here too;
+/// test_cache's round trip compares whole results through api::to_json.
 struct SolveCache::StoredResult {
-  api::SolveResult head;  ///< every field but `stats`
-  std::string telemetry;  ///< pack_telemetry(stats)
-  std::size_t bytes = 0;  ///< approx_result_bytes of the unpacked result
+  StoredResult(api::SolveResult&& result, const TelemetryKeys* keys)
+      : bytes(approx_result_bytes(result)),
+        keys(keys),
+        values(pack_values(result.stats)),
+        solver(std::move(result.solver)),
+        error(std::move(result.error)),
+        makespan(result.makespan),
+        lower_bound(result.lower_bound),
+        optimality_gap(result.optimality_gap),
+        migration_ratio(result.migration_ratio),
+        wall_seconds(result.wall_seconds),
+        moved_jobs(result.moved_jobs),
+        status(result.status),
+        proven_optimal(result.proven_optimal),
+        schedule_feasible(result.schedule_feasible),
+        cancelled(result.cancelled) {}
+
+  /// The stored result around `schedule`.
+  api::SolveResult unpack(model::Schedule schedule) const {
+    api::SolveResult result;
+    result.solver = solver;
+    result.status = status;
+    result.schedule = std::move(schedule);
+    result.makespan = makespan;
+    result.lower_bound = lower_bound;
+    result.optimality_gap = optimality_gap;
+    result.proven_optimal = proven_optimal;
+    result.schedule_feasible = schedule_feasible;
+    result.cancelled = cancelled;
+    result.moved_jobs = moved_jobs;
+    result.migration_ratio = migration_ratio;
+    result.wall_seconds = wall_seconds;
+    result.error = error;
+    result.stats = unpack_telemetry(*keys, values);
+    return result;
+  }
+
+  std::size_t bytes;  ///< approx_result_bytes of the unpacked result
+  const TelemetryKeys* keys;
+  std::string values;  ///< pack_values(stats)
+  std::string solver;
+  std::string error;
+  double makespan;
+  double lower_bound;
+  double optimality_gap;
+  double migration_ratio;
+  double wall_seconds;
+  int moved_jobs;
+  api::SolveStatus status;
+  bool proven_optimal;
+  bool schedule_feasible;
+  bool cancelled;
 };
 
 std::size_t approx_result_bytes(const api::SolveResult& result) {
@@ -142,9 +239,42 @@ SolveCache::Shard& SolveCache::shard_for(const CacheKey& key) {
                   (shards_.size() - 1)];
 }
 
+void SolveCache::Shard::unlink(Slot& slot) {
+  Entry& entry = slot.second;
+  (entry.newer ? entry.newer->second.older : newest) = entry.older;
+  (entry.older ? entry.older->second.newer : oldest) = entry.newer;
+  entry.newer = entry.older = nullptr;
+}
+
+void SolveCache::Shard::push_newest(Slot& slot) {
+  slot.second.older = newest;
+  (newest ? newest->second.newer : oldest) = &slot;
+  newest = &slot;
+}
+
+const SolveCache::TelemetryKeys* SolveCache::intern_keys(
+    const api::Telemetry& stats) {
+  const auto same_keys = [&stats](const TelemetryKeys& keys) {
+    return keys.size() == stats.size() &&
+           std::equal(keys.begin(), keys.end(), stats.begin(),
+                      [](const std::string& key, const auto& stat) {
+                        return key == stat.first;
+                      });
+  };
+  std::lock_guard<std::mutex> lock(keys_mutex_);
+  for (const auto& keys : telemetry_keys_) {
+    if (same_keys(*keys)) return keys.get();
+  }
+  auto keys = std::make_unique<TelemetryKeys>();
+  keys->reserve(stats.size());
+  for (const auto& stat : stats) keys->push_back(stat.first);
+  telemetry_keys_.push_back(std::move(keys));
+  return telemetry_keys_.back().get();
+}
+
 std::optional<api::SolveResult> SolveCache::lookup(const CacheKey& key) {
   Payload payload;
-  std::optional<model::Schedule> schedule;
+  model::Schedule schedule;
   {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -154,30 +284,26 @@ std::optional<api::SolveResult> SolveCache::lookup(const CacheKey& key) {
       return std::nullopt;
     }
     ++shard.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    payload = it->second->payload;
-    schedule = it->second->schedule;
+    shard.unlink(*it);
+    shard.push_newest(*it);
+    payload = it->second.payload;
+    schedule = unpack_schedule(it->second.schedule.get());
   }
   // The payload is immutable: unpack outside the shard lock.
-  api::SolveResult result = payload->head;
-  result.stats = unpack_telemetry(payload->telemetry);
-  if (schedule) result.schedule = std::move(*schedule);
-  return result;
+  return payload->unpack(std::move(schedule));
 }
 
 SolveCache::Payload SolveCache::insert(const CacheKey& key,
                                        api::SolveResult result) {
-  auto stored = std::make_shared<StoredResult>();
-  stored->bytes = approx_result_bytes(result);
-  stored->telemetry = pack_telemetry(result.stats);
-  result.stats.clear();
-  stored->head = std::move(result);
-  Payload payload = std::move(stored);
+  auto schedule = pack_schedule(result.schedule);
+  const TelemetryKeys* keys = intern_keys(result.stats);
+  Payload payload =
+      std::make_shared<const StoredResult>(std::move(result), keys);
   // Injected memory pressure: the insert is silently dropped, as if the
   // entry were immediately evicted. Correctness never depends on an insert
   // landing — lookups just miss and the solve re-runs.
   if (BAGSCHED_FAULT("cache.insert")) return payload;
-  store(key, Entry{key, payload, std::nullopt, payload->bytes});
+  store(key, payload, std::move(schedule), payload->bytes);
   return payload;
 }
 
@@ -188,11 +314,12 @@ void SolveCache::insert_alias(const CacheKey& key, const Payload& payload,
   const std::size_t shared = payload.use_count() <= 1 ? payload->bytes : 0;
   const std::size_t bytes =
       shared + sizeof(model::Schedule) + schedule_heap_bytes(schedule);
-  store(key, Entry{key, payload, std::move(schedule), bytes});
+  store(key, payload, pack_schedule(schedule), bytes);
 }
 
-void SolveCache::store(const CacheKey& key, Entry entry) {
-  const std::size_t bytes = entry.bytes;
+void SolveCache::store(const CacheKey& key, const Payload& payload,
+                       std::unique_ptr<std::uint8_t[]> schedule,
+                       std::size_t bytes) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (bytes > shard_budget_) {
@@ -200,19 +327,21 @@ void SolveCache::store(const CacheKey& key, Entry entry) {
     return;
   }
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
+    shard.bytes -= it->second.bytes;
+    shard.unlink(*it);
     shard.index.erase(it);
   }
-  while (shard.bytes + bytes > shard_budget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
+  while (shard.bytes + bytes > shard_budget_ && shard.oldest != nullptr) {
+    Slot& victim = *shard.oldest;
+    shard.bytes -= victim.second.bytes;
+    shard.unlink(victim);
+    shard.index.erase(shard.index.find(victim.first));
     ++shard.evictions;
   }
-  shard.lru.push_front(std::move(entry));
-  shard.index.emplace(key, shard.lru.begin());
+  const auto it =
+      shard.index.try_emplace(key, Entry{payload, std::move(schedule), bytes})
+          .first;
+  shard.push_newest(*it);
   shard.bytes += bytes;
   ++shard.insertions;
 }
@@ -235,8 +364,8 @@ CacheStats SolveCache::stats() const {
 void SolveCache::clear() {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
     shard->index.clear();
+    shard->newest = shard->oldest = nullptr;
     shard->bytes = 0;
   }
 }

@@ -20,18 +20,23 @@
 // One fresh solve is stored under two keys (exact and eps-rounded) whose
 // results differ only in the canonical-order schedule. The second key is
 // an alias: it shares the first key's immutable payload and keeps only
-// its own schedule, so the budget charges the shared part once. Payloads
-// keep their telemetry packed in one buffer; the budget still charges the
-// unpacked approx_result_bytes.
+// its own schedule, so the budget charges the shared part once.
+//
+// Entries are compact; the budget still charges the unpacked
+// approx_result_bytes. Each key is stored once, in its index element,
+// which also carries the shard's LRU links. Telemetry key names are
+// interned per cache: a payload keeps a pointer to its interned key list
+// plus the packed tags and values. Each entry keeps its schedule packed at
+// 1, 2 or 4 bytes per job, the narrowest width that holds its machine ids.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/solver.h"
@@ -121,31 +126,47 @@ class SolveCache {
   std::size_t byte_budget() const { return config_.byte_budget; }
 
  private:
+  struct Entry;
+  /// An index element: the key, stored once, and its entry.
+  using Slot = std::pair<const CacheKey, Entry>;
   struct Entry {
-    CacheKey key;
     Payload payload;
-    std::optional<model::Schedule> schedule;  ///< alias entries only
+    /// This key's canonical-order schedule (see pack_schedule).
+    std::unique_ptr<std::uint8_t[]> schedule;
     std::size_t bytes = 0;
+    Slot* newer = nullptr;  ///< LRU neighbours within the shard
+    Slot* older = nullptr;
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
-        index;
+    std::unordered_map<CacheKey, Entry, CacheKeyHash> index;
+    Slot* newest = nullptr;  ///< most recently used
+    Slot* oldest = nullptr;  ///< next eviction victim
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;
     std::uint64_t oversized = 0;
+
+    void unlink(Slot& slot);
+    void push_newest(Slot& slot);
   };
+  using TelemetryKeys = std::vector<std::string>;
 
   Shard& shard_for(const CacheKey& key);
-  void store(const CacheKey& key, Entry entry);
+  void store(const CacheKey& key, const Payload& payload,
+             std::unique_ptr<std::uint8_t[]> schedule, std::size_t bytes);
+  /// The interned key list of `stats` (keys in map order).
+  const TelemetryKeys* intern_keys(const api::Telemetry& stats);
 
   CacheConfig config_;
   std::size_t shard_budget_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// One key list per distinct telemetry layout the solvers produce (a
+  /// handful), kept for the cache's lifetime: payloads point into it.
+  std::mutex keys_mutex_;
+  std::vector<std::unique_ptr<const TelemetryKeys>> telemetry_keys_;
 };
 
 }  // namespace bagsched::cache

@@ -16,14 +16,12 @@ namespace bagsched::eptas {
 
 enum class ConstantsProfile { Practical, PaperExact };
 
-/// One consumed dual-approximation probe, reported in binary-search order.
+/// One consumed dual-approximation probe, reported in search order.
 struct GuessProbeEvent {
   int index = 0;          ///< guess index on the search grid
   double guess = 0.0;     ///< makespan guess T = lower * step^index
   bool success = false;   ///< the pipeline certified a schedule at T
   bool memo_hit = false;  ///< served from the rounded-grid probe memo
-  bool anchor = false;    ///< this was the warm-start anchor probe
-  int warm_columns = 0;   ///< anchor columns accepted into the master pool
   int pricing_rounds = 0; ///< column-generation rounds this probe ran
 };
 
@@ -59,16 +57,9 @@ struct EptasConfig {
   double guess_step_fraction = 0.5;
 
   // --- Dual-approximation search ------------------------------------------
-  /// Cross-guess reuse: probe the top guess first as a warm-start anchor
-  /// (its master patterns seed every other probe's column pool) and
-  /// memoize probe outcomes per rounded-size grid signature (adjacent
-  /// guesses often round identically). Off = every probe runs cold, as the
-  /// pre-reuse pipeline did.
-  bool warm_start = true;
-
-  /// Observer for consumed probes (binary-search order; called on the
-  /// solving thread). Used by the api layer to stream per-guess progress.
-  /// Empty = no reporting.
+  /// Observer for consumed probes (search order: the lower-bound guess,
+  /// then the binary search; called on the solving thread). Used by the
+  /// api layer to stream per-guess progress. Empty = no reporting.
   std::function<void(const GuessProbeEvent&)> on_probe;
 
   /// Cooperative cancellation: checked between makespan guesses, inside the

@@ -37,12 +37,15 @@ EptasResult eptas_schedule(const Instance& instance, double eps,
     effective.milp.cancel = effective.cancel;
   }
 
-  // Bounds for the dual-approximation search.
+  // Bounds for the dual-approximation search. The same local-search pass
+  // builds the fallback and polishes the certified schedule; it never
+  // raises a makespan.
+  sched::LocalSearchOptions polish;
+  polish.max_moves = 20000;
+  polish.cancel = effective.cancel;
   const double lower = model::combined_lower_bound(instance);
   Schedule fallback = sched::greedy_bags(instance);
-  sched::improve(instance, fallback,
-                 sched::LocalSearchOptions{.max_moves = 20000,
-                                           .cancel = effective.cancel});
+  sched::improve(instance, fallback, polish);
   const double upper = fallback.makespan(instance);
   result.stats.lower_bound = lower;
   result.stats.greedy_upper = upper;
@@ -57,8 +60,8 @@ EptasResult eptas_schedule(const Instance& instance, double eps,
   // Search for the smallest successful guess (the standard dual
   // approximation argument: every T >= OPT "should" succeed; failures from
   // the practical caps only push the search upward, never break
-  // feasibility of the result). guess_search.cc runs that binary search
-  // with cross-guess reuse.
+  // feasibility of the result). guess_search.cc runs that search: the
+  // lower-bound guess first, then a binary search over the rest.
   GuessSearchResult search =
       run_guess_search(instance, eps, lower, step, num_guesses, effective);
 
@@ -69,10 +72,9 @@ EptasResult eptas_schedule(const Instance& instance, double eps,
   result.stats.greedy_upper = upper;
   result.stats.probes_launched = search.probes_launched;
   result.stats.probes_memo_hits = search.memo_hits;
-  result.stats.columns_warm_started = search.columns_warm_started;
-  result.stats.pricing_rounds_saved = search.pricing_rounds_saved;
 
   if (search.best) {
+    sched::improve(instance, *search.best, polish);
     const double eptas_makespan = search.best->makespan(instance);
     result.stats.final_guess =
         lower * std::pow(step, search.best_index);

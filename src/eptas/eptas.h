@@ -2,14 +2,15 @@
 // bag-constraints (Grage, Jansen, Klein — SPAA 2019).
 //
 // eptas_schedule() runs the full pipeline of the paper:
-//   binary search over the makespan guess T (dual approximation), and per
-//   guess: scale to OPT=1, round sizes onto the (1+eps)-grid, pick k
+//   search over the makespan guess T (dual approximation: the lower bound
+//   first, then a binary search), and per guess: scale to OPT=1, round sizes onto the (1+eps)-grid, pick k
 //   (Lemma 1), classify bags (Def. 2), transform the instance (§2.2),
 //   solve the pattern MILP (§3, via column generation + branch-and-bound),
 //   place medium/large jobs with swap repair (Lemma 7), schedule small jobs
 //   with group-bag-LPT (§4, Lemmas 8-10), repair residual conflicts
 //   (Lemma 11), re-insert the removed mediums through the Lemma 3 flow, and
-//   lift the solution back to the original instance (Lemma 4).
+//   lift the solution back to the original instance (Lemma 4). A bounded
+//   local-search pass then polishes the certified schedule.
 //
 // The returned schedule is always feasible. When every guess fails (possible
 // under the Practical constant caps, see DESIGN.md §3) the result falls back
@@ -32,7 +33,8 @@ struct EptasStats {
   /// Some guess produced a full pipeline schedule (even if the heuristic
   /// happened to beat it and was returned instead).
   bool pipeline_succeeded = false;
-  /// Makespan of the pipeline's own schedule (0 when no guess succeeded).
+  /// Makespan of the pipeline's own schedule after the local-search polish
+  /// (0 when no guess succeeded).
   double pipeline_makespan = 0.0;
   /// The returned schedule is the heuristic, either because every guess
   /// failed or because the heuristic was strictly better.
@@ -48,14 +50,9 @@ struct EptasStats {
   int lift_swaps = 0;      ///< Lemma 4 filler swaps
   int rescues = 0;         ///< structure-breaking placements (measured)
 
-  // Guess search / cross-guess reuse, aggregated over the probes the
-  // search consumed.
+  // Guess search, aggregated over the probes the search consumed.
   int probes_launched = 0;     ///< probes that ran the pipeline
   int probes_memo_hits = 0;    ///< probes served from the grid-signature memo
-  int columns_warm_started = 0;///< anchor columns accepted into master pools
-  /// Warm-started columns the final master actually used (each one stands
-  /// in for at least one pricing round the probe did not have to run).
-  int pricing_rounds_saved = 0;
 };
 
 struct EptasResult {

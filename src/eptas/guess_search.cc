@@ -26,60 +26,19 @@ using model::Schedule;
 
 namespace {
 
-/// Warm-start payload of a certified probe: the medium/large content of
-/// every machine as *original* job ids (pattern-relevant jobs only, i.e.
-/// the I' ml jobs — priority mediums/larges and large-part larges).
-struct ProbePayload {
-  std::vector<std::vector<JobId>> machines;
-};
-
-struct PipelineResult {
-  std::optional<Schedule> schedule;
-  std::shared_ptr<const ProbePayload> payload;
-  int warm_columns = 0;
-  int warm_columns_used = 0;
-};
-
 /// The per-guess pipeline of try_makespan_guess, operating directly on the
 /// original instance plus the guess's rounded sizes (the scaled instance is
 /// never materialized: scaling only ever fed the rounding, and the bag
 /// structure and machine count are scale-invariant).
-PipelineResult run_pipeline(const Instance& instance, double eps,
-                            const std::vector<double>& rounded,
-                            const EptasConfig& config,
-                            const ProbePayload* warm, EptasStats* stats) {
-  PipelineResult result;
-
+std::optional<Schedule> run_pipeline(const Instance& instance, double eps,
+                                     const std::vector<double>& rounded,
+                                     const EptasConfig& config,
+                                     EptasStats* stats) {
   const auto cls = classify(instance, eps, config, &rounded);
-  if (!cls) return result;
+  if (!cls) return std::nullopt;
 
   const Transformed transformed = transform(instance, *cls);
   const PatternSpace space = build_pattern_space(transformed, *cls);
-
-  // Map the anchor's original job ids onto this guess's I' jobs. Removed
-  // mediums have no I' twin and drop out; solve_master's pattern parser
-  // re-validates everything else against this guess's pattern space.
-  std::vector<std::vector<JobId>> warm_prime;
-  if (warm != nullptr) {
-    std::vector<JobId> prime_of(
-        static_cast<std::size_t>(instance.num_jobs()), model::kUnassigned);
-    for (JobId j = 0; j < transformed.instance.num_jobs(); ++j) {
-      const JobId orig = transformed.orig_job[static_cast<std::size_t>(j)];
-      if (orig != model::kUnassigned) {
-        prime_of[static_cast<std::size_t>(orig)] = j;
-      }
-    }
-    warm_prime.reserve(warm->machines.size());
-    for (const auto& machine : warm->machines) {
-      std::vector<JobId> mapped;
-      mapped.reserve(machine.size());
-      for (const JobId orig : machine) {
-        const JobId prime = prime_of[static_cast<std::size_t>(orig)];
-        if (prime != model::kUnassigned) mapped.push_back(prime);
-      }
-      if (!mapped.empty()) warm_prime.push_back(std::move(mapped));
-    }
-  }
 
   std::optional<MasterSolution> master;
   if (config.use_enumerated_milp) {
@@ -87,29 +46,26 @@ PipelineResult run_pipeline(const Instance& instance, double eps,
     // column-generated master (same program, restricted columns).
     if (enumerate_all_patterns(space, config.max_patterns)) {
       master = solve_enumerated_master(space, transformed, *cls, config);
-      if (!master) return result;  // proven infeasible at this guess
+      if (!master) return std::nullopt;  // proven infeasible at this guess
     }
   }
   if (!master) {
-    master = solve_master(space, transformed, *cls, config,
-                          warm_prime.empty() ? nullptr : &warm_prime);
+    master = solve_master(space, transformed, *cls, config);
   }
-  if (!master) return result;
-  result.warm_columns = master->stats.warm_columns;
-  result.warm_columns_used = master->stats.warm_columns_used;
+  if (!master) return std::nullopt;
 
   auto placement = place_ml_jobs(transformed, space, *master, config);
-  if (!placement) return result;
+  if (!placement) return std::nullopt;
 
   SmallJobStats small_stats;
   if (!schedule_small_jobs(transformed, *cls, space, *master, *placement,
                            config, small_stats)) {
-    return result;
+    return std::nullopt;
   }
 
   const auto medium_machine =
       insert_medium_jobs(instance, transformed, *placement, config.cancel);
-  if (!medium_machine) return result;
+  if (!medium_machine) return std::nullopt;
 
   Schedule lifted = lift_solution(instance, transformed, *placement,
                                   *medium_machine, config, small_stats,
@@ -121,22 +77,7 @@ PipelineResult run_pipeline(const Instance& instance, double eps,
   const auto validation = model::validate(instance, lifted);
   if (!validation.ok()) {
     BAGSCHED_LOG(Debug) << "guess rejected: " << validation.message;
-    return result;
-  }
-
-  // Warm-start payload: ml content per machine, as original job ids (small
-  // jobs and fillers are not pattern content; later stages never move ml
-  // jobs, so the placement schedule still holds the pattern assignment).
-  auto payload = std::make_shared<ProbePayload>();
-  payload->machines.assign(
-      static_cast<std::size_t>(instance.num_machines()), {});
-  for (JobId j = 0; j < transformed.instance.num_jobs(); ++j) {
-    if (transformed.class_of(j) == JobClass::Small) continue;
-    const JobId orig = transformed.orig_job[static_cast<std::size_t>(j)];
-    if (orig == model::kUnassigned) continue;
-    const model::MachineId machine = placement->schedule.machine_of(j);
-    if (machine == model::kUnassigned) continue;
-    payload->machines[static_cast<std::size_t>(machine)].push_back(orig);
+    return std::nullopt;
   }
 
   if (stats != nullptr) {
@@ -149,14 +90,12 @@ PipelineResult run_pipeline(const Instance& instance, double eps,
     stats->lift_swaps = small_stats.lift_swaps;
     stats->rescues = placement->rescues + small_stats.rescues;
   }
-  result.schedule = std::move(lifted);
-  result.payload = std::move(payload);
-  return result;
+  return lifted;
 }
 
 /// One probe as the search keeps it (and the memo shares it).
 struct ProbeOutcome {
-  PipelineResult pipeline;
+  std::optional<Schedule> schedule;
   EptasStats stats;  ///< per-guess pipeline stats
 };
 
@@ -172,14 +111,13 @@ GuessSearchResult run_guess_search(const Instance& instance, double eps,
   std::vector<int> signature(static_cast<std::size_t>(n));
   std::vector<double> rounded(static_cast<std::size_t>(n));
   // Probe outcomes per grid signature. Sound because an outcome is a pure
-  // function of the signature plus the fixed anchor seeds (DESIGN.md §4).
+  // function of the signature (DESIGN.md §4).
   std::map<std::vector<int>, std::shared_ptr<const ProbeOutcome>> memo;
-  std::shared_ptr<const ProbePayload> anchor;  // warm-start seeds
 
   // Runs (or memo-serves) the probe at `index`, reports it and adopts a
   // success as the best schedule. Returns the probe's success, or nullopt
   // when the caller's token stopped the search.
-  auto probe = [&](int index, bool is_anchor) -> std::optional<bool> {
+  auto probe = [&](int index) -> std::optional<bool> {
     if (util::stop_requested(config.cancel)) return std::nullopt;
     const double guess = lower * std::pow(step, index);
 
@@ -192,72 +130,57 @@ GuessSearchResult run_guess_search(const Instance& instance, double eps,
     }
 
     std::shared_ptr<const ProbeOutcome> out;
-    if (config.warm_start) {
-      const auto it = memo.find(signature);
-      if (it != memo.end()) out = it->second;
+    if (const auto it = memo.find(signature); it != memo.end()) {
+      out = it->second;
     }
     const bool memo_hit = out != nullptr;
     if (!memo_hit) {
       auto fresh = std::make_shared<ProbeOutcome>();
-      fresh->pipeline = run_pipeline(instance, eps, rounded, config,
-                                     anchor.get(), &fresh->stats);
+      fresh->schedule =
+          run_pipeline(instance, eps, rounded, config, &fresh->stats);
       if (util::stop_requested(config.cancel)) {
         // A failure under a fired token may be a truncated pipeline rather
         // than a proven reject; it must not be trusted. A success passed
         // the full validation gate and is kept, but nothing produced under
         // a fired token enters the memo: a stage may have been truncated
         // (e.g. an early MILP incumbent) into a different valid schedule.
-        if (!fresh->pipeline.schedule) return std::nullopt;
-      } else if (config.warm_start) {
+        if (!fresh->schedule) return std::nullopt;
+      } else {
         memo.emplace(signature, fresh);
       }
       out = std::move(fresh);
     }
 
-    const PipelineResult& pipeline = out->pipeline;
-    const bool success = pipeline.schedule.has_value();
+    const bool success = out->schedule.has_value();
     ++result.guesses_tried;
     ++(memo_hit ? result.memo_hits : result.probes_launched);
-    result.columns_warm_started += pipeline.warm_columns;
-    result.pricing_rounds_saved += pipeline.warm_columns_used;
     if (config.on_probe) {
       GuessProbeEvent event;
       event.index = index;
       event.guess = guess;
       event.success = success;
       event.memo_hit = memo_hit;
-      event.anchor = is_anchor;
-      event.warm_columns = pipeline.warm_columns;
       event.pricing_rounds = out->stats.pricing_rounds;
       config.on_probe(event);
     }
     if (success) {
-      result.best = *pipeline.schedule;  // outcomes are shared (memo): copy
+      result.best = *out->schedule;  // outcomes are shared (memo): copy
       result.best_index = index;
       result.best_stats = out->stats;
-      if (is_anchor) anchor = pipeline.payload;
     }
     return success;
   };
 
+  // Index 0 is probed first. eptas_schedule puts the combined lower bound
+  // there: T <= OPT, so a certificate proves the (1+O(eps)) bound outright
+  // and ends the search after one pipeline run. Only when it fails does
+  // the binary search bisect [1, G); a failure abandons lower guesses, a
+  // success higher ones.
   int lo = 0;
   int hi = num_guesses;  // == num_guesses means "no guess succeeded"
-
-  // Warm-start anchor: probe the top guess first. It is the most likely to
-  // certify; its patterns seed every later probe's column pool, and under
-  // the same monotonicity assumption the binary search already makes, its
-  // success bounds the search window. An anchor failure is no evidence
-  // about lower guesses (practical-cap failures are not monotone
-  // downward), so the window then stays [0, G).
-  if (config.warm_start && num_guesses > 1) {
-    const std::optional<bool> success = probe(num_guesses - 1, true);
-    if (!success) return result;
-    if (*success) hi = num_guesses - 1;
-  }
-
   while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    const std::optional<bool> success = probe(mid, false);
+    const int mid = lo == 0 ? 0 : lo + (hi - lo) / 2;
+    const std::optional<bool> success = probe(mid);
     if (!success) break;
     if (*success) {
       hi = mid;
@@ -278,9 +201,7 @@ std::optional<Schedule> try_makespan_guess(const Instance& instance,
   for (const auto& job : instance.jobs()) {
     rounded.push_back(grid.round_up(job.size / guess));
   }
-  PipelineResult pipeline =
-      run_pipeline(instance, eps, rounded, config, nullptr, stats);
-  return std::move(pipeline.schedule);
+  return run_pipeline(instance, eps, rounded, config, stats);
 }
 
 }  // namespace bagsched::eptas

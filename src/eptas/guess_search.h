@@ -1,17 +1,15 @@
-// Dual-approximation search over makespan guesses, with cross-guess reuse.
+// Dual-approximation search over makespan guesses.
 //
-// The binary search over makespan guesses is the EPTAS's outer loop; this
-// module runs it sequentially — a warm-start anchor probe at the top guess,
-// then the binary search — and lets adjacent guesses share work:
-//  * probe outcomes are memoized per rounded-size grid signature (guesses
-//    that round every job identically share one pipeline run verbatim);
-//  * the anchor's certified machine patterns seed every later probe's
-//    column-generation pool.
-//
-// The memo is sound because a probe outcome is a pure function of its
-// guess's grid signature (the pipeline only ever sees rounded sizes, see
-// lift_solution's cls parameter) plus the fixed anchor seeds. See
-// DESIGN.md §4.
+// The search over makespan guesses is the EPTAS's outer loop. This module
+// probes the lowest guess first — eptas_schedule starts the grid at the
+// combined lower bound T <= OPT, so a certificate there proves the
+// (1+O(eps)) bound with one pipeline run — and only when that fails runs a
+// binary search over the remaining guesses. Probe outcomes are
+// memoized per rounded-size grid signature: guesses that round every job
+// identically share one pipeline run verbatim. The memo is sound because a
+// probe outcome is a pure function of its guess's grid signature (the
+// pipeline only ever sees rounded sizes, see lift_solution's cls
+// parameter). See DESIGN.md §4.
 #pragma once
 
 #include <optional>
@@ -25,7 +23,7 @@ namespace bagsched::eptas {
 
 struct GuessSearchResult {
   /// Best certified schedule of the *original* instance, if any guess on
-  /// the binary-search path (or the anchor) succeeded.
+  /// the search path succeeded.
   std::optional<model::Schedule> best;
   int best_index = -1;
   /// Pipeline stats of the best probe (columns, pricing rounds, repairs…).
@@ -35,15 +33,14 @@ struct GuessSearchResult {
   int memo_hits = 0;      ///< consumed probes served from the memo
   /// Consumed probes that ran the pipeline (guesses_tried - memo_hits).
   int probes_launched = 0;
-  int columns_warm_started = 0;
-  int pricing_rounds_saved = 0;
 };
 
 /// Runs the dual-approximation search over guesses lower * step^i,
-/// i in [0, num_guesses). `config.warm_start` gates every cross-guess reuse
-/// mechanism. `config.cancel` / `config.milp` must already be the effective
-/// (chained) settings; a fired `config.cancel` stops the search, and `best`
-/// then holds the best schedule certified before the stop.
+/// i in [0, num_guesses): index 0 first, then a binary search over
+/// [1, num_guesses) when index 0 fails. `config.cancel` / `config.milp`
+/// must already be the effective (chained) settings; a fired
+/// `config.cancel` stops the search, and `best` then holds the best
+/// schedule certified before the stop.
 GuessSearchResult run_guess_search(const model::Instance& instance,
                                    double eps, double lower, double step,
                                    int num_guesses,

@@ -234,10 +234,10 @@ std::optional<MasterLp> solve_master_lp(const PatternSpace& space,
   return MasterLp{result.objective, extract_duals(space, built, result)};
 }
 
-std::optional<MasterSolution> solve_master(
-    const PatternSpace& space, const Transformed& transformed,
-    const Classification& cls, const EptasConfig& config,
-    const std::vector<std::vector<model::JobId>>* warm_machines) {
+std::optional<MasterSolution> solve_master(const PatternSpace& space,
+                                           const Transformed& transformed,
+                                           const Classification& cls,
+                                           const EptasConfig& config) {
   const MasterShape shape = compute_shape(space, transformed, cls);
   if (shape.free_area_rhs < -1e-9) return std::nullopt;  // area alone fails
   for (int i = 0; i < space.num_priority(); ++i) {
@@ -251,21 +251,6 @@ std::optional<MasterSolution> solve_master(
   std::vector<Pattern> pool = seed_pool(space, transformed);
   std::set<std::vector<int>> signatures;
   for (const Pattern& pattern : pool) signatures.insert(pattern.signature());
-
-  // --- Cross-guess warm start: previous probe's machines as columns. -------
-  std::set<std::size_t> warm_indices;
-  if (warm_machines != nullptr) {
-    for (const auto& machine_jobs : *warm_machines) {
-      if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
-      const auto pattern =
-          pattern_from_machine(space, transformed, machine_jobs);
-      if (!pattern) continue;
-      if (!signatures.insert(pattern->signature()).second) continue;
-      warm_indices.insert(pool.size());
-      pool.push_back(*pattern);
-    }
-    stats.warm_columns = static_cast<int>(warm_indices.size());
-  }
 
   // --- Column generation at the root ---------------------------------------
   // One live tableau: the seed master is cold-solved once, then each priced
@@ -329,7 +314,6 @@ std::optional<MasterSolution> solve_master(
     if (count > 0) {
       solution.patterns.push_back(pool[p]);
       solution.multiplicity.push_back(count);
-      if (warm_indices.count(p) > 0) ++stats.warm_columns_used;
     }
   }
   solution.stats = stats;

@@ -47,11 +47,6 @@ struct MasterStats {
   /// round that finds no column ends column generation without the
   /// lp_optimal proof.
   int pricing_truncations = 0;
-  /// Warm-start columns accepted into the pool (cross-guess reuse).
-  int warm_columns = 0;
-  /// Warm-start columns the integral optimum uses with positive
-  /// multiplicity — each stands in for at least one pricing round.
-  int warm_columns_used = 0;
 };
 
 struct MasterSolution {
@@ -67,17 +62,10 @@ struct MasterSolution {
 /// Column generation keeps one lp::IncrementalSimplex across its rounds:
 /// the master is built and cold-solved once, and each priced pattern is
 /// appended to the live tableau (DESIGN.md §2).
-///
-/// `warm_machines`, when given, lists the medium/large content of each
-/// machine of a previously certified probe as I'-job-id lists; every list
-/// that still parses as a valid pattern of `space` (height <= T', one entry
-/// per priority bag) is added to the seed pool before column generation.
-/// Seeding is best-effort and deterministic — unparsable machines are
-/// skipped — and the accepted/used counts land in MasterStats.
-std::optional<MasterSolution> solve_master(
-    const PatternSpace& space, const Transformed& transformed,
-    const Classification& cls, const EptasConfig& config,
-    const std::vector<std::vector<model::JobId>>* warm_machines = nullptr);
+std::optional<MasterSolution> solve_master(const PatternSpace& space,
+                                           const Transformed& transformed,
+                                           const Classification& cls,
+                                           const EptasConfig& config);
 
 /// The master LP relaxation over exactly `pool`, solved cold by lp::solve:
 /// its optimum and the duals pricing reads. Column generation from scratch

@@ -2,12 +2,24 @@
 
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace bagsched::model {
 
 namespace {
+
+/// `json` as a non-negative int. Values past INT_MAX are rejected instead
+/// of being narrowed (machines: 4294967298 would otherwise decode as 2).
+int json_count(const util::Json& json, const char* field) {
+  const long long raw = json.as_int();
+  if (raw < 0 || raw > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(std::string("instance JSON: ") + field + " " +
+                                std::to_string(raw) + " out of range");
+  }
+  return static_cast<int>(raw);
+}
 
 /// Reads the next non-comment, non-empty line; throws at EOF.
 std::string next_line(std::istream& is, const char* what) {
@@ -131,14 +143,14 @@ util::Json instance_to_json(const Instance& instance) {
 }
 
 Instance instance_from_json(const util::Json& json) {
-  const int machines = static_cast<int>(json.at("machines").as_int());
-  const int bags = static_cast<int>(json.at("bags").as_int());
+  const int machines = json_count(json.at("machines"), "machines");
+  const int bags = json_count(json.at("bags"), "bags");
   std::vector<Job> jobs;
   jobs.reserve(json.at("jobs").size());
   for (const util::Json& entry : json.at("jobs").as_array()) {
     Job job;
     job.size = entry.at("size").as_number();
-    job.bag = static_cast<BagId>(entry.at("bag").as_int());
+    job.bag = json_count(entry.at("bag"), "bag");
     jobs.push_back(job);
   }
   Instance instance(std::move(jobs), machines, bags);
@@ -158,19 +170,20 @@ util::Json schedule_to_json(const Schedule& schedule) {
 }
 
 Schedule schedule_from_json(const util::Json& json) {
-  const int machines = static_cast<int>(json.at("machines").as_int());
+  const int machines = json_count(json.at("machines"), "machines");
   const auto& assignment = json.at("assignment").as_array();
   Schedule schedule(static_cast<int>(assignment.size()), machines);
   for (std::size_t j = 0; j < assignment.size(); ++j) {
-    const auto machine = static_cast<MachineId>(assignment[j].as_int());
+    const long long machine = assignment[j].as_int();
     // Fail loudly like instance_from_json: an out-of-range machine id
-    // would otherwise index past the load vectors downstream.
+    // would otherwise index past the load vectors downstream. The check
+    // runs before narrowing, so 4294967296 cannot pass as machine 0.
     if (machine != kUnassigned && (machine < 0 || machine >= machines)) {
       throw std::runtime_error(
           "schedule JSON: machine id " + std::to_string(machine) +
           " out of range for " + std::to_string(machines) + " machines");
     }
-    schedule.assign(static_cast<JobId>(j), machine);
+    schedule.assign(static_cast<JobId>(j), static_cast<MachineId>(machine));
   }
   return schedule;
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <thread>
@@ -295,6 +296,109 @@ TEST(SolveCacheTest, OversizedEntriesAreSkippedNotLooped) {
   EXPECT_EQ(stats.oversized, 1u);
 }
 
+TEST(SolveCacheTest, LruOrderSurvivesTouchesOfEveryPosition) {
+  // Room for exactly three entries: touching the oldest, the middle and
+  // the newest entry must each reorder the eviction queue.
+  const std::size_t entry_bytes =
+      cache::approx_result_bytes(small_result(1.0));
+  SolveCache cache({.num_shards = 1, .byte_budget = 3 * entry_bytes});
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+    cache.insert(key_of(tag), small_result(static_cast<double>(tag)));
+  }
+  // Order newest..oldest: 3 2 1. Touch 1 (oldest), then 3 (middle),
+  // then 3 again (newest): 3 1 2.
+  ASSERT_TRUE(cache.lookup(key_of(1)).has_value());
+  ASSERT_TRUE(cache.lookup(key_of(3)).has_value());
+  ASSERT_TRUE(cache.lookup(key_of(3)).has_value());
+  cache.insert(key_of(4), small_result(4.0));  // evicts 2
+  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
+  cache.insert(key_of(5), small_result(5.0));  // order was 4 3 1: evicts 1
+  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
+  // Replacing the oldest key (3) makes it the newest: 3 5 4.
+  cache.insert(key_of(3), small_result(30.0));
+  cache.insert(key_of(6), small_result(6.0));  // evicts 4
+  EXPECT_FALSE(cache.lookup(key_of(4)).has_value());
+  for (const std::uint64_t tag : {3, 5, 6}) {
+    EXPECT_TRUE(cache.lookup(key_of(tag)).has_value()) << tag;
+  }
+  EXPECT_DOUBLE_EQ(cache.lookup(key_of(3))->makespan, 30.0);
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.bytes, 3 * entry_bytes);
+}
+
+TEST(SolveCacheTest, LookupsReturnExactlyWhatWasInserted) {
+  // Every SolveResult field, telemetry of every type under differing key
+  // sets (the key lists are interned per cache), and schedules whose
+  // machine ids need 1, 2 and 4 bytes, unassigned and negative ids
+  // included. Compared through to_json, which spells out every field.
+  const auto result_with = [](int machines, std::vector<int> ids,
+                              api::Telemetry stats) {
+    api::SolveResult result;
+    result.solver = "a solver name past the small-string size";
+    result.status = SolveStatus::Optimal;
+    result.schedule = model::Schedule(static_cast<int>(ids.size()), machines);
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      result.schedule.assign(static_cast<model::JobId>(j), ids[j]);
+    }
+    result.makespan = 12.5;
+    result.lower_bound = 11.75;
+    result.optimality_gap = 0.0625;
+    result.proven_optimal = true;
+    result.schedule_feasible = true;
+    result.cancelled = true;
+    result.moved_jobs = 7;
+    result.migration_ratio = 0.125;
+    result.wall_seconds = 0.25;
+    result.error = "diagnostics";
+    result.stats = std::move(stats);
+    return result;
+  };
+  const api::Telemetry base = {{"columns", 42LL},
+                               {"final_guess", 1.25},
+                               {"pipeline_succeeded", true},
+                               {"note", std::string(40, 'n')}};
+  api::Telemetry other = base;
+  other.erase("note");
+  other["zeta"] = -3LL;
+  api::Telemetry retyped = base;
+  retyped["columns"] = 4.5;
+  const std::vector<api::SolveResult> results = {
+      result_with(3, {0, 2, model::kUnassigned, 1}, base),
+      result_with(300, {299, 0, 255, 256}, other),
+      result_with(70000, {69999, model::kUnassigned, 65535, 3}, base),
+      result_with(2, {-7, 1, std::numeric_limits<int>::max()}, retyped),
+      result_with(5, {}, {}),
+  };
+  SolveCache cache({.num_shards = 2, .byte_budget = 1 << 20});
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto payload = cache.insert(key_of(i), results[i]);
+    // The alias shares the payload under its own (here: reversed) order.
+    model::Schedule reversed = results[i].schedule;
+    for (model::JobId j = 0; j < reversed.num_jobs(); ++j) {
+      reversed.assign(j, results[i].schedule.machine_of(
+                             reversed.num_jobs() - 1 - j));
+    }
+    cache.insert_alias(key_of(100 + i), payload, reversed);
+    api::SolveResult alias = results[i];
+    alias.schedule = reversed;
+    const auto hit = cache.lookup(key_of(i));
+    const auto alias_hit = cache.lookup(key_of(100 + i));
+    ASSERT_TRUE(hit.has_value());
+    ASSERT_TRUE(alias_hit.has_value());
+    EXPECT_EQ(api::to_json(*hit).dump(), api::to_json(results[i]).dump())
+        << i;
+    EXPECT_EQ(hit->stats, results[i].stats) << i;
+    EXPECT_EQ(hit->schedule.assignment(), results[i].schedule.assignment());
+    EXPECT_EQ(hit->schedule.num_machines(),
+              results[i].schedule.num_machines());
+    EXPECT_EQ(api::to_json(*alias_hit).dump(), api::to_json(alias).dump())
+        << i;
+    EXPECT_EQ(alias_hit->schedule.assignment(), reversed.assignment());
+  }
+}
+
 TEST(SolveCacheTest, ConcurrentHammeringKeepsInvariants) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 4000;
@@ -348,6 +452,23 @@ TEST(ServiceCacheTest, RepeatRequestIsServedFromTheCache) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.dedup_shared, 0u);
   EXPECT_GE(service.cache_stats().entries, 1u);
+}
+
+TEST(ServiceCacheTest, ServiceConfigSizesTheCache) {
+  // A 64-byte budget holds no result: the insert is skipped as oversized
+  // and the repeat solves again.
+  SchedulingService service(
+      {.num_threads = 1, .cache = {.num_shards = 1, .byte_budget = 64}});
+  const auto instance = base_instance();
+  for (int i = 0; i < 2; ++i) {
+    const auto result =
+        service.submit(cached_request(instance, "greedy-bags")).wait();
+    ASSERT_TRUE(result.ok());
+    EXPECT_FALSE(api::stat_bool(result.stats, "cache_hit"));
+  }
+  const auto stats = service.cache_stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_GE(stats.oversized, 2u);
 }
 
 TEST(ServiceCacheTest, PermutedTwinHitsAndRemapsFeasibly) {

@@ -1,16 +1,20 @@
-// Reuse and cancellation tests for the dual-approximation search
-// (eptas/guess_search): cross-guess reuse must not change the answers on
-// fixed scenarios and must actually serve probes on a guess-heavy shape,
-// and a fired cancellation token must wind the search down to a feasible
-// schedule.
+// Search-order, memo and cancellation tests for the dual-approximation
+// search (eptas/guess_search): the lower-bound guess is probed first and
+// ends the search when it certifies, a failing first probe sends the
+// search up the grid with the memo serving repeated signatures, and a
+// fired cancellation token winds the search down to a feasible schedule.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <thread>
+#include <vector>
 
 #include "eptas/eptas.h"
+#include "eptas/guess_search.h"
 #include "gen/generators.h"
 #include "model/lower_bounds.h"
+#include "sched/greedy_bags.h"
 #include "util/cancellation.h"
 
 namespace bagsched {
@@ -29,9 +33,8 @@ struct Scenario {
   double step_fraction;
 };
 
-// Mixed shapes: a guess-heavy two-point case (several probes, memo hits),
-// a planted instance the pipeline certifies in one or two probes, and a
-// denser uniform case that exercises the fallback comparison.
+// Mixed shapes: two guess-heavy two-point cases on a fine grid, a planted
+// instance and a denser uniform case.
 const Scenario kScenarios[] = {
     {"twopoint", 60, 12, 1, 0.15, 0.25},
     {"twopoint", 60, 12, 2, 0.1, 0.25},
@@ -39,50 +42,87 @@ const Scenario kScenarios[] = {
     {"uniform", 30, 5, 11, 0.5, 0.5},
 };
 
-EptasResult solve_with(const Instance& instance, const Scenario& scenario,
-                       bool warm_start) {
-  EptasConfig config;
-  config.warm_start = warm_start;
-  config.guess_step_fraction = scenario.step_fraction;
-  return eptas::eptas_schedule(instance, scenario.eps, config);
+/// Guesses lower * step^i needed to reach the greedy upper bound (the
+/// grid eptas_schedule searches ends at the locally improved greedy, which
+/// is no larger).
+int guesses_covering(const Instance& instance, double lower, double step) {
+  const double upper = sched::greedy_bags(instance).makespan(instance);
+  int num_guesses = 1;
+  while (lower * std::pow(step, num_guesses - 1) < upper) ++num_guesses;
+  return num_guesses;
 }
 
-TEST(GuessSearchTest, WarmStartOnVsOffCrossCheck) {
-  // Cross-guess reuse may legitimately change which columns the master
-  // picks, so the cross-check asserts the invariants reuse must preserve:
-  // feasibility, the approximation band, and per-mode determinism. On
-  // these fixed scenarios the outcomes happen to coincide exactly, which
-  // pins down any accidental semantic drift of the reuse path.
+TEST(GuessSearchTest, LowerBoundGuessCertifiesInOneProbe) {
+  // T = LB <= OPT certifies on every scenario, so the search consumes one
+  // guess, at index 0, and keeps exactly the lone probe's schedule.
   for (const Scenario& scenario : kScenarios) {
+    SCOPED_TRACE(scenario.family);
     const Instance instance = gen::by_name(
         scenario.family, scenario.jobs, scenario.machines, scenario.seed);
-    const EptasResult cold = solve_with(instance, scenario, false);
-    const EptasResult warm = solve_with(instance, scenario, true);
-    SCOPED_TRACE(scenario.family);
-    EXPECT_TRUE(model::validate(instance, cold.schedule).ok());
-    EXPECT_TRUE(model::validate(instance, warm.schedule).ok());
     const double lower = model::combined_lower_bound(instance);
-    EXPECT_LE(warm.makespan, cold.makespan + 1e-9);  // never worse here
-    EXPECT_GE(warm.makespan, lower - 1e-9);
-    EXPECT_DOUBLE_EQ(warm.makespan, cold.makespan);
-    // Reuse only kicks in with warm_start on.
-    EXPECT_EQ(cold.stats.probes_memo_hits, 0);
-    EXPECT_EQ(cold.stats.columns_warm_started, 0);
+    const double step = 1.0 + scenario.eps * scenario.step_fraction;
+    const EptasConfig config;
+    const eptas::GuessSearchResult search = eptas::run_guess_search(
+        instance, scenario.eps, lower, step,
+        guesses_covering(instance, lower, step), config);
+    EXPECT_EQ(search.guesses_tried, 1);
+    EXPECT_EQ(search.probes_launched, 1);
+    EXPECT_EQ(search.memo_hits, 0);
+    EXPECT_EQ(search.best_index, 0);
+    ASSERT_TRUE(search.best.has_value());
+    const auto direct =
+        eptas::try_makespan_guess(instance, scenario.eps, lower, config);
+    ASSERT_TRUE(direct.has_value());
+    EXPECT_EQ(search.best->assignment(), direct->assignment());
   }
 }
 
-TEST(GuessSearchTest, GuessHeavyCaseActuallyReuses) {
-  // The reuse counters must be live on the guess-heavy shape: adjacent
-  // guesses of the fine (eps=0.1, f=0.2) grid round identically, so the
-  // memo must serve at least one consumed probe.
+TEST(GuessSearchTest, FailedFirstProbeClimbsWithMemoHits) {
+  // Started at 0.8 LB < OPT, index 0 cannot certify: the search climbs a
+  // fine grid (step 1.02) on which adjacent guesses share grid signatures,
+  // so the memo must serve some of the consumed probes.
   const Instance instance = gen::by_name("twopoint", 60, 12, 1);
+  const double lower = 0.8 * model::combined_lower_bound(instance);
+  const double step = 1.02;
+  std::vector<eptas::GuessProbeEvent> events;
   EptasConfig config;
-  config.warm_start = true;
-  config.guess_step_fraction = 0.2;
-  const EptasResult result = eptas::eptas_schedule(instance, 0.1, config);
+  config.on_probe = [&events](const eptas::GuessProbeEvent& event) {
+    events.push_back(event);
+  };
+  const eptas::GuessSearchResult search = eptas::run_guess_search(
+      instance, 0.1, lower, step, guesses_covering(instance, lower, step),
+      config);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().index, 0);
+  EXPECT_FALSE(events.front().success);
+  EXPECT_GT(search.guesses_tried, 1);
+  EXPECT_EQ(search.guesses_tried, static_cast<int>(events.size()));
+  EXPECT_EQ(search.guesses_tried, search.probes_launched + search.memo_hits);
+  EXPECT_GT(search.memo_hits, 0);
+  ASSERT_TRUE(search.best.has_value());
+  EXPECT_GT(search.best_index, 0);
+  EXPECT_TRUE(model::validate(instance, *search.best).ok());
+}
+
+TEST(GuessSearchTest, LowerBoundFailureCertifiesAHigherGuess) {
+  // Without Practical-cap rescues the pipeline rejects T = LB on this
+  // replica instance; the binary search must find a higher guess that
+  // certifies, and the result must be a valid schedule.
+  const Instance instance = gen::by_name("replica", 60, 12, 2);
+  EptasConfig config;
+  config.enable_rescue = false;
+  std::vector<eptas::GuessProbeEvent> events;
+  config.on_probe = [&events](const eptas::GuessProbeEvent& event) {
+    events.push_back(event);
+  };
+  const EptasResult result = eptas::eptas_schedule(instance, 0.5, config);
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().index, 0);
+  EXPECT_FALSE(events.front().success);
+  EXPECT_TRUE(result.stats.pipeline_succeeded);
+  EXPECT_GT(result.stats.final_guess, result.stats.lower_bound);
+  EXPECT_GT(result.stats.guesses_tried, 1);
   EXPECT_TRUE(model::validate(instance, result.schedule).ok());
-  EXPECT_GT(result.stats.probes_memo_hits, 0);
-  EXPECT_GT(result.stats.guesses_tried, 2);
 }
 
 TEST(GuessSearchTest, PreFiredTokenFallsBackImmediately) {

@@ -1,13 +1,16 @@
 // Unit tests for the model module: Instance invariants, Schedule
-// validation, lower bounds, and text I/O round-trips.
+// validation, lower bounds, text I/O round-trips and JSON range checks.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "model/instance.h"
 #include "model/io.h"
 #include "model/lower_bounds.h"
 #include "model/schedule.h"
+#include "util/json.h"
 
 namespace bagsched {
 namespace {
@@ -191,6 +194,41 @@ TEST(IoTest, CommentsAndBlankLinesIgnored) {
 TEST(IoTest, BadHeaderThrows) {
   std::stringstream stream("nonsense 1\n");
   EXPECT_THROW(model::read_instance(stream), std::runtime_error);
+}
+
+TEST(IoTest, JsonCountsOutsideIntRangeAreRejected) {
+  // 4294967298 = 2^32 + 2 used to narrow to 2 machines.
+  const auto instance = [](const std::string& machines,
+                           const std::string& bags, const std::string& bag) {
+    return model::instance_from_json(util::Json::parse(
+        "{\"machines\": " + machines + ", \"bags\": " + bags +
+        ", \"jobs\": [{\"size\": 1, \"bag\": " + bag + "}]}"));
+  };
+  EXPECT_EQ(instance("2", "1", "0").num_machines(), 2);
+  EXPECT_THROW(instance("4294967298", "1", "0"), std::invalid_argument);
+  EXPECT_THROW(instance("-1", "1", "0"), std::invalid_argument);
+  EXPECT_THROW(instance("2", "4294967297", "0"), std::invalid_argument);
+  EXPECT_THROW(instance("2", "-4294967295", "0"), std::invalid_argument);
+  EXPECT_THROW(instance("2", "1", "4294967296"), std::invalid_argument);
+  EXPECT_THROW(instance("2", "1", "-1"), std::invalid_argument);
+  EXPECT_THROW(instance("2147483648", "1", "0"), std::invalid_argument);
+}
+
+TEST(IoTest, JsonScheduleEntriesOutsideIntRangeAreRejected) {
+  const auto schedule = [](const std::string& machines,
+                           const std::string& machine) {
+    return model::schedule_from_json(util::Json::parse(
+        "{\"machines\": " + machines + ", \"assignment\": [" + machine +
+        ", 0]}"));
+  };
+  EXPECT_EQ(schedule("2", "1").machine_of(0), 1);
+  EXPECT_FALSE(schedule("2", "-1").is_assigned(0));  // kUnassigned
+  EXPECT_THROW(schedule("4294967298", "0"), std::invalid_argument);
+  EXPECT_THROW(schedule("-2", "0"), std::invalid_argument);
+  // 2^32 and 2^32 - 1 used to narrow to machines 0 and -1 (unassigned).
+  EXPECT_THROW(schedule("2", "4294967296"), std::runtime_error);
+  EXPECT_THROW(schedule("2", "4294967295"), std::runtime_error);
+  EXPECT_THROW(schedule("2", "-4294967297"), std::runtime_error);
 }
 
 }  // namespace
