@@ -1,13 +1,13 @@
 // The single registry of result-relevant SolveOptions fields.
 //
 // Several subsystems need to agree on what "the same options" means: the
-// solve cache keys entries on it, the service's single-flight dedup shares
-// solves under it, and online delta sessions memoize committed schedules by
-// it. Before this registry the field list was duplicated (the cache's
-// digest vs the EPTAS-knob digest grown in PR 5), and adding a knob in one
-// place but not the other silently produced stale cache hits. Now every
-// digest consumer calls api::options_digest(), and the field list is data —
-// digest_fields() — so a test can assert the registry covers what it must.
+// solve cache keys entries on it and the service's single-flight dedup
+// shares solves under it. Before this registry the field list was
+// duplicated (the cache's digest vs the EPTAS-knob digest), and adding a
+// knob in one place but not the other silently produced stale cache hits.
+// Now every digest consumer calls api::options_digest(), and the field
+// list is data — digest_fields() — so a test can assert the registry
+// covers what it must.
 //
 // Deliberately excluded: num_threads (parallel solvers are thread-count-
 // invariant by contract), cache_mode (how a result is stored, not what it
@@ -37,8 +37,8 @@ const std::vector<DigestField>& digest_fields();
 std::vector<std::string> digest_field_names();
 
 /// Digest of the SolveOptions fields that can change a solver's output —
-/// the one true options key for cache entries, single-flight attachment
-/// and session memos.
+/// the one true options key for cache entries and single-flight
+/// attachment.
 std::uint64_t options_digest(const SolveOptions& options);
 
 }  // namespace bagsched::api

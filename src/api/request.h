@@ -93,7 +93,7 @@ struct SolveRequest : RequestBase {
 /// serializes deltas per session (FIFO), repairs the committed schedule
 /// (online::ScheduleSession) and resolves the handle with a result whose
 /// moved_jobs / migration_ratio fields are filled. options/solvers are
-/// ignored — a session fixes them at open time so its memo and regret
+/// ignored — a session fixes them at open time so its solves and regret
 /// accounting stay coherent.
 struct DeltaRequest : RequestBase {
   /// Session id from SchedulingService::open_session. Unknown or closed

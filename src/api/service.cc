@@ -275,9 +275,11 @@ SchedulingService::~SchedulingService() {
     result.status = SolveStatus::Cancelled;
     result.cancelled = true;
     result.error = "cancelled: service shut down before the request ran";
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++finished_;
+    }
     resolve(state, std::move(result), /*emit_finished=*/true);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++finished_;
   }
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -414,7 +416,7 @@ SchedulingService::SessionOpening SchedulingService::open_session(
   }
   // The request's options/solvers become the session's solve configuration
   // (the tuning struct only contributes the repair knobs) — one source of
-  // truth for the session's memo and regret accounting.
+  // truth for the session's solves and regret accounting.
   tuning.solve = request.options;
   tuning.solvers = request.solvers;
   // The session runs its own solves; the caller's progress callback is the
@@ -625,9 +627,8 @@ void SchedulingService::run_session_op(
       // means the commit landed and only the ack was lost — hand back the
       // cached result instead of double-applying. Anything else is a real
       // divergence and must fail loudly.
-      const std::string delta_json = to_json(state->delta).dump();
       if (*state->expect_revision + 1 == revision_before &&
-          delta_json == session->last_delta_json) {
+          to_json(state->delta).dump() == session->last_delta_json) {
         duplicate = true;
       } else if (*state->expect_revision != revision_before) {
         mismatch = true;
@@ -667,6 +668,14 @@ void SchedulingService::run_session_op(
           ? !failed_open
           : (!duplicate && session->session != nullptr &&
              session->session->revision() != revision_before);
+  // The commit's delta JSON and schedule digest, computed once: the
+  // journal record and the resume/dedupe shadow below both carry them.
+  std::string delta_json;
+  std::string digest;
+  if (committed) {
+    digest = persist::schedule_digest(session->session->schedule());
+    if (is_delta) delta_json = to_json(state->delta).dump();
+  }
   bool poisoned = false;
   if (committed && config_.journal != nullptr) {
     try {
@@ -678,8 +687,8 @@ void SchedulingService::run_session_op(
       } else {
         config_.journal->record_commit(
             session->id, session->session->revision(), state->delta,
-            session->session->schedule(),
-            &session->session->instance());
+            delta_json, session->session->schedule(), digest,
+            session->session->shared_instance());
       }
     } catch (const std::exception& error) {
       poisoned = true;
@@ -695,26 +704,11 @@ void SchedulingService::run_session_op(
   result.stats["request_id"] = static_cast<long long>(state->id);
   result.stats["session"] = static_cast<long long>(session->id);
 
-  if (committed && !poisoned) {
-    // Publish the resume/dedupe shadow before the ack is visible: a client
-    // that acts on this result must find session_info consistent with it.
-    std::lock_guard<std::mutex> lock(mutex_);
-    session->revision = session->session->revision();
-    session->digest = persist::schedule_digest(session->session->schedule());
-    if (is_delta) {
-      session->last_delta_json = to_json(state->delta).dump();
-    }
-    session->last_commit_result = result;
-  }
-
-  const bool fresh_path =
-      stat_str(result.stats, "online.path") == "fresh";
-  resolve(state, std::move(result), /*emit_finished=*/true);
-
   {
+    // Publish the resume/dedupe shadow, the session's closed state and the
+    // counters before the ack is visible: a client that acts on this
+    // result must find session_info and stats() consistent with it.
     std::lock_guard<std::mutex> lock(mutex_);
-    session->busy = false;
-    --session_ops_active_;
     if ((failed_open || poisoned) && !session->closed) {
       // A session that never committed a schedule — or whose journal no
       // longer matches its state — cannot serve deltas; close it so queued
@@ -723,16 +717,30 @@ void SchedulingService::run_session_op(
       session->closed = true;
       ++sessions_closed_;
     }
+    if (committed && !poisoned) {
+      session->revision = session->session->revision();
+      session->digest = std::move(digest);
+      if (is_delta) session->last_delta_json = std::move(delta_json);
+      session->last_commit_result = result;
+    }
     if (is_delta) {
       ++session_deltas_;
       if (duplicate) {
         ++session_duplicates_;
-      } else if (fresh_path) {
+      } else if (stat_str(result.stats, "online.path") == "fresh") {
         ++session_fresh_;
-      } else if (state->result.ok()) {
+      } else if (result.ok()) {
         ++session_repaired_;
       }
     }
+  }
+
+  resolve(state, std::move(result), /*emit_finished=*/true);
+
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    session->busy = false;
+    --session_ops_active_;
     pump_session_locked(session);
   }
   idle_cv_.notify_all();
@@ -1031,6 +1039,10 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
       // below with the leader's (cancelled) result — the destructor has
       // already drained the ones it saw, this catches late attachments.
     }
+    // Counted before any handle resolves: a stats() read issued right
+    // after an answer arrives must already see it finished.
+    finished_ += 1 + shared.size();
+    dedup_shared_ += shared.size();
   }
 
   // Store before sharing/resolving: any request submitted from a Finished
@@ -1098,8 +1110,6 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     running_.erase(std::find(running_.begin(), running_.end(), state));
-    finished_ += 1 + shared.size();
-    dedup_shared_ += shared.size();
     if (!stopping_) dispatch_locked();
   }
   idle_cv_.notify_all();

@@ -143,7 +143,7 @@ struct ServiceStats {
   std::uint64_t sessions_closed = 0;
   std::size_t open_sessions = 0;     ///< gauge
   std::uint64_t session_deltas = 0;  ///< resolved delta requests
-  /// Deltas settled without a full solve (noop / memo / repair / region).
+  /// Deltas settled without a full solve (noop / repair / region).
   std::uint64_t session_repaired = 0;
   /// Deltas that fell through to a fresh portfolio solve.
   std::uint64_t session_fresh = 0;
@@ -197,7 +197,7 @@ class SchedulingService {
 
   /// Opens a schedule session on the request's instance. The request's
   /// options/solvers become the session's solve configuration; the repair
-  /// knobs (regret bound, budgets, memo size) come from `tuning` — its
+  /// knobs (regret bound, budgets) come from `tuning` — its
   /// solve/solvers fields are overwritten from the request. Throws like
   /// submit() on a null instance or unknown solver names.
   SessionOpening open_session(SolveRequest request,

@@ -19,12 +19,13 @@ double pairing_lower_bound(const Instance& instance) {
   std::vector<double> sizes;
   sizes.reserve(static_cast<std::size_t>(instance.num_jobs()));
   for (const Job& job : instance.jobs()) sizes.push_back(job.size);
-  std::sort(sizes.begin(), sizes.end(), std::greater<>());
   // With n > m jobs, the m+1 largest jobs cannot all be alone: two of them
   // share a machine, and the cheapest such pairing is the two smallest among
-  // the m+1 largest.
-  return sizes[static_cast<std::size_t>(m) - 1] +
-         sizes[static_cast<std::size_t>(m)];
+  // the m+1 largest — the (m+1)-th largest size plus the largest size below
+  // it in descending order. Two selections, no full sort.
+  const auto mth = sizes.begin() + m;
+  std::nth_element(sizes.begin(), mth, sizes.end(), std::greater<>());
+  return *std::min_element(sizes.begin(), mth) + *mth;
 }
 
 double combined_lower_bound(const Instance& instance) {

@@ -75,7 +75,7 @@ std::string prometheus_text(const api::ServiceStats& service,
   metric(out, "bagsched_service_session_deltas_total", "counter",
          "Delta requests resolved by online sessions", service.session_deltas);
   metric(out, "bagsched_service_session_repaired_total", "counter",
-         "Deltas settled without a full solve (noop/memo/repair/region)",
+         "Deltas settled without a full solve (noop/repair/region)",
          service.session_repaired);
   metric(out, "bagsched_service_session_fresh_total", "counter",
          "Deltas that fell through to a fresh portfolio solve",

@@ -601,21 +601,24 @@ void SchedServer::sweep_orphans(bool close_all) {
   const auto linger =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(config_.session_linger_seconds));
-  std::size_t expired = 0;
+  std::vector<std::uint64_t> expired;
   for (auto it = orphaned_sessions_.begin();
        it != orphaned_sessions_.end();) {
     if (close_all || now - it->second >= linger) {
-      service_.close_session(it->first);
-      ++expired;
+      expired.push_back(it->first);
       it = orphaned_sessions_.erase(it);
     } else {
       ++it;
     }
   }
-  if (expired > 0) {
+  if (expired.empty()) return;
+  {
+    // Counted before the closes are visible: whoever sees the session
+    // gone must also see it counted.
     std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.orphans_expired += expired;
+    counters_.orphans_expired += expired.size();
   }
+  for (const std::uint64_t session : expired) service_.close_session(session);
 }
 
 void SchedServer::close_connection(Connection& connection,

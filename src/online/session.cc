@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -16,7 +17,6 @@ namespace bagsched::online {
 const char* to_string(RepairPath path) {
   switch (path) {
     case RepairPath::Noop: return "noop";
-    case RepairPath::Memo: return "memo";
     case RepairPath::Repair: return "repair";
     case RepairPath::Region: return "region";
     case RepairPath::Fresh: return "fresh";
@@ -224,7 +224,9 @@ ScheduleSession::ScheduleSession(model::Instance initial,
         result.error);
   }
   model::Schedule schedule = result.schedule;
-  commit(std::move(initial), std::move(schedule), std::move(result));
+  const double lower = model::combined_lower_bound(initial);
+  commit(std::make_shared<const model::Instance>(std::move(initial)),
+         std::move(schedule), std::move(result), lower);
   revision_ = 0;  // construction is not a delta commit
 }
 
@@ -243,7 +245,9 @@ ScheduleSession::ScheduleSession(model::Instance initial,
   result.optimality_gap =
       result.makespan / std::max(result.lower_bound, 1e-300) - 1.0;
   result.schedule_feasible = true;
-  commit(std::move(initial), std::move(committed), std::move(result));
+  const double lower = result.lower_bound;
+  commit(std::make_shared<const model::Instance>(std::move(initial)),
+         std::move(committed), std::move(result), lower);
   revision_ = 0;
 }
 
@@ -255,41 +259,15 @@ api::SolveResult ScheduleSession::fresh_solve(
   return portfolio.solve(instance, options_.solve).best;
 }
 
-void ScheduleSession::commit(model::Instance instance,
+void ScheduleSession::commit(std::shared_ptr<const model::Instance> instance,
                              model::Schedule schedule,
-                             api::SolveResult result) {
+                             api::SolveResult result, double lower_bound) {
   instance_ = std::move(instance);
   schedule_ = std::move(schedule);
-  makespan_ = schedule_.makespan(instance_);
-  lower_bound_ = model::combined_lower_bound(instance_);
+  makespan_ = schedule_.makespan(*instance_);
+  lower_bound_ = lower_bound;
   last_result_ = std::move(result);
   ++revision_;
-  memoize(instance_, schedule_);
-}
-
-void ScheduleSession::memoize(const model::Instance& instance,
-                              const model::Schedule& schedule) {
-  if (options_.memo_capacity == 0) return;
-  const cache::CanonicalForm exact = cache::Canonicalizer::exact(instance);
-  memo_.push_front(MemoEntry{exact.fingerprint, false,
-                             cache::to_canonical(schedule, exact)});
-  if (options_.solve.eps > 0.0) {
-    const cache::CanonicalForm rounded =
-        cache::Canonicalizer::rounded(instance, options_.solve.eps);
-    memo_.push_front(MemoEntry{rounded.fingerprint, true,
-                               cache::to_canonical(schedule, rounded)});
-  }
-  while (memo_.size() > options_.memo_capacity) memo_.pop_back();
-}
-
-const ScheduleSession::MemoEntry* ScheduleSession::memo_find(
-    const cache::Fingerprint& fingerprint, bool rounded) const {
-  for (const MemoEntry& entry : memo_) {
-    if (entry.rounded == rounded && entry.fingerprint == fingerprint) {
-      return &entry;
-    }
-  }
-  return nullptr;
 }
 
 api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
@@ -306,7 +284,7 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
   }
 
   model::DeltaMap map;
-  model::Instance next = model::apply_delta(instance_, delta, &map);
+  model::Instance next = model::apply_delta(*instance_, delta, &map);
   if (!next.is_feasible()) {
     ++stats_.rejected;
     api::SolveResult result;
@@ -328,103 +306,63 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
   }
 
   RepairPath path = RepairPath::Repair;
-  model::Schedule repaired;
-  bool have_schedule = false;
 
-  // --- 1. fingerprint memo: have we committed this very instance? --------
-  const cache::CanonicalForm exact_form = cache::Canonicalizer::exact(next);
-  if (const MemoEntry* hit = memo_find(exact_form.fingerprint, false)) {
-    model::Schedule candidate =
-        cache::from_canonical(hit->canonical_schedule, exact_form);
-    if (model::validate(next, candidate).ok()) {  // guards hash collisions
-      repaired = std::move(candidate);
-      path = RepairPath::Memo;
-      have_schedule = true;
-      ++stats_.memo_hits;
+  // --- 1. repair: inherit, greedy-place, polish ----------------------------
+  model::Schedule repaired(next.num_jobs(), next.num_machines());
+  for (model::JobId old_job = 0;
+       old_job < static_cast<model::JobId>(map.new_job_of.size());
+       ++old_job) {
+    const model::JobId new_job =
+        map.new_job_of[static_cast<std::size_t>(old_job)];
+    if (new_job == model::kRemovedJob) continue;
+    const model::MachineId old_machine = schedule_.machine_of(old_job);
+    if (old_machine == model::kUnassigned) continue;
+    repaired.assign(
+        new_job, map.new_machine_of[static_cast<std::size_t>(old_machine)]);
+  }
+  // The delta's footprint: arrivals, displaced jobs (failed machines) and
+  // resizes — the candidates for the region re-solve.
+  std::vector<model::JobId> region;
+  for (model::JobId job = 0; job < next.num_jobs(); ++job) {
+    if (!repaired.is_assigned(job)) region.push_back(job);
+  }
+  for (const model::JobResize& resize : delta.resizes) {
+    const model::JobId new_job =
+        map.new_job_of[static_cast<std::size_t>(resize.job)];
+    if (new_job != model::kRemovedJob) region.push_back(new_job);
+  }
+  std::sort(region.begin(), region.end());
+  region.erase(std::unique(region.begin(), region.end()), region.end());
+  const std::size_t affected = region.size();
+
+  greedy_place(next, repaired);
+  // Polish only when the inherited placement misses the regret bound:
+  // an already-acceptable schedule stays untouched, keeping migration
+  // minimal (stickiness is the whole point of the repair path).
+  if (repaired.makespan(next) > regret_cap) {
+    sched::LocalSearchOptions polish;
+    polish.max_moves = options_.repair_moves;
+    polish.seed = options_.solve.seed;
+    polish.cancel = options_.solve.cancel;
+    sched::improve(next, repaired, polish);
+  }
+
+  // --- 2. region re-solve when repair missed the regret bound ------------
+  if (repaired.makespan(next) > regret_cap && affected > 0 &&
+      affected <= static_cast<std::size_t>(options_.region_max_jobs)) {
+    model::Schedule regional = repaired;
+    RegionSolver solver(next, regional, region, options_.region_max_nodes);
+    const double regional_makespan = solver.solve(regional);
+    if (regional_makespan < repaired.makespan(next) &&
+        model::validate(next, regional).ok()) {
+      repaired = std::move(regional);
+      path = RepairPath::Region;
     }
   }
 
-  std::size_t affected = 0;
-  if (!have_schedule) {
-    // --- 2. repair: inherit, greedy-place, polish --------------------------
-    repaired = model::Schedule(next.num_jobs(), next.num_machines());
-    for (model::JobId old_job = 0;
-         old_job < static_cast<model::JobId>(map.new_job_of.size());
-         ++old_job) {
-      const model::JobId new_job =
-          map.new_job_of[static_cast<std::size_t>(old_job)];
-      if (new_job == model::kRemovedJob) continue;
-      const model::MachineId old_machine = schedule_.machine_of(old_job);
-      if (old_machine == model::kUnassigned) continue;
-      repaired.assign(
-          new_job,
-          map.new_machine_of[static_cast<std::size_t>(old_machine)]);
-    }
-    // The delta's footprint: arrivals, displaced jobs (failed machines) and
-    // resizes — the candidates for the region re-solve.
-    std::vector<model::JobId> region;
-    for (model::JobId job = 0; job < next.num_jobs(); ++job) {
-      if (!repaired.is_assigned(job)) region.push_back(job);
-    }
-    for (const model::JobResize& resize : delta.resizes) {
-      const model::JobId new_job =
-          map.new_job_of[static_cast<std::size_t>(resize.job)];
-      if (new_job != model::kRemovedJob) region.push_back(new_job);
-    }
-    std::sort(region.begin(), region.end());
-    region.erase(std::unique(region.begin(), region.end()), region.end());
-    affected = region.size();
-
-    greedy_place(next, repaired);
-    // Polish only when the inherited placement misses the regret bound:
-    // an already-acceptable schedule stays untouched, keeping migration
-    // minimal (stickiness is the whole point of the repair path).
-    if (repaired.makespan(next) > regret_cap) {
-      sched::LocalSearchOptions polish;
-      polish.max_moves = options_.repair_moves;
-      polish.seed = options_.solve.seed;
-      polish.cancel = options_.solve.cancel;
-      sched::improve(next, repaired, polish);
-    }
-
-    // A same-eps rounded twin's committed schedule is bag-compatible and
-    // within (1+eps) per job — adopt it when it beats the repair.
-    if (options_.solve.eps > 0.0) {
-      const cache::CanonicalForm rounded_form =
-          cache::Canonicalizer::rounded(next, options_.solve.eps);
-      if (const MemoEntry* hit =
-              memo_find(rounded_form.fingerprint, true)) {
-        model::Schedule candidate =
-            cache::from_canonical(hit->canonical_schedule, rounded_form);
-        if (model::validate(next, candidate).ok() &&
-            candidate.makespan(next) < repaired.makespan(next)) {
-          repaired = std::move(candidate);
-          path = RepairPath::Memo;
-          ++stats_.memo_hits;
-        }
-      }
-    }
-
-    // --- 3. region re-solve when repair missed the regret bound ----------
-    if (path == RepairPath::Repair &&
-        repaired.makespan(next) > regret_cap &&
-        affected > 0 &&
-        affected <= static_cast<std::size_t>(options_.region_max_jobs)) {
-      model::Schedule regional = repaired;
-      RegionSolver solver(next, regional, region,
-                          options_.region_max_nodes);
-      const double regional_makespan = solver.solve(regional);
-      if (regional_makespan < repaired.makespan(next) &&
-          model::validate(next, regional).ok()) {
-        repaired = std::move(regional);
-        path = RepairPath::Region;
-      }
-    }
-  }
-
-  // --- 4. fresh portfolio solve as the last resort -----------------------
+  // --- 3. fresh portfolio solve as the last resort -----------------------
   api::SolveResult result;
-  if (!have_schedule && repaired.makespan(next) > regret_cap) {
+  if (repaired.makespan(next) > regret_cap) {
     api::SolveResult fresh = fresh_solve(next);
     if (fresh.ok() && fresh.schedule_feasible &&
         fresh.makespan < repaired.makespan(next)) {
@@ -470,7 +408,8 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
   }
   stats_.total_moved_jobs += static_cast<std::uint64_t>(moved);
 
-  commit(std::move(next), std::move(repaired), result);
+  commit(std::make_shared<const model::Instance>(std::move(next)),
+         std::move(repaired), result, lower);
   return result;
 }
 

@@ -6,21 +6,21 @@
 // cost — how many surviving jobs changed machine, a result axis a fresh
 // solve cannot even define. Repair is cheap and sticky by construction:
 //
-//   1. memo     — the post-delta instance's canonical fingerprint (exact,
-//                 then eps-rounded; PR 4 machinery) is looked up in a small
-//                 per-session memo of previously committed schedules, so
-//                 delta-equivalent instances (churn that undoes itself,
-//                 jittered twins) are recognized without solving at all;
-//   2. repair   — surviving jobs inherit their machines through the delta's
+//   1. repair   — surviving jobs inherit their machines through the delta's
 //                 renumbering, displaced/new jobs are greedy-placed (always
 //                 feasible: bag size <= m), and a bounded local search
 //                 polishes the result from that warm start;
-//   3. region   — when the delta touched only a few jobs and repair missed
+//   2. region   — when the delta touched only a few jobs and repair missed
 //                 the regret bound, just those jobs are re-placed optimally
 //                 by a small branch-and-bound against the fixed remainder;
-//   4. fresh    — when the repaired makespan still exceeds
+//   3. fresh    — when the repaired makespan still exceeds
 //                 (1 + regret_bound) * lower_bound, fall back to a full
 //                 portfolio solve (the same one a cold request would get).
+//
+// There is no memo of earlier commits: churn that undoes itself is
+// repaired like any other delta, which answers the undo within the regret
+// bound, moves far fewer jobs than restoring the old schedule would, and
+// costs less than canonicalizing the instance to recognize it.
 //
 // The regret bound is checked against the combined lower bound, so an
 // accepted repair is within (1 + regret_bound) of ANY solver's output on
@@ -28,13 +28,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "api/portfolio.h"
 #include "api/solver.h"
-#include "cache/canonicalize.h"
 #include "model/delta.h"
 #include "model/instance.h"
 #include "model/schedule.h"
@@ -43,7 +42,7 @@ namespace bagsched::online {
 
 struct SessionOptions {
   /// Options for every solve the session issues (fresh portfolio solves,
-  /// repair local search budget via max_moves, eps for the rounded memo).
+  /// repair local search seed and cancellation).
   api::SolveOptions solve;
   /// Solver selection for fresh solves; empty = the default portfolio.
   std::vector<std::string> solvers;
@@ -58,22 +57,22 @@ struct SessionOptions {
   int region_max_jobs = 8;
   /// Node budget for the region branch-and-bound.
   long long region_max_nodes = 200'000;
-  /// Committed schedules remembered per session (exact + rounded keys).
-  std::size_t memo_capacity = 32;
 };
 
 /// Which pipeline stage produced a committed result.
-enum class RepairPath { Noop, Memo, Repair, Region, Fresh };
+enum class RepairPath { Noop, Repair, Region, Fresh };
 
 const char* to_string(RepairPath path);
 
 struct SessionStats {
   std::uint64_t deltas = 0;
   std::uint64_t noops = 0;
+  /// Always 0: sessions keep no memo of earlier commits. Kept so readers
+  /// that report a memo share (online.memo_ratio) still build and read 0.
   std::uint64_t memo_hits = 0;
-  std::uint64_t repairs = 0;          ///< accepted at stage 2
-  std::uint64_t region_resolves = 0;  ///< accepted at stage 3
-  std::uint64_t fresh_solves = 0;     ///< fell through to stage 4
+  std::uint64_t repairs = 0;          ///< accepted at stage 1
+  std::uint64_t region_resolves = 0;  ///< accepted at stage 2
+  std::uint64_t fresh_solves = 0;     ///< fell through to stage 3
   std::uint64_t rejected = 0;         ///< infeasible deltas (not committed)
   std::uint64_t total_moved_jobs = 0;
 };
@@ -107,7 +106,14 @@ class ScheduleSession {
   /// leaves the previous commit in place.
   api::SolveResult apply(const model::Delta& delta);
 
-  const model::Instance& instance() const { return instance_; }
+  /// The committed instance; the reference is valid until the next
+  /// commit replaces it (shared_instance() keeps it alive longer).
+  const model::Instance& instance() const { return *instance_; }
+  /// The committed instance itself: the session journal's shadow shares
+  /// it instead of copying it per commit.
+  const std::shared_ptr<const model::Instance>& shared_instance() const {
+    return instance_;
+  }
   const model::Schedule& schedule() const { return schedule_; }
   const api::SolveResult& last_result() const { return last_result_; }
   double makespan() const { return makespan_; }
@@ -122,32 +128,20 @@ class ScheduleSession {
   const SessionOptions& options() const { return options_; }
 
  private:
-  struct MemoEntry {
-    cache::Fingerprint fingerprint;
-    bool rounded = false;
-    /// Canonical-order schedule; a hit materializes it into the hitting
-    /// instance's job order with cache::from_canonical — pure index remap.
-    model::Schedule canonical_schedule;
-  };
-
-  void commit(model::Instance instance, model::Schedule schedule,
-              api::SolveResult result);
-  void memoize(const model::Instance& instance,
-               const model::Schedule& schedule);
-  const MemoEntry* memo_find(const cache::Fingerprint& fingerprint,
-                             bool rounded) const;
+  void commit(std::shared_ptr<const model::Instance> instance,
+              model::Schedule schedule, api::SolveResult result,
+              double lower_bound);
 
   api::SolveResult fresh_solve(const model::Instance& instance) const;
 
   SessionOptions options_;
-  model::Instance instance_;
+  std::shared_ptr<const model::Instance> instance_;
   model::Schedule schedule_;
   api::SolveResult last_result_;
   double makespan_ = 0.0;
   double lower_bound_ = 0.0;
   std::uint64_t revision_ = 0;
   SessionStats stats_;
-  std::deque<MemoEntry> memo_;  ///< front = most recent commit
 };
 
 }  // namespace bagsched::online

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "api/serialize.h"
@@ -39,8 +40,6 @@ util::Json tuning_to_json(const online::SessionOptions& tuning) {
   json.set("repair_moves", tuning.repair_moves);
   json.set("region_max_jobs", tuning.region_max_jobs);
   json.set("region_max_nodes", tuning.region_max_nodes);
-  json.set("memo_capacity",
-           static_cast<long long>(tuning.memo_capacity));
   return json;
 }
 
@@ -60,8 +59,8 @@ online::SessionOptions tuning_from_json(const util::Json& json) {
       json.int_or("region_max_jobs", tuning.region_max_jobs));
   tuning.region_max_nodes =
       json.int_or("region_max_nodes", tuning.region_max_nodes);
-  tuning.memo_capacity = static_cast<std::size_t>(json.int_or(
-      "memo_capacity", static_cast<long long>(tuning.memo_capacity)));
+  // Journals written while sessions kept a memo also carry
+  // "memo_capacity"; it has no effect any more and is skipped.
   return tuning;
 }
 
@@ -271,7 +270,7 @@ RecoveredState SessionJournal::replay() {
     recovered.session = session;
     recovered.epoch = shadow.epoch;
     recovered.revision = shadow.revision;
-    recovered.instance = shadow.instance;
+    recovered.instance = *shadow.instance;
     recovered.schedule = shadow.schedule;
     recovered.tuning = tuning_from_json(shadow.tuning);
     recovered.last_delta_json = shadow.last_delta_json;
@@ -289,7 +288,8 @@ void SessionJournal::ingest_locked(const util::Json& record) {
     Shadow shadow;
     shadow.epoch = u64_from_json(record.at("epoch"));
     shadow.revision = 0;
-    shadow.instance = model::instance_from_json(record.at("instance"));
+    shadow.instance = std::make_shared<const model::Instance>(
+        model::instance_from_json(record.at("instance")));
     shadow.schedule = model::schedule_from_json(record.at("schedule"));
     shadow.tuning = record.at("tuning");
     shadow.digest = record.at("digest").as_string();
@@ -322,7 +322,8 @@ void SessionJournal::ingest_locked(const util::Json& record) {
       Shadow shadow;
       shadow.epoch = u64_from_json(entry.at("epoch"));
       shadow.revision = u64_from_json(entry.at("revision"));
-      shadow.instance = model::instance_from_json(entry.at("instance"));
+      shadow.instance = std::make_shared<const model::Instance>(
+          model::instance_from_json(entry.at("instance")));
       shadow.schedule = model::schedule_from_json(entry.at("schedule"));
       shadow.tuning = entry.at("tuning");
       shadow.digest = entry.at("digest").as_string();
@@ -360,16 +361,15 @@ SessionJournal::Shadow& SessionJournal::checked_commit_shadow_locked(
   return shadow;
 }
 
-void SessionJournal::apply_commit_locked(std::uint64_t session, Shadow& shadow,
-                                         const model::Delta& delta,
-                                         std::string delta_json,
-                                         const model::Schedule& schedule,
-                                         std::string digest,
-                                         const model::Instance* post_instance) {
+void SessionJournal::apply_commit_locked(
+    std::uint64_t session, Shadow& shadow, const model::Delta& delta,
+    std::string delta_json, const model::Schedule& schedule,
+    std::string digest,
+    std::shared_ptr<const model::Instance> post_instance) {
   if (post_instance != nullptr) {
     // The caller's instance already includes every commit so far — any
     // deltas still buffered are subsumed by it.
-    shadow.instance = *post_instance;
+    shadow.instance = std::move(post_instance);
     shadow.pending.clear();
   } else {
     shadow.pending.push_back(delta);
@@ -387,7 +387,8 @@ void SessionJournal::materialize_locked(std::uint64_t session,
                                         Shadow& shadow) {
   for (const model::Delta& delta : shadow.pending) {
     try {
-      shadow.instance = model::apply_delta(shadow.instance, delta);
+      shadow.instance = std::make_shared<const model::Instance>(
+          model::apply_delta(*shadow.instance, delta));
     } catch (const std::exception& error) {
       throw PersistError("journal: committed delta for session " +
                          std::to_string(session) +
@@ -423,7 +424,7 @@ void SessionJournal::record_open(std::uint64_t session, std::uint64_t epoch,
   Shadow shadow;
   shadow.epoch = epoch;
   shadow.revision = 0;
-  shadow.instance = instance;
+  shadow.instance = std::make_shared<const model::Instance>(instance);
   shadow.schedule = schedule;
   shadow.tuning = record.at("tuning");
   shadow.digest = record.at("digest").as_string();
@@ -434,15 +435,13 @@ void SessionJournal::record_open(std::uint64_t session, std::uint64_t epoch,
   appended_locked(payload.size());
 }
 
-void SessionJournal::record_commit(std::uint64_t session,
-                                   std::uint64_t revision,
-                                   const model::Delta& delta,
-                                   const model::Schedule& schedule,
-                                   const model::Instance* post_instance) {
+void SessionJournal::record_commit(
+    std::uint64_t session, std::uint64_t revision, const model::Delta& delta,
+    std::string delta_json, const model::Schedule& schedule,
+    std::string digest,
+    std::shared_ptr<const model::Instance> post_instance) {
   // The hot record — one per acked delta, serialized straight into the
   // payload buffer (see append_schedule_json).
-  std::string delta_json = api::to_json(delta).dump();
-  std::string digest = schedule_digest(schedule);
   std::string payload;
   payload.reserve(delta_json.size() + digest.size() +
                   static_cast<std::size_t>(schedule.num_jobs()) * 4 + 96);
@@ -461,8 +460,20 @@ void SessionJournal::record_commit(std::uint64_t session,
   Shadow& shadow = checked_commit_shadow_locked(session, revision);
   wal_.append(payload);
   apply_commit_locked(session, shadow, delta, std::move(delta_json),
-                      schedule, std::move(digest), post_instance);
+                      schedule, std::move(digest), std::move(post_instance));
   appended_locked(payload.size());
+}
+
+void SessionJournal::record_commit(std::uint64_t session,
+                                   std::uint64_t revision,
+                                   const model::Delta& delta,
+                                   const model::Schedule& schedule,
+                                   const model::Instance* post_instance) {
+  record_commit(session, revision, delta, api::to_json(delta).dump(),
+                schedule, schedule_digest(schedule),
+                post_instance != nullptr
+                    ? std::make_shared<const model::Instance>(*post_instance)
+                    : nullptr);
 }
 
 void SessionJournal::record_close(std::uint64_t session) {
@@ -490,7 +501,7 @@ util::Json SessionJournal::snapshot_record_locked() {
     entry.set("session", static_cast<long long>(session));
     entry.set("epoch", std::to_string(shadow.epoch));
     entry.set("revision", static_cast<long long>(shadow.revision));
-    entry.set("instance", model::instance_to_json(shadow.instance));
+    entry.set("instance", model::instance_to_json(*shadow.instance));
     entry.set("tuning", shadow.tuning);
     entry.set("schedule", model::schedule_to_json(shadow.schedule));
     entry.set("digest", shadow.digest);

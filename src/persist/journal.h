@@ -18,9 +18,10 @@
 // the process died — may additionally survive; resume-side revision
 // dedupe absorbs it.
 //
-// The journal keeps its own shadow copy of each session (instance,
-// committed schedule, revision, tuning) updated identically by live
-// appends and by replay, so snapshot compaction and boot-time recovery
+// The journal keeps its own shadow of each session (instance, committed
+// schedule, revision, tuning) updated identically by live appends and by
+// replay — the live service shares its committed, immutable instance into
+// it rather than copying it — so snapshot compaction and boot-time recovery
 // are journal-local: replay() hands back fully materialized sessions and
 // the service re-adopts them without re-solving anything.
 #pragma once
@@ -29,6 +30,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -128,13 +130,24 @@ class SessionJournal {
                    const model::Schedule& schedule);
 
   /// Journals one committed delta; `revision` is the session's revision
-  /// AFTER the commit and must advance by exactly 1. `post_instance`, when
-  /// the caller already holds the post-delta instance (the live service
-  /// does — its session just applied the delta), is copied into the shadow
-  /// instead of re-deriving it through apply_delta, keeping the
-  /// append-before-ack path free of per-commit instance rebuilds; replay
-  /// re-derives from the journaled deltas either way, and the recovery
-  /// tests pin both paths to fingerprint-identical results.
+  /// AFTER the commit and must advance by exactly 1. `delta_json` must be
+  /// api::to_json(delta).dump() and `digest` schedule_digest(schedule):
+  /// the live service computes both once per commit for its own resume
+  /// shadow. `post_instance`, when the caller holds the committed
+  /// post-delta instance (the live service does — its session just
+  /// applied the delta), is shared into the shadow instead of re-deriving
+  /// it through apply_delta, keeping the append-before-ack path free of
+  /// per-commit instance rebuilds and copies; when null the delta is
+  /// buffered and folded in lazily. Replay re-derives from the journaled
+  /// deltas either way, and the recovery tests pin both paths to
+  /// fingerprint-identical results.
+  void record_commit(std::uint64_t session, std::uint64_t revision,
+                     const model::Delta& delta, std::string delta_json,
+                     const model::Schedule& schedule, std::string digest,
+                     std::shared_ptr<const model::Instance> post_instance);
+
+  /// Convenience form: serializes the delta and digests the schedule
+  /// itself, and copies `post_instance` (when given) into the shadow.
   void record_commit(std::uint64_t session, std::uint64_t revision,
                      const model::Delta& delta,
                      const model::Schedule& schedule,
@@ -166,8 +179,9 @@ class SessionJournal {
     /// deltas not yet folded in. apply_delta() rebuilds the whole
     /// instance, so folding eagerly would tax every ack with work only
     /// snapshots and recovery actually consume — deltas are batched and
-    /// applied in order when (and only when) the instance is read.
-    model::Instance instance;
+    /// applied in order when (and only when) the instance is read. Live
+    /// commits share the session's own immutable instance here.
+    std::shared_ptr<const model::Instance> instance;
     std::vector<model::Delta> pending;
     model::Schedule schedule;
     util::Json tuning;
@@ -185,10 +199,11 @@ class SessionJournal {
   void open_shadow_locked(std::uint64_t session, Shadow shadow);
   Shadow& checked_commit_shadow_locked(std::uint64_t session,
                                        std::uint64_t revision);
-  void apply_commit_locked(std::uint64_t session, Shadow& shadow,
-                           const model::Delta& delta, std::string delta_json,
-                           const model::Schedule& schedule, std::string digest,
-                           const model::Instance* post_instance);
+  void apply_commit_locked(
+      std::uint64_t session, Shadow& shadow, const model::Delta& delta,
+      std::string delta_json, const model::Schedule& schedule,
+      std::string digest,
+      std::shared_ptr<const model::Instance> post_instance);
   /// Folds `pending` into the shadow instance (PersistError on a delta
   /// that does not apply — a corrupt journal, not a torn tail).
   void materialize_locked(std::uint64_t session, Shadow& shadow);

@@ -2,15 +2,19 @@
 // validation, lower bounds, text I/O round-trips and JSON range checks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "model/instance.h"
 #include "model/io.h"
 #include "model/lower_bounds.h"
 #include "model/schedule.h"
 #include "util/json.h"
+#include "util/prng.h"
 
 namespace bagsched {
 namespace {
@@ -142,6 +146,33 @@ TEST(LowerBoundsTest, PairingBoundWhenMoreJobsThanMachines) {
 TEST(LowerBoundsTest, PairingZeroWhenFewJobs) {
   const Instance instance = Instance::from_vectors({5.0}, {0}, 2);
   EXPECT_DOUBLE_EQ(model::pairing_lower_bound(instance), 0.0);
+}
+
+TEST(LowerBoundsTest, PairingMatchesSortedReferenceOnRandomInstances) {
+  // The selection-based bound must equal the textbook sort-based value
+  // bit for bit, including ties (sizes drawn from a few values) and the
+  // tightest case n = m + 1.
+  util::Xoshiro256 rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int m = static_cast<int>(rng.uniform_int(1, 12));
+    const int n = trial % 4 == 0
+                      ? m + 1
+                      : static_cast<int>(rng.uniform_int(m + 1, 4 * m + 8));
+    const bool ties = trial % 3 == 0;
+    std::vector<double> sizes;
+    std::vector<model::BagId> bags;
+    for (int j = 0; j < n; ++j) {
+      sizes.push_back(ties ? static_cast<double>(rng.uniform_int(1, 3))
+                           : rng.uniform_real(0.1, 10.0));
+      bags.push_back(j);
+    }
+    const Instance instance = Instance::from_vectors(sizes, bags, m);
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    const double reference = sizes[static_cast<std::size_t>(m) - 1] +
+                             sizes[static_cast<std::size_t>(m)];
+    ASSERT_EQ(model::pairing_lower_bound(instance), reference)
+        << "trial " << trial << " (n = " << n << ", m = " << m << ")";
+  }
 }
 
 TEST(LowerBoundsTest, CombinedIsMax) {

@@ -488,13 +488,19 @@ TEST(NetServerTest, GracefulDrainFlushesResultsThenRefusesSubmits) {
   SchedServer server(config);
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
-  // An eptas solve runs long enough (milliseconds) that the late submit
-  // below lands while it is still in flight.
+  // The in-flight solve must outlast the late submit below: an exact
+  // search on 60 jobs runs into its 50 ms time limit and then reports its
+  // incumbent as feasible. (A small eptas solve finishes in about a
+  // millisecond, and under load the drain could half-close the
+  // connection before the late submit was read.) The limit stays short
+  // because the listener's port is free from the drain on: the longer
+  // the drain, the likelier another process binds that port before the
+  // refused-connect check at the end.
   api::SolveOptions options;
-  options.eps = 0.5;
-  options.seed = 7;
+  options.time_limit_seconds = 0.05;
+  options.seed = 3;
   const auto inflight_request = api::make_request(
-      api::make_instance("uniform", 20, 3, options), options, {"eptas"});
+      api::make_instance("uniform", 60, 8, options), options, {"exact"});
   client.submit(inflight_request, "inflight", /*want_progress=*/true);
   // Wait until the submit is provably accepted, then drain.
   for (;;) {

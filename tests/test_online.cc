@@ -2,9 +2,10 @@
 // generator (fixed-seed determinism, per-step feasibility), delta
 // apply/undo round trips through exact canonical fingerprints, migration
 // cost against a brute-force recount, ScheduleSession's repair pipeline
-// (regret bound, noop/memo paths, infeasible rejection), the service's
-// session routing (FIFO per session, unknown-session errors, close
-// semantics), and the delta JSON round trips.
+// (regret bound, noop path, undone churn repaired in place, infeasible
+// rejection), the service's session routing (FIFO per session,
+// unknown-session errors, close semantics), and the delta JSON round
+// trips.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -272,12 +273,12 @@ TEST(ScheduleSessionTest, RepairsChurnWithinTheRegretBound) {
   }
   const auto& stats = session.stats();
   EXPECT_EQ(stats.deltas, trace.deltas.size());
-  EXPECT_EQ(stats.noops + stats.memo_hits + stats.repairs +
-                stats.region_resolves + stats.fresh_solves,
+  EXPECT_EQ(stats.noops + stats.repairs + stats.region_resolves +
+                stats.fresh_solves,
             trace.deltas.size());
+  EXPECT_EQ(stats.memo_hits, 0u);
   // Repair must be the common path on gentle churn — that is the point.
-  EXPECT_GT(stats.repairs + stats.memo_hits + stats.noops,
-            stats.fresh_solves);
+  EXPECT_GT(stats.repairs + stats.noops, stats.fresh_solves);
 }
 
 TEST(ScheduleSessionTest, NoopDeltaDoesNotAdvanceTheRevision) {
@@ -293,7 +294,7 @@ TEST(ScheduleSessionTest, NoopDeltaDoesNotAdvanceTheRevision) {
   EXPECT_EQ(session.stats().noops, 1u);
 }
 
-TEST(ScheduleSessionTest, UndoneChurnHitsTheMemo) {
+TEST(ScheduleSessionTest, UndoneChurnIsRepairedInPlace) {
   const auto trace = gen::churn_trace(small_churn(51));
   online::ScheduleSession session(trace.initial, quick_session());
 
@@ -307,11 +308,55 @@ TEST(ScheduleSessionTest, UndoneChurnHitsTheMemo) {
   ASSERT_TRUE(session.apply(delta).ok());
   const api::SolveResult back = session.apply(undo);
   ASSERT_TRUE(back.ok());
-  // Undoing the churn reproduces the initial instance's exact fingerprint,
-  // which the session memoized at open: no solving, no regret.
-  EXPECT_EQ(api::stat_str(back.stats, "online.path"), "memo");
-  EXPECT_EQ(session.stats().memo_hits, 1u);
+  // Undoing the churn is just another delta: the two returning jobs are
+  // placed around the survivors, which stay where they are.
+  EXPECT_EQ(api::stat_str(back.stats, "online.path"), "repair");
+  EXPECT_EQ(back.moved_jobs, 0);
+  EXPECT_LE(back.makespan, (1.0 + session.options().regret_bound) *
+                               back.lower_bound * (1.0 + 1e-9));
+  EXPECT_EQ(session.stats().memo_hits, 0u);
   EXPECT_EQ(session.revision(), 2u);
+}
+
+TEST(ScheduleSessionTest, RevertHeavyChurnStaysWithinTheRegretBound) {
+  // Each churn delta d, then its inverse u (back to the pre-delta instance
+  // up to renumbering), then the inverse of u (d again).
+  gen::ChurnParams params = small_churn(61);
+  params.steps = 120;
+  const auto trace = gen::churn_trace(params);
+  for (const double eps : {0.5, 0.0}) {
+    online::SessionOptions options = quick_session();
+    options.solve.eps = eps;
+    online::ScheduleSession session(trace.initial, options);
+    const double cap = 1.0 + options.regret_bound;
+    int reverted = 0;
+    for (const model::Delta& delta : trace.deltas) {
+      const model::Instance before = session.instance();
+      model::DeltaMap map;
+      const model::Instance after = model::apply_delta(before, delta, &map);
+      ASSERT_TRUE(session.apply(delta).ok());
+      if (model::is_noop(delta)) continue;
+      const model::Delta undo = model::inverse_delta(before, delta, map);
+      model::DeltaMap undo_map;
+      model::apply_delta(after, undo, &undo_map);
+      const model::Delta redo = model::inverse_delta(after, undo, undo_map);
+      for (const model::Delta* step : {&undo, &redo}) {
+        const api::SolveResult result = session.apply(*step);
+        ASSERT_TRUE(result.ok()) << result.error;
+        EXPECT_LE(result.makespan,
+                  cap * result.lower_bound * (1.0 + 1e-9));
+        EXPECT_TRUE(
+            model::validate(session.instance(), session.schedule()).ok());
+        ++reverted;
+      }
+    }
+    EXPECT_GE(reverted, 200) << "eps " << eps;
+    const online::SessionStats& stats = session.stats();
+    EXPECT_EQ(stats.memo_hits, 0u);
+    EXPECT_EQ(stats.noops + stats.repairs + stats.region_resolves +
+                  stats.fresh_solves,
+              stats.deltas);
+  }
 }
 
 TEST(ScheduleSessionTest, InfeasibleDeltaIsRejectedAndStateKept) {

@@ -22,6 +22,7 @@
 #include "persist/journal.h"
 #include "persist/wal.h"
 #include "util/fault.h"
+#include "util/json.h"
 
 namespace bagsched {
 namespace {
@@ -356,6 +357,49 @@ TEST(JournalTest, OpenCommitCloseReplayRoundTripsEverySession) {
   EXPECT_EQ(recovered.tuning.solvers, tuning.solvers);
   EXPECT_DOUBLE_EQ(recovered.tuning.regret_bound, tuning.regret_bound);
   EXPECT_FALSE(recovered.last_delta_json.empty());
+}
+
+TEST(JournalTest, TuningWithTheRetiredMemoCapacityStillReplays) {
+  // Journals written while sessions kept a memo carry "memo_capacity" in
+  // each session's tuning; replay must skip it and keep the other knobs.
+  TempDir dir;
+  persist::JournalConfig config;
+  config.dir = dir.path();
+  config.fsync = FsyncPolicy::Off;
+  config.snapshot_every = 0;
+  const auto trace = gen::churn_trace(tiny_churn(22));
+  const online::SessionOptions tuning = cheap_tuning();
+  online::ScheduleSession live(trace.initial, tuning);
+  {
+    SessionJournal journal(config);
+    journal.replay();
+    journal.record_open(3, 30, trace.initial, tuning, live.schedule());
+    journal.sync();
+  }
+  const std::string path = dir.file("journal.wal");
+  WalReplay written;
+  { Wal::open(path, FsyncPolicy::Off, 0.025, &written); }
+  ASSERT_EQ(written.records.size(), 1u);
+  util::Json open = util::Json::parse(written.records[0]);
+  util::Json old_tuning = open.at("tuning");
+  old_tuning.set("memo_capacity", 16LL);
+  open.set("tuning", std::move(old_tuning));
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  {
+    Wal wal = Wal::open(path, FsyncPolicy::Off);
+    wal.append(open.dump());
+    wal.sync();
+  }
+
+  SessionJournal reopened(config);
+  const persist::RecoveredState state = reopened.replay();
+  ASSERT_EQ(state.sessions.size(), 1u);
+  const persist::RecoveredSession& recovered = state.sessions[0];
+  EXPECT_EQ(recovered.session, 3u);
+  EXPECT_EQ(recovered.tuning.solvers, tuning.solvers);
+  EXPECT_DOUBLE_EQ(recovered.tuning.regret_bound, tuning.regret_bound);
+  EXPECT_EQ(persist::schedule_digest(recovered.schedule),
+            persist::schedule_digest(live.schedule()));
 }
 
 TEST(JournalTest, SnapshotCompactionPreservesTheRecoveredState) {
