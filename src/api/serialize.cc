@@ -1,5 +1,6 @@
 #include "api/serialize.h"
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -85,6 +86,210 @@ int delta_int(long long raw, const char* field) {
                                 std::to_string(raw) + " out of range");
   }
   return static_cast<int>(raw);
+}
+
+// --- Typed codec -------------------------------------------------------------
+// Each read_* mirrors its *_from_json twin: members are listed in the order
+// the twin looks them up, so read_members raises the same error first.
+
+using util::JsonReader;
+
+SolveOptions read_options(JsonReader& reader) {
+  const SolveOptions defaults;
+  SolveOptions options;
+  // options_from_json looks members up with find/number_or, which see
+  // anything but an object as empty: defaults, no error.
+  if (reader.peek_kind() != util::Json::Kind::Object) {
+    reader.skip_value();
+    return options;
+  }
+  static constexpr std::array<std::string_view, 8> kKeys = {
+      "eps", "time_limit_seconds", "max_nodes", "max_moves",
+      "multifit_iterations", "seed", "stack_threshold", "cache_mode"};
+  util::read_members(reader, kKeys, 0, [&](std::size_t field) {
+    switch (field) {
+      case 0: options.eps = reader.number_or(defaults.eps); break;
+      case 1:
+        options.time_limit_seconds =
+            reader.number_or(defaults.time_limit_seconds);
+        break;
+      case 2: options.max_nodes = reader.int_or(defaults.max_nodes); break;
+      case 3: options.max_moves = reader.int_or(defaults.max_moves); break;
+      case 4:
+        options.multifit_iterations =
+            static_cast<int>(reader.int_or(defaults.multifit_iterations));
+        break;
+      case 5:
+        options.seed = reader.peek_kind() == util::Json::Kind::String
+                           ? std::stoull(reader.read_string())
+                           : static_cast<std::uint64_t>(reader.read_int());
+        break;
+      case 6:
+        options.stack_threshold = reader.number_or(defaults.stack_threshold);
+        break;
+      default:
+        options.cache_mode = cache_mode_from_string(reader.read_string());
+    }
+  });
+  return options;
+}
+
+SolveRequest read_solve_request(JsonReader& reader) {
+  static constexpr std::array<std::string_view, 5> kKeys = {
+      "instance", "options", "solvers", "priority", "deadline_seconds"};
+  SolveRequest request;
+  model::Instance instance;
+  util::read_members(reader, kKeys, 0b00001, [&](std::size_t field) {
+    switch (field) {
+      case 0: instance = model::read_instance_json(reader); break;
+      case 1: request.options = read_options(reader); break;
+      case 2:
+        request.solvers.clear();
+        reader.read_array(
+            [&] { request.solvers.push_back(reader.read_string()); });
+        break;
+      case 3: request.priority = static_cast<int>(reader.int_or(0)); break;
+      default: request.deadline = deadline_in(reader.read_number());
+    }
+  });
+  request.instance =
+      std::make_shared<const model::Instance>(std::move(instance));
+  return request;
+}
+
+model::Delta read_delta(JsonReader& reader) {
+  model::Delta delta;
+  // delta_from_json sees a non-object as empty: the noop delta.
+  if (reader.peek_kind() != util::Json::Kind::Object) {
+    reader.skip_value();
+    return delta;
+  }
+  static constexpr std::array<std::string_view, 5> kKeys = {
+      "arrivals", "departures", "resizes", "machines_added",
+      "failed_machines"};
+  static constexpr std::array<std::string_view, 2> kArrivalKeys = {"size",
+                                                                   "bag"};
+  static constexpr std::array<std::string_view, 2> kResizeKeys = {"job",
+                                                                  "size"};
+  util::read_members(reader, kKeys, 0, [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        delta.arrivals.clear();
+        reader.read_array([&] {
+          model::JobArrival arrival{};
+          util::read_members(reader, kArrivalKeys, 0b11, [&](std::size_t key) {
+            if (key == 0) {
+              arrival.size = reader.read_number();
+            } else {
+              arrival.bag = delta_int(reader.read_int(), "bag");
+            }
+          });
+          delta.arrivals.push_back(arrival);
+        });
+        break;
+      case 1:
+        delta.departures.clear();
+        reader.read_array([&] {
+          delta.departures.push_back(
+              delta_int(reader.read_int(), "departure"));
+        });
+        break;
+      case 2:
+        delta.resizes.clear();
+        reader.read_array([&] {
+          model::JobResize resize{};
+          util::read_members(reader, kResizeKeys, 0b11, [&](std::size_t key) {
+            if (key == 0) {
+              resize.job = delta_int(reader.read_int(), "resize job");
+            } else {
+              resize.size = reader.read_number();
+            }
+          });
+          delta.resizes.push_back(resize);
+        });
+        break;
+      case 3:
+        delta.machines_added =
+            delta_int(reader.int_or(0), "machines_added");
+        break;
+      default:
+        delta.failed_machines.clear();
+        reader.read_array([&] {
+          delta.failed_machines.push_back(
+              delta_int(reader.read_int(), "failed machine"));
+        });
+    }
+  });
+  return delta;
+}
+
+DeltaRequest read_delta_request(JsonReader& reader) {
+  static constexpr std::array<std::string_view, 5> kKeys = {
+      "session", "delta", "expect_revision", "priority", "deadline_seconds"};
+  DeltaRequest request;
+  util::read_members(reader, kKeys, 0b00001, [&](std::size_t field) {
+    switch (field) {
+      case 0:
+        request.session = static_cast<std::uint64_t>(reader.read_int());
+        break;
+      case 1: request.delta = read_delta(reader); break;
+      case 2:
+        request.expect_revision =
+            static_cast<std::uint64_t>(reader.read_int());
+        break;
+      case 3: request.priority = static_cast<int>(reader.int_or(0)); break;
+      default: request.deadline = deadline_in(reader.read_number());
+    }
+  });
+  return request;
+}
+
+/// `,"key":` — every key the encoder writes is a plain identifier.
+void append_field(std::string& out, std::string_view key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+}
+
+void append_bool(std::string& out, bool value) {
+  out += value ? "true" : "false";
+}
+
+/// Appends to_json(telemetry).dump().
+void append_telemetry(std::string& out, const Telemetry& telemetry) {
+  out += '{';
+  bool first = true;
+  for (const auto& [key, value] : telemetry) {
+    if (!first) out += ',';
+    first = false;
+    util::append_json_string(out, key);
+    out += ":{\"t\":";
+    if (const auto* v = std::get_if<long long>(&value)) {
+      out += "\"i\",\"v\":";
+      if (*v > (1LL << 53) || *v < -(1LL << 53)) {
+        util::append_json_string(out, std::to_string(*v));
+      } else {
+        util::append_json_number(out, static_cast<double>(*v));
+      }
+    } else if (const auto* v = std::get_if<double>(&value)) {
+      out += "\"r\",\"v\":";
+      if (std::isnan(*v)) {
+        out += "\"nan\"";
+      } else if (std::isinf(*v)) {
+        out += *v > 0 ? "\"inf\"" : "\"-inf\"";
+      } else {
+        util::append_json_number(out, *v);
+      }
+    } else if (const auto* v = std::get_if<bool>(&value)) {
+      out += "\"b\",\"v\":";
+      append_bool(out, *v);
+    } else {
+      out += "\"s\",\"v\":";
+      util::append_json_string(out, std::get<std::string>(value));
+    }
+    out += '}';
+  }
+  out += '}';
 }
 
 }  // namespace
@@ -308,6 +513,61 @@ model::Delta delta_from_json(const util::Json& json) {
     }
   }
   return delta;
+}
+
+SolveRequest decode_solve_request(std::string_view text) {
+  SolveRequest request;
+  util::read_document(text, [&](util::JsonReader& reader) {
+    request = read_solve_request(reader);
+  });
+  return request;
+}
+
+DeltaRequest decode_delta_request(std::string_view text) {
+  DeltaRequest request;
+  util::read_document(text, [&](util::JsonReader& reader) {
+    request = read_delta_request(reader);
+  });
+  return request;
+}
+
+void append_result(std::string& out, const SolveResult& result,
+                   bool include_schedule) {
+  out += "{\"solver\":";
+  util::append_json_string(out, result.solver);
+  append_field(out, "status");
+  util::append_json_string(out, to_string(result.status));
+  append_field(out, "makespan");
+  util::append_json_number(out, result.makespan);
+  append_field(out, "lower_bound");
+  util::append_json_number(out, result.lower_bound);
+  append_field(out, "optimality_gap");
+  util::append_json_number(out, result.optimality_gap);
+  append_field(out, "proven_optimal");
+  append_bool(out, result.proven_optimal);
+  append_field(out, "schedule_feasible");
+  append_bool(out, result.schedule_feasible);
+  append_field(out, "cancelled");
+  append_bool(out, result.cancelled);
+  if (result.moved_jobs >= 0) {
+    append_field(out, "moved_jobs");
+    util::append_json_number(out, static_cast<double>(result.moved_jobs));
+    append_field(out, "migration_ratio");
+    util::append_json_number(out, result.migration_ratio);
+  }
+  append_field(out, "wall_seconds");
+  util::append_json_number(out, result.wall_seconds);
+  if (!result.error.empty()) {
+    append_field(out, "error");
+    util::append_json_string(out, result.error);
+  }
+  if (include_schedule && result.schedule.num_jobs() > 0) {
+    append_field(out, "schedule");
+    model::append_schedule_json(out, result.schedule);
+  }
+  append_field(out, "stats");
+  append_telemetry(out, result.stats);
+  out += '}';
 }
 
 util::Json to_json(const DeltaRequest& request) {

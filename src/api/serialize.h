@@ -18,7 +18,16 @@
 //   * A request's absolute deadline is serialized as "deadline_seconds"
 //     (seconds remaining at serialization time) and re-anchored to now()
 //     when parsed — steady-clock time points don't cross processes.
+//
+// Two codecs share these shapes. The Json-tree one (to_json/*_from_json)
+// serves the journal, tools and tests. The typed one (decode_*/
+// append_result) is the server's wire path: it goes straight between text
+// and structs, and is held byte-for-byte / error-for-error to the tree one
+// by differential tests.
 #pragma once
+
+#include <string>
+#include <string_view>
 
 #include "api/request.h"
 #include "api/solver.h"
@@ -54,6 +63,18 @@ model::Delta delta_from_json(const util::Json& json);
 /// base fields (priority, deadline_seconds).
 util::Json to_json(const DeltaRequest& request);
 DeltaRequest delta_request_from_json(const util::Json& json);
+
+/// solve_request_from_json(Json::parse(text)) without the tree: the same
+/// checks, the same errors (kind and message), the same lenient fallbacks
+/// for wrong-typed optional members; a repeated key counts by its last
+/// value.
+SolveRequest decode_solve_request(std::string_view text);
+/// delta_request_from_json(Json::parse(text)) without the tree, on the
+/// same terms.
+DeltaRequest decode_delta_request(std::string_view text);
+/// Appends exactly to_json(result, include_schedule).dump().
+void append_result(std::string& out, const SolveResult& result,
+                   bool include_schedule = true);
 
 /// Inverse of to_string(SolveStatus); throws std::runtime_error on an
 /// unknown name.

@@ -28,8 +28,19 @@ std::uint64_t options_digest(const api::SolveOptions& options) {
 
 namespace {
 
-std::size_t schedule_heap_bytes(const model::Schedule& schedule) {
-  return schedule.assignment().capacity() * sizeof(model::MachineId);
+/// The most a heap allocation of 9 bytes or more costs beyond the bytes
+/// it asks for: glibc's 8-byte chunk header plus rounding up to 16 bytes.
+/// Charged once per allocation, so the budget bounds the heap entries
+/// hold rather than the bytes they asked for.
+constexpr std::size_t kAllocationOverhead = 24;
+
+/// Heap a string owns beyond its object: none while it fits the
+/// small-string buffer inside the object.
+std::size_t heap_bytes(const std::string& text) {
+  const auto* object = reinterpret_cast<const char*>(&text);
+  const bool inline_buffer =
+      text.data() >= object && text.data() < object + sizeof text;
+  return inline_buffer ? 0 : text.capacity() + 1 + kAllocationOverhead;
 }
 
 static_assert(std::is_same_v<api::TelemetryValue,
@@ -104,14 +115,23 @@ api::Telemetry unpack_telemetry(const std::vector<std::string>& keys,
 /// that holds every id. Any int id round-trips.
 constexpr std::size_t kScheduleHeader = 9;
 
+std::size_t packed_width(const model::Schedule& schedule) {
+  std::uint32_t top = 0;
+  for (const model::MachineId machine : schedule.assignment()) {
+    top = std::max(top, static_cast<std::uint32_t>(machine) + 1u);
+  }
+  return top <= 0xFF ? 1 : top <= 0xFFFF ? 2 : 4;
+}
+
+std::size_t packed_schedule_bytes(const model::Schedule& schedule) {
+  return kScheduleHeader +
+         packed_width(schedule) * schedule.assignment().size();
+}
+
 std::unique_ptr<std::uint8_t[]> pack_schedule(
     const model::Schedule& schedule) {
   const auto& assignment = schedule.assignment();
-  std::uint32_t top = 0;
-  for (const model::MachineId machine : assignment) {
-    top = std::max(top, static_cast<std::uint32_t>(machine) + 1u);
-  }
-  const std::size_t width = top <= 0xFF ? 1 : top <= 0xFFFF ? 2 : 4;
+  const std::size_t width = packed_width(schedule);
   auto out = std::make_unique_for_overwrite<std::uint8_t[]>(
       kScheduleHeader + width * assignment.size());
   const auto put = [&](std::size_t at, std::uint32_t value,
@@ -156,8 +176,7 @@ model::Schedule unpack_schedule(const std::uint8_t* packed) {
 /// test_cache's round trip compares whole results through api::to_json.
 struct SolveCache::StoredResult {
   StoredResult(api::SolveResult&& result, const TelemetryKeys* keys)
-      : bytes(approx_result_bytes(result)),
-        keys(keys),
+      : keys(keys),
         values(pack_values(result.stats)),
         solver(std::move(result.solver)),
         error(std::move(result.error)),
@@ -170,7 +189,13 @@ struct SolveCache::StoredResult {
         status(result.status),
         proven_optimal(result.proven_optimal),
         schedule_feasible(result.schedule_feasible),
-        cancelled(result.cancelled) {}
+        cancelled(result.cancelled) {
+    // One make_shared allocation (the object, two counts and a vtable
+    // pointer), and the heap its strings own.
+    bytes = sizeof(StoredResult) + 2 * sizeof(long) + sizeof(void*) +
+            kAllocationOverhead + heap_bytes(values) + heap_bytes(solver) +
+            heap_bytes(error);
+  }
 
   /// The stored result around `schedule`.
   api::SolveResult unpack(model::Schedule schedule) const {
@@ -192,7 +217,7 @@ struct SolveCache::StoredResult {
     return result;
   }
 
-  std::size_t bytes;  ///< approx_result_bytes of the unpacked result
+  std::size_t bytes = 0;  ///< charged footprint, see the constructor
   const TelemetryKeys* keys;
   std::string values;  ///< pack_values(stats)
   std::string solver;
@@ -209,17 +234,15 @@ struct SolveCache::StoredResult {
   bool cancelled;
 };
 
-std::size_t approx_result_bytes(const api::SolveResult& result) {
-  std::size_t bytes = sizeof(api::SolveResult);
-  bytes += schedule_heap_bytes(result.schedule);
-  bytes += result.solver.capacity() + result.error.capacity();
-  for (const auto& [key, value] : result.stats) {
-    bytes += sizeof(value) + key.capacity() + 48;  // node overhead
-    if (const auto* text = std::get_if<std::string>(&value)) {
-      bytes += text->capacity();
-    }
-  }
-  return bytes;
+std::size_t SolveCache::slot_bytes(const CacheKey& key,
+                                   const model::Schedule& schedule) {
+  // The unordered_map node (the next pointer and cached hash around the
+  // key/entry pair), its share of the bucket array (at most two buckets
+  // per element: load factor 1, capacity doubling), the heap of the key's
+  // solver name, and the packed schedule.
+  return sizeof(Slot) + 2 * sizeof(void*) + kAllocationOverhead +
+         2 * sizeof(void*) + heap_bytes(key.solver) +
+         packed_schedule_bytes(schedule) + kAllocationOverhead;
 }
 
 SolveCache::SolveCache(CacheConfig config) : config_(config) {
@@ -295,6 +318,7 @@ std::optional<api::SolveResult> SolveCache::lookup(const CacheKey& key) {
 
 SolveCache::Payload SolveCache::insert(const CacheKey& key,
                                        api::SolveResult result) {
+  const std::size_t slot = slot_bytes(key, result.schedule);
   auto schedule = pack_schedule(result.schedule);
   const TelemetryKeys* keys = intern_keys(result.stats);
   Payload payload =
@@ -303,7 +327,7 @@ SolveCache::Payload SolveCache::insert(const CacheKey& key,
   // entry were immediately evicted. Correctness never depends on an insert
   // landing — lookups just miss and the solve re-runs.
   if (BAGSCHED_FAULT("cache.insert")) return payload;
-  store(key, payload, std::move(schedule), payload->bytes);
+  store(key, payload, std::move(schedule), slot + payload->bytes);
   return payload;
 }
 
@@ -312,8 +336,7 @@ void SolveCache::insert_alias(const CacheKey& key, const Payload& payload,
   if (BAGSCHED_FAULT("cache.insert")) return;
   // Held only by the caller: no entry pays for the shared part yet.
   const std::size_t shared = payload.use_count() <= 1 ? payload->bytes : 0;
-  const std::size_t bytes =
-      shared + sizeof(model::Schedule) + schedule_heap_bytes(schedule);
+  const std::size_t bytes = slot_bytes(key, schedule) + shared;
   store(key, payload, pack_schedule(schedule), bytes);
 }
 

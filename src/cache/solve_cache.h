@@ -12,22 +12,21 @@
 //
 // Concurrency: keys hash onto N mutex-striped shards (N rounded up to a
 // power of two), each shard an LRU list with its own byte budget
-// (byte_budget / N). Eviction is by approximate entry footprint
-// (schedule + telemetry strings), so a flood of large instances cannot
-// grow the cache beyond its budget. Hit/miss/insert/evict counters are
-// per-shard and aggregated by stats().
+// (byte_budget / N). Eviction is by entry footprint, so a flood of large
+// instances cannot grow the cache beyond its budget.
+// Hit/miss/insert/evict counters are per-shard and aggregated by stats().
 //
 // One fresh solve is stored under two keys (exact and eps-rounded) whose
 // results differ only in the canonical-order schedule. The second key is
 // an alias: it shares the first key's immutable payload and keeps only
 // its own schedule, so the budget charges the shared part once.
 //
-// Entries are compact; the budget still charges the unpacked
-// approx_result_bytes. Each key is stored once, in its index element,
-// which also carries the shard's LRU links. Telemetry key names are
-// interned per cache: a payload keeps a pointer to its interned key list
-// plus the packed tags and values. Each entry keeps its schedule packed at
-// 1, 2 or 4 bytes per job, the narrowest width that holds its machine ids.
+// Entries are compact, and the budget charges the heap they hold in that
+// packed form, allocator overhead included. Each key is stored once, in its index element, which also
+// carries the shard's LRU links. Telemetry key names are interned per
+// cache: a payload keeps a pointer to its interned key list plus the
+// packed tags and values. Each entry keeps its schedule packed at 1, 2 or
+// 4 bytes per job, the narrowest width that holds its machine ids.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +70,7 @@ std::uint64_t options_digest(const api::SolveOptions& options);
 struct CacheConfig {
   /// Mutex-striped shards; rounded up to a power of two, min 1.
   std::size_t num_shards = 8;
-  /// Total byte budget across shards (approximate entry footprints).
+  /// Total byte budget across shards (heap the packed entries hold).
   std::size_t byte_budget = 64 * 1024 * 1024;
 };
 
@@ -82,12 +81,8 @@ struct CacheStats {
   std::uint64_t evictions = 0;   ///< entries evicted to fit the budget
   std::uint64_t oversized = 0;   ///< inserts skipped: entry alone > budget
   std::size_t entries = 0;
-  std::size_t bytes = 0;         ///< approximate resident footprint
+  std::size_t bytes = 0;         ///< charged footprint of the entries
 };
-
-/// Approximate heap footprint of a cached result (schedule assignment,
-/// strings, telemetry) — the unit of the byte budget.
-std::size_t approx_result_bytes(const api::SolveResult& result);
 
 class SolveCache {
  public:
@@ -155,6 +150,10 @@ class SolveCache {
   using TelemetryKeys = std::vector<std::string>;
 
   Shard& shard_for(const CacheKey& key);
+  /// Bytes an entry under `key` holding `schedule` is charged beyond the
+  /// shared payload.
+  static std::size_t slot_bytes(const CacheKey& key,
+                                const model::Schedule& schedule);
   void store(const CacheKey& key, const Payload& payload,
              std::unique_ptr<std::uint8_t[]> schedule, std::size_t bytes);
   /// The interned key list of `stats` (keys in map order).

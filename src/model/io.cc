@@ -1,5 +1,7 @@
 #include "model/io.h"
 
+#include <array>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -10,10 +12,9 @@ namespace bagsched::model {
 
 namespace {
 
-/// `json` as a non-negative int. Values past INT_MAX are rejected instead
+/// `raw` as a non-negative int. Values past INT_MAX are rejected instead
 /// of being narrowed (machines: 4294967298 would otherwise decode as 2).
-int json_count(const util::Json& json, const char* field) {
-  const long long raw = json.as_int();
+int json_count(long long raw, const char* field) {
   if (raw < 0 || raw > std::numeric_limits<int>::max()) {
     throw std::invalid_argument(std::string("instance JSON: ") + field + " " +
                                 std::to_string(raw) + " out of range");
@@ -143,19 +144,69 @@ util::Json instance_to_json(const Instance& instance) {
 }
 
 Instance instance_from_json(const util::Json& json) {
-  const int machines = json_count(json.at("machines"), "machines");
-  const int bags = json_count(json.at("bags"), "bags");
+  const int machines = json_count(json.at("machines").as_int(), "machines");
+  const int bags = json_count(json.at("bags").as_int(), "bags");
   std::vector<Job> jobs;
   jobs.reserve(json.at("jobs").size());
   for (const util::Json& entry : json.at("jobs").as_array()) {
     Job job;
     job.size = entry.at("size").as_number();
-    job.bag = json_count(entry.at("bag"), "bag");
+    job.bag = json_count(entry.at("bag").as_int(), "bag");
     jobs.push_back(job);
   }
   Instance instance(std::move(jobs), machines, bags);
   instance.validate();
   return instance;
+}
+
+Instance read_instance_json(util::JsonReader& reader) {
+  static constexpr std::array<std::string_view, 3> kKeys = {"machines",
+                                                            "bags", "jobs"};
+  static constexpr std::array<std::string_view, 2> kJobKeys = {"size", "bag"};
+  int machines = 0;
+  int bags = 0;
+  std::vector<Job> jobs;
+  util::read_members(reader, kKeys, 0b111, [&](std::size_t field) {
+    if (field == 0) {
+      machines = json_count(reader.read_int(), "machines");
+    } else if (field == 1) {
+      bags = json_count(reader.read_int(), "bags");
+    } else {
+      jobs.clear();
+      reader.read_array([&] {
+        Job job;
+        util::read_members(reader, kJobKeys, 0b11, [&](std::size_t key) {
+          if (key == 0) {
+            job.size = reader.read_number();
+          } else {
+            job.bag = json_count(reader.read_int(), "bag");
+          }
+        });
+        jobs.push_back(job);
+      });
+    }
+  });
+  Instance instance(std::move(jobs), machines, bags);
+  instance.validate();
+  return instance;
+}
+
+void append_schedule_json(std::string& out, const Schedule& schedule) {
+  char buffer[24];
+  const auto append_int = [&](long long value) {
+    const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+    out.append(buffer, result.ptr);
+  };
+  out += "{\"machines\":";
+  append_int(schedule.num_machines());
+  out += ",\"assignment\":[";
+  bool first = true;
+  for (const MachineId machine : schedule.assignment()) {
+    if (!first) out += ',';
+    first = false;
+    append_int(machine);
+  }
+  out += "]}";
 }
 
 util::Json schedule_to_json(const Schedule& schedule) {
@@ -170,7 +221,7 @@ util::Json schedule_to_json(const Schedule& schedule) {
 }
 
 Schedule schedule_from_json(const util::Json& json) {
-  const int machines = json_count(json.at("machines"), "machines");
+  const int machines = json_count(json.at("machines").as_int(), "machines");
   const auto& assignment = json.at("assignment").as_array();
   Schedule schedule(static_cast<int>(assignment.size()), machines);
   for (std::size_t j = 0; j < assignment.size(); ++j) {

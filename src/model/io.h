@@ -41,8 +41,13 @@ util::Json instance_to_json(const Instance& instance);
 /// Throws std::runtime_error on missing/ill-typed members; the returned
 /// instance is validate()d, so malformed documents fail loudly.
 Instance instance_from_json(const util::Json& json);
+/// instance_from_json straight from text: reads one instance object with
+/// the same checks and the same errors, building no Json tree.
+Instance read_instance_json(util::JsonReader& reader);
 
 util::Json schedule_to_json(const Schedule& schedule);
 Schedule schedule_from_json(const util::Json& json);
+/// Appends exactly schedule_to_json(schedule).dump(), building no tree.
+void append_schedule_json(std::string& out, const Schedule& schedule);
 
 }  // namespace bagsched::model

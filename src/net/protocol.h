@@ -50,6 +50,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "api/progress.h"
 #include "api/service.h"
@@ -140,10 +143,38 @@ struct ServerCounters {
   std::uint64_t recovering_rejects = 0;
 };
 
-/// Canonical text of a client-assigned id: a JSON string passes through,
-/// an integer becomes its decimal text. Throws std::runtime_error on any
-/// other kind (null/bool/array/object/non-integer number).
-std::string client_id_text(const util::Json& id);
+/// One client line, scanned once: the whole line is checked as JSON and,
+/// when it is an object, the raw text of each top-level member is indexed.
+/// A repeated key keeps its last value, as Json::set does. Handlers decode
+/// only the members they need, from their spans, with util::JsonReader.
+/// The frame views the line; it must not outlive it.
+class ClientFrame {
+ public:
+  /// Throws std::runtime_error with Json::parse's message when the line is
+  /// not one JSON value.
+  explicit ClientFrame(std::string_view line);
+
+  bool is_object() const { return object_; }
+  /// The whole line.
+  std::string_view text() const { return text_; }
+  /// Raw text of a member's value; nullptr when absent.
+  const std::string_view* find(std::string_view key) const;
+  /// Json::bool_or / string_or on a member: its value when present with
+  /// the wanted kind, `fallback` otherwise.
+  bool bool_or(std::string_view key, bool fallback) const;
+  std::string string_or(std::string_view key, std::string fallback) const;
+
+ private:
+  std::string_view text_;
+  bool object_ = false;
+  std::vector<std::pair<std::string, std::string_view>> members_;
+};
+
+/// Canonical text of a client-assigned id, given the raw JSON of its
+/// value: a JSON string passes through, an integer becomes its decimal
+/// text. Throws std::runtime_error on any other kind (null/bool/array/
+/// object/non-integer number) and on an empty string.
+std::string client_id_text(std::string_view raw);
 
 /// Inverse of api::to_string(api::ProgressKind); throws std::runtime_error
 /// on an unknown name.
@@ -153,7 +184,8 @@ api::ProgressKind progress_kind_from_string(const std::string& name);
 
 /// Event frame for one progress event. Finished events embed the full
 /// result (schedule included only when `include_schedule`); `degraded`
-/// marks answers produced under overload brown-out.
+/// marks answers produced under overload brown-out. Written straight to
+/// text (api::append_result), with no Json tree.
 std::string event_frame(const std::string& id, const api::ProgressEvent& event,
                         bool include_schedule, bool degraded = false);
 

@@ -95,6 +95,36 @@ bool is_rejection(const api::SolveResult& result) {
          result.error.rfind("rejected:", 0) == 0;
 }
 
+/// Worker-thread side of the sink: queues `frame` (and, when terminal, its
+/// id as finished) and wakes the poll loop. Drops the frame when the
+/// connection is gone, or — with `honour_suppression` — when the id was
+/// escalated to a timeout.
+void post_frame(Sink& sink, const std::string& id, std::string frame,
+                bool terminal, bool honour_suppression) {
+  int wake_fd = -1;
+  {
+    std::lock_guard<std::mutex> lock(sink.mutex);
+    if (!sink.alive) return;
+    if (honour_suppression) {
+      const auto suppressed = sink.suppressed.find(id);
+      if (suppressed != sink.suppressed.end()) {
+        // Escalated: the "timeout" error was this request's terminal
+        // frame. Late events are dropped; the Finished one retires the
+        // suppression so the id can be reused.
+        if (terminal) sink.suppressed.erase(suppressed);
+        return;
+      }
+    }
+    sink.frames.push_back(std::move(frame));
+    if (terminal) sink.finished.push_back(id);
+    wake_fd = sink.wake_fd;
+  }
+  if (wake_fd != -1) {
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
+  }
+}
+
 /// First whitespace-separated token after the method of an HTTP request
 /// line ("GET /metrics HTTP/1.0" → "/metrics").
 std::string http_target(const std::string& line) {
@@ -693,9 +723,9 @@ void SchedServer::handle_line(Connection& connection,
     connection.greeted = true;
     send_frame(connection, hello_frame());
   }
-  util::Json frame;
+  std::optional<ClientFrame> frame;
   try {
-    frame = util::Json::parse(line);
+    frame.emplace(line);
   } catch (const std::exception& error) {
     {
       std::lock_guard<std::mutex> lock(counters_mutex_);
@@ -704,7 +734,7 @@ void SchedServer::handle_line(Connection& connection,
     send_frame(connection, error_frame("parse_error", error.what()));
     return;
   }
-  if (!frame.is_object()) {
+  if (!frame->is_object()) {
     send_frame(connection,
                error_frame("bad_request", "frame must be a JSON object"));
     return;
@@ -712,10 +742,10 @@ void SchedServer::handle_line(Connection& connection,
   // Version gate (DESIGN.md §5): a frame from the future is rejected with
   // a structured error instead of being half-understood. Undeclared or
   // older versions process normally — the v2 additions are additive.
-  if (const util::Json* version = frame.find("proto_version")) {
+  if (const std::string_view* version = frame->find("proto_version")) {
     long long declared = -1;
     try {
-      declared = version->as_int();
+      declared = util::JsonReader(*version).read_int();
     } catch (const std::exception&) {
       send_frame(connection,
                  error_frame("bad_request",
@@ -736,13 +766,13 @@ void SchedServer::handle_line(Connection& connection,
       return;
     }
   }
-  const std::string type = frame.string_or("type", "");
+  const std::string type = frame->string_or("type", "");
   // Recovering gate: while the journal replays, only ping and stats are
   // served — everything else would race the session restoration. The error
   // is structured so clients can tell "retry shortly" from a real refusal.
   if (recovering() && type != "ping" && type != "stats") {
     std::string id;
-    if (const util::Json* id_value = frame.find("id")) {
+    if (const std::string_view* id_value = frame->find("id")) {
       try {
         id = client_id_text(*id_value);
       } catch (const std::exception&) {
@@ -759,17 +789,17 @@ void SchedServer::handle_line(Connection& connection,
     return;
   }
   if (type == "submit") {
-    handle_submit(connection, frame);
+    handle_submit(connection, *frame);
   } else if (type == "cancel") {
-    handle_cancel(connection, frame);
+    handle_cancel(connection, *frame);
   } else if (type == "open_session") {
-    handle_open_session(connection, frame);
+    handle_open_session(connection, *frame);
   } else if (type == "delta") {
-    handle_delta(connection, frame);
+    handle_delta(connection, *frame);
   } else if (type == "close_session") {
-    handle_close_session(connection, frame);
+    handle_close_session(connection, *frame);
   } else if (type == "resume_session") {
-    handle_resume_session(connection, frame);
+    handle_resume_session(connection, *frame);
   } else if (type == "stats") {
     send_frame(connection, stats_frame(service_.stats(),
                                        service_.cache_stats(), counters()));
@@ -827,8 +857,8 @@ void SchedServer::handle_http(Connection& connection,
 }
 
 void SchedServer::handle_submit(Connection& connection,
-                                const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                                const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   if (id_value == nullptr) {
     send_frame(connection,
                error_frame("bad_request", "submit requires an \"id\""));
@@ -856,7 +886,7 @@ void SchedServer::handle_submit(Connection& connection,
                            &id));
     return;
   }
-  const util::Json* request_value = frame.find("request");
+  const std::string_view* request_value = frame.find("request");
   if (request_value == nullptr) {
     send_frame(connection,
                error_frame("bad_request", "submit requires a \"request\"",
@@ -865,7 +895,7 @@ void SchedServer::handle_submit(Connection& connection,
   }
   api::SolveRequest request;
   try {
-    request = api::solve_request_from_json(*request_value);
+    request = api::decode_solve_request(*request_value);
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
@@ -906,40 +936,20 @@ void SchedServer::handle_submit(Connection& connection,
   }
 
   // The callback runs on service worker threads (and, for Queued, on this
-  // thread inside submit). It serializes the frame outside the sink lock,
-  // drops it when the connection is gone or the id was escalated to a
-  // timeout, and wakes the poll loop.
+  // thread inside submit). It serializes the frame outside the sink lock;
+  // post_frame drops it when the connection is gone or the id was
+  // escalated to a timeout, and wakes the poll loop.
   std::shared_ptr<Sink> sink = connection.sink;
   request.on_progress = [sink, id, want_progress, want_schedule,
                          degraded](const api::ProgressEvent& event) {
     const bool terminal = event.kind == api::ProgressKind::Finished;
     if (!terminal && !want_progress) return;
-    std::string frame_text;
-    if (terminal && event.result != nullptr && is_rejection(*event.result)) {
-      frame_text = error_frame("rejected", event.result->error, &id);
-    } else {
-      frame_text = event_frame(id, event, want_schedule, degraded);
-    }
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      const auto suppressed = sink->suppressed.find(id);
-      if (suppressed != sink->suppressed.end()) {
-        // Escalated: the "timeout" error was this request's terminal
-        // frame. Late events are dropped; the Finished one retires the
-        // suppression so the id can be reused.
-        if (terminal) sink->suppressed.erase(suppressed);
-        return;
-      }
-      sink->frames.push_back(std::move(frame_text));
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
+    std::string frame_text =
+        terminal && event.result != nullptr && is_rejection(*event.result)
+            ? error_frame("rejected", event.result->error, &id)
+            : event_frame(id, event, want_schedule, degraded);
+    post_frame(*sink, id, std::move(frame_text), terminal,
+               /*honour_suppression=*/true);
   };
   try {
     api::SolveHandle handle = service_.submit(std::move(request));
@@ -962,8 +972,8 @@ void SchedServer::handle_submit(Connection& connection,
 }
 
 void SchedServer::handle_cancel(Connection& connection,
-                                const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                                const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   std::string id;
   try {
     if (id_value == nullptr) {
@@ -990,8 +1000,8 @@ void SchedServer::handle_cancel(Connection& connection,
 }
 
 void SchedServer::handle_open_session(Connection& connection,
-                                      const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                                      const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   if (id_value == nullptr) {
     send_frame(connection,
                error_frame("bad_request", "open_session requires an \"id\""));
@@ -1019,7 +1029,7 @@ void SchedServer::handle_open_session(Connection& connection,
                            &id));
     return;
   }
-  const util::Json* request_value = frame.find("request");
+  const std::string_view* request_value = frame.find("request");
   if (request_value == nullptr) {
     send_frame(connection,
                error_frame("bad_request",
@@ -1029,9 +1039,9 @@ void SchedServer::handle_open_session(Connection& connection,
   api::SolveRequest request;
   online::SessionOptions tuning;
   try {
-    request = api::solve_request_from_json(*request_value);
-    if (const util::Json* regret = frame.find("regret_bound")) {
-      tuning.regret_bound = regret->as_number();
+    request = api::decode_solve_request(*request_value);
+    if (const std::string_view* regret = frame.find("regret_bound")) {
+      tuning.regret_bound = util::JsonReader(*regret).read_number();
       if (!(tuning.regret_bound >= 0.0)) {
         throw std::runtime_error("regret_bound must be >= 0");
       }
@@ -1047,20 +1057,8 @@ void SchedServer::handle_open_session(Connection& connection,
                          want_schedule](const api::ProgressEvent& event) {
     const bool terminal = event.kind == api::ProgressKind::Finished;
     if (!terminal && !want_progress) return;
-    const std::string frame_text =
-        event_frame(id, event, want_schedule);
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      sink->frames.push_back(frame_text);
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
+    post_frame(*sink, id, event_frame(id, event, want_schedule), terminal,
+               /*honour_suppression=*/false);
   };
   try {
     api::SchedulingService::SessionOpening opening =
@@ -1091,8 +1089,8 @@ void SchedServer::handle_open_session(Connection& connection,
 }
 
 void SchedServer::handle_delta(Connection& connection,
-                               const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                               const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   if (id_value == nullptr) {
     send_frame(connection,
                error_frame("bad_request", "delta requires an \"id\""));
@@ -1122,7 +1120,7 @@ void SchedServer::handle_delta(Connection& connection,
   }
   api::DeltaRequest request;
   try {
-    request = api::delta_request_from_json(frame);
+    request = api::decode_delta_request(frame.text());
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(), &id));
     return;
@@ -1144,20 +1142,8 @@ void SchedServer::handle_delta(Connection& connection,
                          want_schedule](const api::ProgressEvent& event) {
     const bool terminal = event.kind == api::ProgressKind::Finished;
     if (!terminal && !want_progress) return;
-    const std::string frame_text =
-        event_frame(id, event, want_schedule);
-    int wake_fd = -1;
-    {
-      std::lock_guard<std::mutex> lock(sink->mutex);
-      if (!sink->alive) return;
-      sink->frames.push_back(frame_text);
-      if (terminal) sink->finished.push_back(id);
-      wake_fd = sink->wake_fd;
-    }
-    if (wake_fd != -1) {
-      const char byte = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    }
+    post_frame(*sink, id, event_frame(id, event, want_schedule), terminal,
+               /*honour_suppression=*/false);
   };
   api::SolveHandle handle = service_.submit(std::move(request));
   connection.inflight.emplace(id, Inflight{std::move(handle), std::nullopt});
@@ -1169,8 +1155,8 @@ void SchedServer::handle_delta(Connection& connection,
 }
 
 void SchedServer::handle_close_session(Connection& connection,
-                                       const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                                       const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   std::string id;
   std::uint64_t session = 0;
   try {
@@ -1178,11 +1164,11 @@ void SchedServer::handle_close_session(Connection& connection,
       throw std::runtime_error("close_session requires an \"id\"");
     }
     id = client_id_text(*id_value);
-    const util::Json* session_value = frame.find("session");
+    const std::string_view* session_value = frame.find("session");
     if (session_value == nullptr) {
       throw std::runtime_error("close_session requires a \"session\"");
     }
-    const long long raw = session_value->as_int();
+    const long long raw = util::JsonReader(*session_value).read_int();
     if (raw <= 0) throw std::runtime_error("session must be a positive id");
     session = static_cast<std::uint64_t>(raw);
   } catch (const std::exception& error) {
@@ -1206,8 +1192,8 @@ void SchedServer::handle_close_session(Connection& connection,
 }
 
 void SchedServer::handle_resume_session(Connection& connection,
-                                        const util::Json& frame) {
-  const util::Json* id_value = frame.find("id");
+                                        const ClientFrame& frame) {
+  const std::string_view* id_value = frame.find("id");
   std::string id;
   std::uint64_t session = 0;
   std::uint64_t epoch = 0;
@@ -1216,27 +1202,29 @@ void SchedServer::handle_resume_session(Connection& connection,
       throw std::runtime_error("resume_session requires an \"id\"");
     }
     id = client_id_text(*id_value);
-    const util::Json* session_value = frame.find("session");
+    const std::string_view* session_value = frame.find("session");
     if (session_value == nullptr) {
       throw std::runtime_error("resume_session requires a \"session\"");
     }
-    const long long raw = session_value->as_int();
+    const long long raw = util::JsonReader(*session_value).read_int();
     if (raw <= 0) throw std::runtime_error("session must be a positive id");
     session = static_cast<std::uint64_t>(raw);
-    const util::Json* epoch_value = frame.find("epoch");
+    const std::string_view* epoch_value = frame.find("epoch");
     if (epoch_value == nullptr) {
       throw std::runtime_error("resume_session requires an \"epoch\"");
     }
     // The token is issued as a decimal string (a u64 does not survive a
     // JSON double) but an integer is accepted for hand-written frames.
-    if (epoch_value->is_string()) {
+    util::JsonReader epoch_reader(*epoch_value);
+    if (epoch_reader.peek_kind() == util::Json::Kind::String) {
+      const std::string text = epoch_reader.read_string();
       std::size_t consumed = 0;
-      epoch = std::stoull(epoch_value->as_string(), &consumed);
-      if (consumed != epoch_value->as_string().size()) {
+      epoch = std::stoull(text, &consumed);
+      if (consumed != text.size()) {
         throw std::runtime_error("epoch must be a decimal string");
       }
     } else {
-      epoch = static_cast<std::uint64_t>(epoch_value->as_int());
+      epoch = static_cast<std::uint64_t>(epoch_reader.read_int());
     }
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(),

@@ -156,15 +156,15 @@ class SchedServer {
                         bool count_orphans = true);
   void handle_line(detail::Connection& connection, const std::string& line);
   void handle_http(detail::Connection& connection, const std::string& line);
-  void handle_submit(detail::Connection& connection, const util::Json& frame);
-  void handle_cancel(detail::Connection& connection, const util::Json& frame);
+  void handle_submit(detail::Connection& connection, const ClientFrame& frame);
+  void handle_cancel(detail::Connection& connection, const ClientFrame& frame);
   void handle_open_session(detail::Connection& connection,
-                           const util::Json& frame);
-  void handle_delta(detail::Connection& connection, const util::Json& frame);
+                           const ClientFrame& frame);
+  void handle_delta(detail::Connection& connection, const ClientFrame& frame);
   void handle_close_session(detail::Connection& connection,
-                            const util::Json& frame);
+                            const ClientFrame& frame);
   void handle_resume_session(detail::Connection& connection,
-                             const util::Json& frame);
+                             const ClientFrame& frame);
   void sweep_orphans(bool close_all);
   void send_frame(detail::Connection& connection, std::string frame);
   void wake();

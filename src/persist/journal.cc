@@ -85,24 +85,6 @@ void append_int(std::string& out, long long value) {
   out.append(buffer, result.ptr);
 }
 
-/// Serializes a schedule straight into the payload buffer — byte-for-byte
-/// what model::schedule_to_json(schedule).dump() produces, without
-/// building the intermediate Json tree. delta_commit is the journal's hot
-/// record (one per acked delta); the tree build + generic writer were the
-/// bulk of its cost.
-void append_schedule_json(std::string& out, const model::Schedule& schedule) {
-  out += "{\"machines\":";
-  append_int(out, schedule.num_machines());
-  out += ",\"assignment\":[";
-  bool first = true;
-  for (const model::MachineId machine : schedule.assignment()) {
-    if (!first) out += ',';
-    first = false;
-    append_int(out, static_cast<long long>(machine));
-  }
-  out += "]}";
-}
-
 }  // namespace
 
 std::string schedule_digest(const model::Schedule& schedule) {
@@ -441,7 +423,7 @@ void SessionJournal::record_commit(
     std::string digest,
     std::shared_ptr<const model::Instance> post_instance) {
   // The hot record — one per acked delta, serialized straight into the
-  // payload buffer (see append_schedule_json).
+  // payload buffer (see model::append_schedule_json).
   std::string payload;
   payload.reserve(delta_json.size() + digest.size() +
                   static_cast<std::size_t>(schedule.num_jobs()) * 4 + 96);
@@ -452,7 +434,7 @@ void SessionJournal::record_commit(
   payload += ",\"delta\":";
   payload += delta_json;
   payload += ",\"schedule\":";
-  append_schedule_json(payload, schedule);
+  model::append_schedule_json(payload, schedule);
   payload += ",\"digest\":\"";
   payload += digest;
   payload += "\"}";

@@ -1,6 +1,5 @@
 #include "util/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -10,16 +9,70 @@ namespace bagsched::util {
 
 namespace {
 
-[[noreturn]] void kind_error(const char* wanted, Json::Kind got) {
+Json read_json(JsonReader& reader) {
+  switch (reader.peek_kind()) {
+    case Json::Kind::Object: {
+      Json object = Json::object();
+      reader.read_object([&](std::string_view key) {
+        const std::string name(key);  // before the next read
+        object.set(name, read_json(reader));
+      });
+      return object;
+    }
+    case Json::Kind::Array: {
+      Json array = Json::array();
+      reader.read_array([&] { array.push_back(read_json(reader)); });
+      return array;
+    }
+    case Json::Kind::String: return Json(reader.read_string());
+    case Json::Kind::Bool: return Json(reader.read_bool());
+    case Json::Kind::Null: reader.read_null(); return Json();
+    case Json::Kind::Number: break;
+  }
+  return Json(reader.read_number());
+}
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+void throw_kind_error(const char* wanted, Json::Kind got) {
   const char* names[] = {"null", "bool", "number", "string", "array",
                          "object"};
   throw std::runtime_error(std::string("json: expected ") + wanted +
                            ", found " + names[static_cast<int>(got)]);
 }
 
-void write_escaped(std::string& out, const std::string& s) {
+long long json_integer(double value) {
+  // Guard the conversion's UB: reject values outside the representable
+  // range (9.2e18 ~ LLONG_MAX; the boundary itself is not exactly
+  // representable).
+  if (!(value >= -9.2233720368547698e18 && value <= 9.2233720368547698e18)) {
+    throw std::runtime_error("json: number out of integer range");
+  }
+  // Fail loudly on non-integral numbers instead of silently rounding a
+  // malformed document into a different one: in range, the conversion
+  // truncates, so only an integral value converts back to itself.
+  const auto integer = static_cast<long long>(value);
+  if (static_cast<double>(integer) != value) {
+    throw std::runtime_error("json: expected an integer, found " +
+                             std::to_string(value));
+  }
+  return integer;
+}
+
+void append_json_string(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : s) {
+  // Runs of bytes that need no escape are appended whole; UTF-8 bytes pass
+  // through untouched.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -28,21 +81,19 @@ void write_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;  // UTF-8 bytes pass through untouched
-        }
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(c)));
+        out += buffer;
+      }
     }
   }
+  out.append(text.data() + run, text.size() - run);
   out += '"';
 }
 
-void write_number(std::string& out, double value) {
+void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {
     // JSON has no Infinity/NaN; null is the conventional stand-in.
     out += "null";
@@ -52,6 +103,10 @@ void write_number(std::string& out, double value) {
   // schedules, wire frames) serialize an order of magnitude faster, and
   // the shortest-round-trip form it emits parses back bit-identical.
   char buffer[32];
+  if (value == 0.0 && std::signbit(value)) {
+    out += "-0";  // the integer path below would drop the sign
+    return;
+  }
   // Integers (up to the 2^53 exact range) print without a decimal point.
   if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15) {
     const auto result = std::to_chars(buffer, buffer + sizeof(buffer),
@@ -63,266 +118,251 @@ void write_number(std::string& out, double value) {
   out.append(buffer, result.ptr);
 }
 
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
+// --- JsonReader -------------------------------------------------------------
 
-  Json run() {
-    Json value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing characters after value");
-    return value;
-  }
+void JsonReader::fail(const std::string& message) const {
+  throw std::runtime_error("json parse error at offset " +
+                           std::to_string(pos_) + ": " + message);
+}
 
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + message);
-  }
+void JsonReader::expect_end() {
+  skip_whitespace();
+  if (pos_ != text_.size()) fail("trailing characters after value");
+}
 
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+void JsonReader::literal(std::string_view word) {
+  if (text_.compare(pos_, word.size(), word) != 0) fail("bad literal");
+  pos_ += word.size();
+}
 
-  char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* literal) {
-    std::size_t length = 0;
-    while (literal[length] != '\0') ++length;
-    if (text_.compare(pos_, length, literal) != 0) return false;
-    pos_ += length;
+bool JsonReader::read_bool() {
+  const Json::Kind kind = peek_kind();
+  if (kind != Json::Kind::Bool) throw_kind_error("bool", kind);
+  if (text_[pos_] == 't') {
+    literal("true");
     return true;
   }
+  literal("false");
+  return false;
+}
 
-  Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        return Json(true);
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        return Json(false);
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return Json();
-      default: return parse_number();
-    }
-  }
+void JsonReader::read_null() {
+  const Json::Kind kind = peek_kind();
+  if (kind != Json::Kind::Null) throw_kind_error("null", kind);
+  literal("null");
+}
 
-  /// Nesting guard: the recursive descent must throw on adversarially deep
-  /// documents, not overflow the stack (parse is a process-ingress path).
-  struct DepthGuard {
-    explicit DepthGuard(Parser& parser) : parser_(parser) {
-      if (++parser_.depth_ > 256) parser_.fail("nesting too deep");
-    }
-    ~DepthGuard() { --parser_.depth_; }
-    Parser& parser_;
+std::size_t JsonReader::scan_number() {
+  const char* const begin = text_.data() + pos_;
+  const char* const end = text_.data() + text_.size();
+  const char* p = begin;
+  const auto digits = [&] {
+    const char* const first = p;
+    while (p != end && is_digit(*p)) ++p;
+    return p != first;
   };
-
-  Json parse_object() {
-    const DepthGuard guard(*this);
-    expect('{');
-    Json object = Json::object();
-    if (peek() == '}') {
-      ++pos_;
-      return object;
-    }
-    for (;;) {
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      expect(':');
-      object.set(std::move(key), parse_value());
-      const char next = peek();
-      ++pos_;
-      if (next == '}') return object;
-      if (next != ',') fail("expected ',' or '}'");
-    }
+  const auto bad = [&](const char* message) {
+    pos_ = static_cast<std::size_t>(p - text_.data());
+    fail(message);
+  };
+  if (p != end && *p == '-') ++p;
+  if (p != end && *p == '0') {
+    ++p;  // a leading zero stands alone: "01" leaves "1" unread
+  } else if (!digits()) {
+    bad(p == begin ? "expected a value" : "bad number");
   }
-
-  Json parse_array() {
-    const DepthGuard guard(*this);
-    expect('[');
-    Json array = Json::array();
-    if (peek() == ']') {
-      ++pos_;
-      return array;
-    }
-    for (;;) {
-      array.push_back(parse_value());
-      const char next = peek();
-      ++pos_;
-      if (next == ']') return array;
-      if (next != ',') fail("expected ',' or ']'");
-    }
+  if (p != end && *p == '.') {
+    ++p;
+    if (!digits()) bad("bad number");
   }
-
-  unsigned parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char h = text_[pos_++];
-      code <<= 4;
-      if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-      else if (h >= 'a' && h <= 'f') code += 10u + (h - 'a');
-      else if (h >= 'A' && h <= 'F') code += 10u + (h - 'A');
-      else fail("bad \\u escape");
-    }
-    return code;
+  if (p != end && (*p == 'e' || *p == 'E')) {
+    ++p;
+    if (p != end && (*p == '+' || *p == '-')) ++p;
+    if (!digits()) bad("bad number");
   }
+  pos_ = static_cast<std::size_t>(p - text_.data());
+  return static_cast<std::size_t>(p - begin);
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          unsigned code = parse_hex4();
-          if (code >= 0xDC00 && code <= 0xDFFF) {
-            fail("lone low surrogate in \\u escape");
-          }
-          if (code >= 0xD800 && code <= 0xDBFF) {
-            // High surrogate: a \uDC00-\uDFFF low half must follow, and the
-            // pair combines into one supplementary code point — emitting
-            // the halves separately would produce invalid UTF-8 (CESU-8).
-            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
-                text_[pos_ + 1] != 'u') {
-              fail("high surrogate not followed by \\u escape");
-            }
-            pos_ += 2;
-            const unsigned low = parse_hex4();
-            if (low < 0xDC00 || low > 0xDFFF) {
-              fail("high surrogate not followed by a low surrogate");
-            }
-            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-          }
-          // Encode the code point as UTF-8.
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else if (code < 0x10000) {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xF0 | (code >> 18));
-            out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
+double JsonReader::read_number() {
+  const Json::Kind kind = peek_kind();
+  if (kind != Json::Kind::Number) throw_kind_error("number", kind);
+  const char* const first = text_.data() + pos_;
+  const std::size_t length = scan_number();
+  double value = 0.0;
+  // from_chars parses exactly the RFC 8259 grammar scanned above,
+  // subnormals included; overflow and underflow to zero are errors.
+  const auto result = std::from_chars(first, first + length, value);
+  if (result.ec != std::errc() || result.ptr != first + length) {
+    fail("bad number");
+  }
+  return value;
+}
+
+long long JsonReader::read_int() { return json_integer(read_number()); }
+
+double JsonReader::number_or(double fallback) {
+  if (peek_kind() == Json::Kind::Number) return read_number();
+  skip_value();
+  return fallback;
+}
+
+long long JsonReader::int_or(long long fallback) {
+  if (peek_kind() == Json::Kind::Number) return read_int();
+  skip_value();
+  return fallback;
+}
+
+bool JsonReader::bool_or(bool fallback) {
+  if (peek_kind() == Json::Kind::Bool) return read_bool();
+  skip_value();
+  return fallback;
+}
+
+unsigned JsonReader::parse_hex4() {
+  if (pos_ + 4 > text_.size()) fail("bad \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = text_[pos_++];
+    code <<= 4;
+    if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
+    else if (h >= 'a' && h <= 'f') code += 10u + (h - 'a');
+    else if (h >= 'A' && h <= 'F') code += 10u + (h - 'A');
+    else fail("bad \\u escape");
+  }
+  return code;
+}
+
+std::string_view JsonReader::read_escaped(std::size_t start,
+                                          std::string& scratch) {
+  pos_ = start;
+  while (pos_ < text_.size() && text_[pos_] != '\\') ++pos_;
+  scratch.assign(text_.data() + start, pos_ - start);
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') return scratch;
+    if (c != '\\') {
+      scratch += c;
+      continue;
+    }
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char escape = text_[pos_++];
+    switch (escape) {
+      case '"': scratch += '"'; break;
+      case '\\': scratch += '\\'; break;
+      case '/': scratch += '/'; break;
+      case 'b': scratch += '\b'; break;
+      case 'f': scratch += '\f'; break;
+      case 'n': scratch += '\n'; break;
+      case 'r': scratch += '\r'; break;
+      case 't': scratch += '\t'; break;
+      case 'u': {
+        unsigned code = parse_hex4();
+        if (code >= 0xDC00 && code <= 0xDFFF) {
+          fail("lone low surrogate in \\u escape");
         }
-        default: fail("unknown escape");
+        if (code >= 0xD800 && code <= 0xDBFF) {
+          // High surrogate: a \uDC00-\uDFFF low half must follow, and the
+          // pair combines into one supplementary code point — emitting
+          // the halves separately would produce invalid UTF-8 (CESU-8).
+          if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+              text_[pos_ + 1] != 'u') {
+            fail("high surrogate not followed by \\u escape");
+          }
+          pos_ += 2;
+          const unsigned low = parse_hex4();
+          if (low < 0xDC00 || low > 0xDFFF) {
+            fail("high surrogate not followed by a low surrogate");
+          }
+          code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        }
+        // Encode the code point as UTF-8.
+        if (code < 0x80) {
+          scratch += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch += static_cast<char>(0xC0 | (code >> 6));
+          scratch += static_cast<char>(0x80 | (code & 0x3F));
+        } else if (code < 0x10000) {
+          scratch += static_cast<char>(0xE0 | (code >> 12));
+          scratch += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          scratch += static_cast<char>(0x80 | (code & 0x3F));
+        } else {
+          scratch += static_cast<char>(0xF0 | (code >> 18));
+          scratch += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+          scratch += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+          scratch += static_cast<char>(0x80 | (code & 0x3F));
+        }
+        break;
       }
+      default: fail("unknown escape");
     }
-    fail("unterminated string");
   }
+  fail("unterminated string");
+}
 
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+std::string JsonReader::read_string() {
+  std::string scratch;
+  const std::string_view value = read_string(scratch);
+  if (value.data() == scratch.data()) return scratch;
+  return std::string(value);
+}
+
+void JsonReader::skip_value() {
+  switch (peek_kind()) {
+    case Json::Kind::Object:
+      read_object([&](std::string_view) { skip_value(); });
+      return;
+    case Json::Kind::Array: read_array([&] { skip_value(); }); return;
+    case Json::Kind::String: {
+      std::string scratch;
+      read_string(scratch);
+      return;
     }
-    if (pos_ == start) fail("expected a value");
-    std::size_t consumed = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(text_.substr(start, pos_ - start), &consumed);
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
-    if (consumed != pos_ - start) fail("bad number");
-    return Json(value);
+    case Json::Kind::Bool: read_bool(); return;
+    case Json::Kind::Null: read_null(); return;
+    case Json::Kind::Number: read_number(); return;
   }
+}
 
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+std::string_view JsonReader::raw_value() {
+  skip_whitespace();
+  const std::size_t start = pos_;
+  skip_value();
+  return text_.substr(start, pos_ - start);
+}
 
-}  // namespace
+// --- Json -------------------------------------------------------------------
 
 bool Json::as_bool() const {
-  if (kind_ != Kind::Bool) kind_error("bool", kind_);
+  if (kind_ != Kind::Bool) throw_kind_error("bool", kind_);
   return bool_;
 }
 
 double Json::as_number() const {
-  if (kind_ != Kind::Number) kind_error("number", kind_);
+  if (kind_ != Kind::Number) throw_kind_error("number", kind_);
   return number_;
 }
 
-long long Json::as_int() const {
-  const double value = as_number();
-  // Guard llround's UB: reject values outside the representable range
-  // (9.2e18 ~ LLONG_MAX; the boundary itself is not exactly representable).
-  if (!(value >= -9.2233720368547698e18 && value <= 9.2233720368547698e18)) {
-    throw std::runtime_error("json: number out of integer range");
-  }
-  // Fail loudly on non-integral numbers instead of silently rounding a
-  // malformed document into a different one.
-  if (value != std::floor(value)) {
-    throw std::runtime_error("json: expected an integer, found " +
-                             std::to_string(value));
-  }
-  return static_cast<long long>(std::llround(value));
-}
+long long Json::as_int() const { return json_integer(as_number()); }
 
 const std::string& Json::as_string() const {
-  if (kind_ != Kind::String) kind_error("string", kind_);
+  if (kind_ != Kind::String) throw_kind_error("string", kind_);
   return string_;
 }
 
 const Json::Array& Json::as_array() const {
-  if (kind_ != Kind::Array) kind_error("array", kind_);
+  if (kind_ != Kind::Array) throw_kind_error("array", kind_);
   return array_;
 }
 
 const Json::Object& Json::as_object() const {
-  if (kind_ != Kind::Object) kind_error("object", kind_);
+  if (kind_ != Kind::Object) throw_kind_error("object", kind_);
   return object_;
 }
 
 Json& Json::push_back(Json value) {
   if (kind_ == Kind::Null) kind_ = Kind::Array;
-  if (kind_ != Kind::Array) kind_error("array", kind_);
+  if (kind_ != Kind::Array) throw_kind_error("array", kind_);
   array_.push_back(std::move(value));
   return *this;
 }
@@ -334,7 +374,7 @@ std::size_t Json::size() const {
 }
 
 const Json& Json::at(std::size_t index) const {
-  if (kind_ != Kind::Array) kind_error("array", kind_);
+  if (kind_ != Kind::Array) throw_kind_error("array", kind_);
   if (index >= array_.size()) {
     throw std::out_of_range("json: array index " + std::to_string(index) +
                             " out of range");
@@ -344,7 +384,7 @@ const Json& Json::at(std::size_t index) const {
 
 Json& Json::set(const std::string& key, Json value) {
   if (kind_ == Kind::Null) kind_ = Kind::Object;
-  if (kind_ != Kind::Object) kind_error("object", kind_);
+  if (kind_ != Kind::Object) throw_kind_error("object", kind_);
   for (auto& [existing, slot] : object_) {
     if (existing == key) {
       slot = std::move(value);
@@ -368,7 +408,7 @@ const Json* Json::find(const std::string& key) const {
 }
 
 const Json& Json::at(const std::string& key) const {
-  if (kind_ != Kind::Object) kind_error("object", kind_);
+  if (kind_ != Kind::Object) throw_kind_error("object", kind_);
   const Json* value = find(key);
   if (value == nullptr) {
     throw std::out_of_range("json: missing key \"" + key + "\"");
@@ -411,8 +451,8 @@ void Json::write(std::string& out, int indent, int depth) const {
   switch (kind_) {
     case Kind::Null: out += "null"; return;
     case Kind::Bool: out += bool_ ? "true" : "false"; return;
-    case Kind::Number: write_number(out, number_); return;
-    case Kind::String: write_escaped(out, string_); return;
+    case Kind::Number: append_json_number(out, number_); return;
+    case Kind::String: append_json_string(out, string_); return;
     case Kind::Array: {
       if (array_.empty()) {
         out += "[]";
@@ -437,7 +477,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out += ',';
         newline_indent(depth + 1);
-        write_escaped(out, object_[i].first);
+        append_json_string(out, object_[i].first);
         out += pretty ? ": " : ":";
         object_[i].second.write(out, indent, depth + 1);
       }
@@ -454,6 +494,11 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(const std::string& text) { return Parser(text).run(); }
+Json Json::parse(std::string_view text) {
+  JsonReader reader(text);
+  Json value = read_json(reader);
+  reader.expect_end();
+  return value;
+}
 
 }  // namespace bagsched::util

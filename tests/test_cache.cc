@@ -188,9 +188,18 @@ api::SolveResult small_result(double makespan) {
   return result;
 }
 
+/// What an insert of `result` under `key` charges: the bytes of a scratch
+/// cache holding that entry alone.
+std::size_t charged_bytes(const CacheKey& key,
+                          const api::SolveResult& result) {
+  SolveCache scratch({.num_shards = 1, .byte_budget = 1 << 20});
+  scratch.insert(key, result);
+  return scratch.stats().bytes;
+}
+
 TEST(SolveCacheTest, EvictsLeastRecentlyUsedAtByteBudget) {
   const std::size_t entry_bytes =
-      cache::approx_result_bytes(small_result(1.0));
+      charged_bytes(key_of(1), small_result(1.0));
   // Room for exactly two entries in a single shard.
   SolveCache cache({.num_shards = 1, .byte_budget = 2 * entry_bytes + 8});
   cache.insert(key_of(1), small_result(1.0));
@@ -217,7 +226,7 @@ TEST(SolveCacheTest, ReplacingAKeyKeepsTheByteAccountingTight) {
   }
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, cache::approx_result_bytes(small_result(9.0)));
+  EXPECT_EQ(stats.bytes, charged_bytes(key_of(42), small_result(9.0)));
   const auto hit = cache.lookup(key_of(42));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->makespan, 9.0);
@@ -244,16 +253,17 @@ TEST(SolveCacheTest, AliasSharesThePayloadAndPaysForItsScheduleOnly) {
   const api::SolveResult exact = rich_result(0);
   const api::SolveResult rounded = rich_result(1);  // other canonical order
   const auto payload = cache.insert(key_of(1), exact);
-  EXPECT_EQ(cache.stats().bytes, cache::approx_result_bytes(exact));
+  const std::size_t exact_bytes = charged_bytes(key_of(1), exact);
+  EXPECT_EQ(cache.stats().bytes, exact_bytes);
   cache.insert_alias(key_of(2), payload, rounded.schedule);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.insertions, 2u);
-  const std::size_t alias_bytes =
-      stats.bytes - cache::approx_result_bytes(exact);
+  // The alias pays its index element and its 6-job packed schedule only.
+  const std::size_t alias_bytes = stats.bytes - exact_bytes;
   EXPECT_GT(alias_bytes, 0u);
-  EXPECT_LT(alias_bytes, cache::approx_result_bytes(exact) / 2);
+  EXPECT_LT(alias_bytes, exact_bytes / 2);
 
   // Both keys return the full result, each in its own canonical order.
   const auto hit_exact = cache.lookup(key_of(1));
@@ -278,8 +288,9 @@ TEST(SolveCacheTest, AliasOfAnUnstoredPayloadPaysForTheSharedPart) {
   const auto payload = cache.insert(key_of(1), rich_result(0));
   cache.clear();
   cache.insert_alias(key_of(2), payload, rich_result(1).schedule);
-  EXPECT_GT(cache.stats().bytes,
-            cache::approx_result_bytes(rich_result(0)));
+  // Alone, the alias is charged exactly what the full insert would be.
+  EXPECT_EQ(cache.stats().bytes,
+            charged_bytes(key_of(2), rich_result(0)));
   const auto hit = cache.lookup(key_of(2));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->stats, rich_result(0).stats);
@@ -296,11 +307,28 @@ TEST(SolveCacheTest, OversizedEntriesAreSkippedNotLooped) {
   EXPECT_EQ(stats.oversized, 1u);
 }
 
+TEST(SolveCacheTest, SchedulesAreChargedTheirPackedWidth) {
+  // The budget charges the packed form: 1, 2 or 4 bytes per job by the
+  // largest machine id, not the 4-byte ids of the unpacked schedule.
+  const auto with_jobs = [](int jobs, int machines) {
+    api::SolveResult result = small_result(1.0);
+    result.schedule = model::Schedule(jobs, machines);
+    for (model::JobId j = 0; j < jobs; ++j) {
+      result.schedule.assign(j, machines - 1 - j % 2);
+    }
+    return result;
+  };
+  const std::size_t base = charged_bytes(key_of(1), with_jobs(0, 3));
+  EXPECT_EQ(charged_bytes(key_of(1), with_jobs(1000, 3)) - base, 1000u);
+  EXPECT_EQ(charged_bytes(key_of(1), with_jobs(1000, 300)) - base, 2000u);
+  EXPECT_EQ(charged_bytes(key_of(1), with_jobs(1000, 70000)) - base, 4000u);
+}
+
 TEST(SolveCacheTest, LruOrderSurvivesTouchesOfEveryPosition) {
   // Room for exactly three entries: touching the oldest, the middle and
   // the newest entry must each reorder the eviction queue.
   const std::size_t entry_bytes =
-      cache::approx_result_bytes(small_result(1.0));
+      charged_bytes(key_of(1), small_result(1.0));
   SolveCache cache({.num_shards = 1, .byte_budget = 3 * entry_bytes});
   for (std::uint64_t tag = 1; tag <= 3; ++tag) {
     cache.insert(key_of(tag), small_result(static_cast<double>(tag)));

@@ -3,13 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
+#include <vector>
 
 #include "api/api.h"
 #include "model/io.h"
+#include "net/protocol.h"
 #include "util/json.h"
+#include "util/prng.h"
 
 namespace bagsched {
 namespace {
@@ -67,6 +73,62 @@ TEST(JsonTest, ObjectPreservesInsertionOrderAndReplaces) {
   EXPECT_EQ(doc.dump(), "{\"z\":3,\"a\":2}");
 }
 
+TEST(JsonTest, NumbersRoundTripBitIdentically) {
+  const double values[] = {
+      1e-310,                                   // subnormal
+      4.9e-324,                                 // smallest subnormal
+      -2.2250738585072014e-308,                 // smallest normal
+      0.0,
+      -0.0,
+      1.7976931348623157e308,                   // DBL_MAX
+      -1.7976931348623157e308,
+      9007199254740992.0,                       // 2^53
+      -9007199254740993.0,                      // beyond: not exact
+      0.1,
+      123456789012345678.0};
+  for (const double value : values) {
+    Json doc = Json::object();
+    doc.set("v", value);
+    const double back = Json::parse(doc.dump()).at("v").as_number();
+    EXPECT_EQ(std::memcmp(&back, &value, sizeof value), 0)
+        << doc.dump() << " -> " << back;
+  }
+  // Subnormal literals as other writers spell them parse too.
+  EXPECT_EQ(Json::parse("{\"v\":1e-310}").at("v").as_number(), 1e-310);
+  EXPECT_EQ(Json::parse("4.9e-324").as_number(), 4.9e-324);
+  // Long integer literals round like any other number.
+  for (const char* text :
+       {"9007199254740993", "123456789012345678", "9999999999999999999",
+        "-9223372036854775809", "18446744073709551616"}) {
+    EXPECT_EQ(Json::parse(text).as_number(), std::strtod(text, nullptr))
+        << text;
+  }
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
+  EXPECT_TRUE(std::signbit(Json::parse("-0.0e5").as_number()));
+}
+
+TEST(JsonTest, NonJsonNumbersAreRejected) {
+  // RFC 8259: no plus sign, no leading zeros, digits on both sides of the
+  // point, digits in the exponent; and values beyond double's range.
+  for (const char* bad :
+       {"+1", "01", "-01", ".5", "1.", "-", "1e", "1e+", "--1", "0x10",
+        "Infinity", "NaN", "1e400", "-1e400", "1e-400", "[+1]",
+        "{\"v\":01}", "{\"v\":.5}"}) {
+    EXPECT_THROW(Json::parse(bad), std::runtime_error) << bad;
+    EXPECT_THROW(
+        {
+          util::JsonReader reader(bad);
+          reader.skip_value();
+          reader.expect_end();
+        },
+        std::runtime_error)
+        << bad;
+  }
+  for (const char* good : {"0", "-0", "10", "1.5e3", "1E-3", "2e+2", "-0.5"}) {
+    EXPECT_NO_THROW(Json::parse(good)) << good;
+  }
+}
+
 TEST(JsonTest, DoublesSurviveExactly) {
   const double value = 7.192650113378189;
   const Json back = Json::parse(Json(value).dump());
@@ -93,10 +155,29 @@ TEST(JsonTest, SurrogatePairsDecodeToUtf8) {
 }
 
 TEST(JsonTest, ParseErrorsCarryPosition) {
+  const auto message = [](auto&& read) {
+    try {
+      read();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
   for (const char* bad :
        {"", "{", "[1,", "{\"a\" 1}", "tru", "1.2.3", "\"unterminated",
-        "[1] trailing", "{\"a\":}"}) {
-    EXPECT_THROW(Json::parse(bad), std::runtime_error) << bad;
+        "[1] trailing", "{\"a\":}", "{1:2}", "[1 2]", "{\"a\":1 \"b\":2}",
+        "[\"\\x\"]", "[\"\\uD83D\"]", "{\"a\":[1e400]}", "[nul]"}) {
+    const std::string parsed = message([&] { Json::parse(bad); });
+    EXPECT_NE(parsed.find("json parse error at offset"), std::string::npos)
+        << bad;
+    // Skipping a value rejects it with the same message and offset.
+    EXPECT_EQ(message([&] {
+                util::JsonReader reader(bad);
+                reader.skip_value();
+                reader.expect_end();
+              }),
+              parsed)
+        << bad;
   }
 }
 
@@ -106,6 +187,89 @@ TEST(JsonTest, DeeplyNestedInputThrowsInsteadOfOverflowing) {
   EXPECT_THROW(Json::parse(std::string(100000, '[') +
                            std::string(100000, ']')),
                std::runtime_error);
+  EXPECT_THROW(util::JsonReader(bomb).skip_value(), std::runtime_error);
+  EXPECT_THROW(util::JsonReader(std::string(100000, '{')).skip_value(),
+               std::runtime_error);
+}
+
+TEST(JsonReaderTest, PullsValuesWithoutATree) {
+  const std::string text =
+      " {\"a\": [1, -2.5, \"x\\ty\"], \"b\": {\"c\": null}, \"d\": true} ";
+  util::JsonReader reader(text);
+  std::vector<std::string> keys;
+  reader.read_object([&](std::string_view key) {
+    keys.emplace_back(key);
+    if (key == "a") {
+      std::vector<std::string> items;
+      reader.read_array([&] {
+        if (reader.peek_kind() == Json::Kind::String) {
+          items.push_back(reader.read_string());
+        } else {
+          items.push_back(std::to_string(reader.read_number()));
+        }
+      });
+      EXPECT_EQ(items, (std::vector<std::string>{"1.000000", "-2.500000",
+                                                 "x\ty"}));
+    } else if (key == "b") {
+      EXPECT_EQ(reader.raw_value(), "{\"c\": null}");
+    } else {
+      EXPECT_TRUE(reader.read_bool());
+    }
+  });
+  reader.expect_end();
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "d"}));
+}
+
+TEST(JsonReaderTest, KindErrorsMatchTheTreeAccessors) {
+  const auto message = [](auto&& read) {
+    try {
+      read();
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { util::JsonReader("\"7\"").read_number(); }),
+            message([] { Json::parse("\"7\"").as_number(); }));
+  EXPECT_EQ(message([] { util::JsonReader("2.5").read_int(); }),
+            message([] { Json::parse("2.5").as_int(); }));
+  EXPECT_EQ(message([] { util::JsonReader("1e19").read_int(); }),
+            message([] { Json::parse("1e19").as_int(); }));
+  EXPECT_EQ(message([] { util::JsonReader("[]").read_object([](auto) {}); }),
+            message([] { Json::parse("[]").as_object(); }));
+  // Lenient reads fall back on a kind mismatch, and consume the value.
+  util::JsonReader reader("[\"x\", 3, 4.5, true]");
+  std::vector<double> got;
+  reader.read_array([&] { got.push_back(reader.number_or(-1.0)); });
+  EXPECT_EQ(got, (std::vector<double>{-1.0, 3.0, 4.5, -1.0}));
+}
+
+TEST(JsonReaderTest, ReadMembersKeepsTheLastDuplicateAndTreeErrorOrder) {
+  static constexpr std::array<std::string_view, 2> kKeys = {"a", "b"};
+  const auto decode = [](const std::string& text) {
+    long long a = 0;
+    long long b = 0;
+    util::read_document(text, [&](util::JsonReader& reader) {
+      util::read_members(reader, kKeys, 0b01, [&](std::size_t field) {
+        (field == 0 ? a : b) = reader.read_int();
+      });
+    });
+    return std::to_string(a) + "," + std::to_string(b);
+  };
+  EXPECT_EQ(decode(R"({"b":1,"a":"x","a":2})"), "2,1");
+  EXPECT_EQ(decode(R"({"\u0061":5})"), "5,0");
+  // "a" is looked up first: its error wins over "b"'s, wherever it sits.
+  EXPECT_THROW(decode(R"({"b":"y","a":"x"})"), std::runtime_error);
+  EXPECT_THROW(decode(R"({"b":"y"})"), std::out_of_range);
+  // A syntax error anywhere beats every field error.
+  try {
+    decode(R"({"a":"x","b":[1,}])");
+    FAIL() << "expected a parse error";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("json parse error"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(JsonTest, NonIntegralNumbersFailAsInt) {
@@ -341,6 +505,432 @@ TEST(JsonApiTest, UnknownStatusThrows) {
   EXPECT_THROW(api::solve_status_from_string("bogus"), std::runtime_error);
   EXPECT_EQ(api::solve_status_from_string("cancelled"),
             api::SolveStatus::Cancelled);
+}
+
+// --- Typed codecs vs the Json-tree codecs --------------------------------------
+// The server decodes frames with decode_solve_request/decode_delta_request
+// and encodes results with append_result; the tree codecs are the
+// reference. Decoded values must be equal; failures must throw the same
+// exception type with the same message.
+
+/// Values a perturbed document substitutes for a member: every JSON kind,
+/// and numbers that fail integer and range checks.
+const char* const kJunk[] = {"null",       "true",  "\"x\"",        "[]",
+                             "{}",         "1.5",   "-1",           "0",
+                             "4294967298", "\"7\"", "[1,\"a\"]",    "{\"size\":1}",
+                             "-0",         "1e2",   "\"read-write\""};
+
+/// Writes a Json value as text, perturbed: members in shuffled order, keys
+/// sometimes spelled with \u escapes, members sometimes dropped, replaced
+/// by junk or repeated (with the junk copy first or last), and rarely a
+/// syntax error.
+class Perturber {
+ public:
+  Perturber(std::uint64_t seed, double rate) : rng_(seed), rate_(rate) {}
+
+  std::string write(const Json& value) {
+    std::string out;
+    emit(value, out);
+    if (rng_.bernoulli(0.03)) {
+      out.resize(static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(out.size()))));
+    } else if (rng_.bernoulli(0.03)) {
+      const auto at = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(out.size())));
+      out.insert(at, 1, ",:]}x\"1"[rng_.uniform_int(0, 6)]);
+    }
+    return out;
+  }
+
+ private:
+  const char* junk() {
+    return kJunk[rng_.uniform_int(0, std::size(kJunk) - 1)];
+  }
+
+  void key(const std::string& name, std::string& out) {
+    if (!rng_.bernoulli(rate_)) {
+      util::append_json_string(out, name);
+      return;
+    }
+    out += '"';
+    for (const char c : name) {
+      char escaped[8];
+      std::snprintf(escaped, sizeof escaped, "\\u%04x",
+                    static_cast<unsigned>(c));
+      out += rng_.bernoulli(0.5) ? std::string(escaped) : std::string(1, c);
+    }
+    out += '"';
+  }
+
+  void emit(const Json& value, std::string& out) {
+    if (value.is_object()) {
+      std::vector<std::size_t> order(value.size());
+      std::iota(order.begin(), order.end(), 0);
+      rng_.shuffle(order);
+      out += '{';
+      bool first = true;
+      const auto member = [&](const std::string& name, const auto& write) {
+        if (!first) out += ',';
+        first = false;
+        key(name, out);
+        out += ':';
+        write();
+      };
+      for (const std::size_t i : order) {
+        const auto& [name, child] = value.as_object()[i];
+        if (rng_.bernoulli(rate_ / 2)) continue;  // dropped
+        const bool repeat = rng_.bernoulli(rate_);
+        const bool junk_last = repeat && rng_.bernoulli(0.5);
+        if (repeat && !junk_last) member(name, [&] { out += junk(); });
+        member(name, [&] {
+          if (rng_.bernoulli(rate_ / 2)) {
+            out += junk();
+          } else {
+            emit(child, out);
+          }
+        });
+        if (junk_last) member(name, [&] { out += junk(); });
+      }
+      out += '}';
+    } else if (value.is_array()) {
+      out += '[';
+      for (std::size_t i = 0; i < value.size(); ++i) {
+        if (i > 0) out += ',';
+        if (rng_.bernoulli(rate_ / 4)) {
+          out += junk();
+        } else {
+          emit(value[i], out);
+        }
+      }
+      out += ']';
+    } else {
+      out += value.dump();
+    }
+  }
+
+  util::Xoshiro256 rng_;
+  double rate_;
+};
+
+/// "ok <canonical text of the value>" or "error <type>: <message>".
+template <typename Decode>
+std::string outcome(Decode&& decode) {
+  try {
+    return "ok " + decode();
+  } catch (const std::exception& error) {
+    return std::string("error ") + typeid(error).name() + ": " + error.what();
+  }
+}
+
+std::string describe(const api::SolveRequest& request) {
+  std::string text = model::instance_to_json(*request.instance).dump();
+  text += api::options_to_json(request.options).dump();
+  for (const auto& name : request.solvers) text += " " + name;
+  text += " priority=" + std::to_string(request.priority);
+  text += request.deadline.has_value() ? " deadline" : " -";
+  return text;
+}
+
+std::string describe(const api::DeltaRequest& request) {
+  std::string text = "session=" + std::to_string(request.session) + " ";
+  text += api::to_json(request.delta).dump();
+  text += request.expect_revision.has_value()
+              ? " rev=" + std::to_string(*request.expect_revision)
+              : " -";
+  text += " priority=" + std::to_string(request.priority);
+  text += request.deadline.has_value() ? " deadline" : " -";
+  return text;
+}
+
+void expect_same_solve_request(const std::string& text) {
+  const std::string tree = outcome([&] {
+    return describe(api::solve_request_from_json(Json::parse(text)));
+  });
+  const std::string typed =
+      outcome([&] { return describe(api::decode_solve_request(text)); });
+  EXPECT_EQ(typed, tree) << text;
+}
+
+void expect_same_delta_request(const std::string& text) {
+  const std::string tree = outcome([&] {
+    return describe(api::delta_request_from_json(Json::parse(text)));
+  });
+  const std::string typed =
+      outcome([&] { return describe(api::decode_delta_request(text)); });
+  EXPECT_EQ(typed, tree) << text;
+}
+
+api::SolveRequest random_solve_request(util::Xoshiro256& rng) {
+  const char* const families[] = {"uniform", "planted", "bagheavy"};
+  api::SolveOptions options;
+  options.seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1LL << 62));
+  options.eps = rng.uniform_real(0.05, 0.9);
+  options.max_nodes = rng.uniform_int(1, 1000000);
+  options.cache_mode = rng.bernoulli(0.5) ? api::CacheMode::ReadWrite
+                                          : api::CacheMode::Off;
+  std::vector<std::string> solvers;
+  for (const char* name : {"greedy-bags", "eptas", "lpt"}) {
+    if (rng.bernoulli(0.4)) solvers.emplace_back(name);
+  }
+  auto request = api::make_request(
+      gen::by_name(families[rng.uniform_int(0, 2)],
+                   static_cast<int>(rng.uniform_int(1, 12)),
+                   static_cast<int>(rng.uniform_int(1, 4)), options.seed),
+      options, solvers);
+  request.priority = static_cast<int>(rng.uniform_int(-5, 5));
+  if (rng.bernoulli(0.3)) request.deadline = api::deadline_in(30.0);
+  return request;
+}
+
+api::DeltaRequest random_delta_request(util::Xoshiro256& rng) {
+  model::Delta delta;
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+    delta.arrivals.push_back(
+        {rng.uniform_real(0.01, 2.0), static_cast<int>(rng.uniform_int(0, 9))});
+  }
+  for (auto n = rng.uniform_int(0, 3); n > 0; --n) {
+    delta.departures.push_back(static_cast<int>(rng.uniform_int(0, 40)));
+  }
+  for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+    delta.resizes.push_back({static_cast<int>(rng.uniform_int(0, 40)),
+                             rng.uniform_real(0.01, 2.0)});
+  }
+  delta.machines_added = static_cast<int>(rng.uniform_int(0, 2));
+  for (auto n = rng.uniform_int(0, 2); n > 0; --n) {
+    delta.failed_machines.push_back(static_cast<int>(rng.uniform_int(0, 5)));
+  }
+  auto request = api::make_delta_request(
+      static_cast<std::uint64_t>(rng.uniform_int(1, 1000)), std::move(delta));
+  if (rng.bernoulli(0.5)) {
+    request.expect_revision =
+        static_cast<std::uint64_t>(rng.uniform_int(0, 100));
+  }
+  request.priority = static_cast<int>(rng.uniform_int(0, 3));
+  if (rng.bernoulli(0.3)) request.deadline = api::deadline_in(30.0);
+  return request;
+}
+
+TEST(CodecDiffTest, PerturbedSolveRequestsDecodeAlike) {
+  int ok = 0;
+  int failed = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const std::string text =
+        Perturber(seed, seed % 3 == 0 ? 0.0 : 0.08)
+            .write(api::to_json(random_solve_request(rng)));
+    expect_same_solve_request(text);
+    const bool decodes = outcome([&] {
+                           return describe(api::decode_solve_request(text));
+                         }).rfind("ok", 0) == 0;
+    (decodes ? ok : failed) += 1;
+  }
+  // Both sides of the comparison are exercised.
+  EXPECT_GT(ok, 500) << failed;
+  EXPECT_GT(failed, 200) << ok;
+}
+
+TEST(CodecDiffTest, PerturbedDeltaRequestsDecodeAlike) {
+  int ok = 0;
+  int failed = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    util::Xoshiro256 rng(seed * 7919);
+    const std::string text =
+        Perturber(seed, seed % 3 == 0 ? 0.0 : 0.1)
+            .write(api::to_json(random_delta_request(rng)));
+    expect_same_delta_request(text);
+    const bool decodes = outcome([&] {
+                           return describe(api::decode_delta_request(text));
+                         }).rfind("ok", 0) == 0;
+    (decodes ? ok : failed) += 1;
+  }
+  EXPECT_GT(ok, 500) << failed;
+  EXPECT_GT(failed, 200) << ok;
+}
+
+TEST(CodecDiffTest, HandWrittenRequestsDecodeAlike) {
+  const std::string jobs = R"("jobs":[{"size":1,"bag":0},{"bag":1,"size":2}])";
+  const std::string instance =
+      R"({"machines":2,"bags":2,)" + jobs + "}";
+  for (const std::string& text : std::vector<std::string>{
+           "{\"instance\":" + instance + "}",
+           // Escaped keys, permuted order, integer-valued reals.
+           "{\"solvers\":[\"lpt\"],\"\\u0069nstance\":" + instance +
+               ",\"priority\":3.0}",
+           // Duplicates: the last one counts, even when it is the bad one.
+           "{\"instance\":5,\"instance\":" + instance + "}",
+           "{\"instance\":" + instance + ",\"instance\":5}",
+           "{\"instance\":" + instance +
+               ",\"options\":{\"eps\":0.2,\"eps\":\"x\"}}",
+           // Wrong-typed optional members fall back to their defaults.
+           "{\"instance\":" + instance +
+               ",\"options\":{\"eps\":\"x\",\"max_nodes\":true,"
+               "\"multifit_iterations\":null},\"priority\":\"high\"}",
+           "{\"instance\":" + instance + ",\"options\":[1,2]}",
+           // ...but strict members and non-integral integers do not.
+           "{\"instance\":" + instance + ",\"priority\":1.5}",
+           "{\"instance\":" + instance + ",\"deadline_seconds\":\"soon\"}",
+           "{\"instance\":" + instance + ",\"solvers\":\"lpt\"}",
+           "{\"instance\":" + instance + ",\"solvers\":[\"lpt\",3]}",
+           "{\"instance\":" + instance + ",\"options\":{\"seed\":\"x\"}}",
+           "{\"instance\":" + instance + ",\"options\":{\"seed\":-1}}",
+           "{\"instance\":" + instance +
+               ",\"options\":{\"seed\":\"18446744073709551615\"}}",
+           "{\"instance\":" + instance +
+               ",\"options\":{\"cache_mode\":\"often\"}}",
+           // Missing and malformed required members, in every order.
+           "{}",
+           "[]",
+           "null",
+           "{\"solvers\":[]}",
+           "{\"instance\":{\"bags\":1,\"jobs\":[]}}",
+           "{\"instance\":{\"machines\":2,\"jobs\":[]}}",
+           "{\"instance\":{\"machines\":2,\"bags\":1}}",
+           "{\"instance\":{\"jobs\":[{\"size\":\"x\",\"bag\":0}],"
+           "\"machines\":\"y\",\"bags\":1}}",
+           "{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"bag\":-1,"
+           "\"size\":\"x\"}]}}",
+           "{\"instance\":{\"machines\":4294967298,\"bags\":1,\"jobs\":[]}}",
+           "{\"instance\":{\"machines\":0,\"bags\":1,\"jobs\":[]}}",
+           "{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,"
+           "\"bag\":1}]}}",
+           "{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[7]}}",
+           "{\"priority\":\"x\",\"instance\":{\"machines\":2}}",
+           // Syntax errors win over everything.
+           "{\"priority\":\"x\",\"instance\":{\"machines\":2},}",
+           "{\"instance\":" + instance + "} x",
+           "{\"instance\":" + instance + ",\"priority\":01}",
+       }) {
+    expect_same_solve_request(text);
+  }
+}
+
+TEST(CodecDiffTest, HandWrittenDeltasDecodeAlike) {
+  for (const std::string& text : std::vector<std::string>{
+           R"({"session":3})",
+           R"({"session":3,"delta":{}})",
+           R"({"session":3,"delta":7})",
+           R"({"\u0073ession":3,"delta":{"arrivals":[{"bag":1,"size":0.5}]}})",
+           R"({"session":3,"session":4,"expect_revision":0})",
+           R"({"session":3,"delta":{"machines_added":"two"}})",
+           R"({"session":3,"delta":{"machines_added":-1}})",
+           R"({"session":3,"delta":{"machines_added":1.5}})",
+           R"({"session":3,"delta":{"departures":[1,-2]}})",
+           R"({"session":3,"delta":{"departures":"all"}})",
+           R"({"session":3,"delta":{"arrivals":[{"size":1}]}})",
+           R"({"session":3,"delta":{"arrivals":[{"bag":1}]}})",
+           R"({"session":3,"delta":{"arrivals":[{"bag":4294967296,"size":1}]}})",
+           R"({"session":3,"delta":{"resizes":[{"size":2,"job":"x"}]}})",
+           R"({"session":3,"delta":{"failed_machines":[0,1.5]}})",
+           R"({"session":3,"delta":{"arrivals":[],"arrivals":[{"size":1,"bag":0}]}})",
+           R"({"session":"3"})",
+           R"({"delta":{}})",
+           R"({"delta":{"departures":[-1]}})",
+           R"({"session":3,"expect_revision":"x"})",
+           R"({"session":3,"priority":"x","deadline_seconds":2})",
+           R"({"session":3,"deadline_seconds":null})",
+           R"({"session":3,"delta":{"departures":[-1]},"expect_revision":"x"})",
+           R"({"session":3,"delta":{"departures":[1,]}})",
+           R"([])",
+       }) {
+    expect_same_delta_request(text);
+  }
+}
+
+api::SolveResult hostile_result() {
+  api::SolveResult result;
+  result.solver = std::string("bag\x01\"quoted\"\\\n");
+  result.status = api::SolveStatus::Cancelled;
+  result.makespan = -0.0;
+  result.lower_bound = 4.9e-324;
+  result.optimality_gap = std::numeric_limits<double>::quiet_NaN();
+  result.proven_optimal = true;
+  result.cancelled = true;
+  result.moved_jobs = 3;
+  result.migration_ratio = 0.125;
+  result.wall_seconds = 1e300;
+  result.error = "deadline\tcut \x1f";
+  result.stats["nan"] = std::numeric_limits<double>::quiet_NaN();
+  result.stats["inf"] = std::numeric_limits<double>::infinity();
+  result.stats["ninf"] = -std::numeric_limits<double>::infinity();
+  result.stats["big"] = (1LL << 53) + 1;
+  result.stats["nbig"] = -(1LL << 62);
+  result.stats["edge"] = 1LL << 53;
+  result.stats["flag"] = false;
+  result.stats["text\x02key"] = std::string("a\x7f\xc3\xa9\x05");
+  result.stats["real"] = 0.1;
+  return result;
+}
+
+TEST(CodecGoldenTest, AppendResultMatchesTheTreeEncoderByteForByte) {
+  std::vector<api::SolveResult> results;
+  const auto instance = gen::by_name("uniform", 30, 6, 11);
+  results.push_back(api::solve("greedy-bags", instance));
+  results.push_back(api::solve("local-search", instance, {.seed = 4}));
+  results.push_back(hostile_result());
+  api::SolveResult with_schedule = hostile_result();
+  with_schedule.schedule = model::Schedule(5, 3);
+  with_schedule.schedule.assign(0, 2);
+  with_schedule.schedule.assign(3, 0);  // the others stay unassigned
+  results.push_back(with_schedule);
+  results.emplace_back();  // defaults: no moved_jobs, no error, no stats
+  for (const auto& result : results) {
+    for (const bool include_schedule : {true, false}) {
+      std::string out = "prefix:";
+      api::append_result(out, result, include_schedule);
+      EXPECT_EQ(out, "prefix:" + api::to_json(result, include_schedule).dump());
+    }
+  }
+}
+
+/// The event frame as the tree encoder wrote it.
+std::string tree_event_frame(const std::string& id,
+                             const api::ProgressEvent& event,
+                             bool include_schedule, bool degraded) {
+  Json frame = Json::object();
+  frame.set("type", "event");
+  frame.set("id", id);
+  frame.set("event", api::to_string(event.kind));
+  if (!event.solver.empty()) frame.set("solver", event.solver);
+  if (event.kind == api::ProgressKind::Phase) frame.set("phase", event.phase);
+  if (event.kind == api::ProgressKind::Incumbent) {
+    frame.set("incumbent_makespan", event.incumbent_makespan);
+  }
+  frame.set("elapsed_seconds", event.elapsed_seconds);
+  if (degraded) frame.set("degraded", true);
+  if (event.kind == api::ProgressKind::Finished && event.result != nullptr) {
+    frame.set("result", api::to_json(*event.result, include_schedule));
+  }
+  return frame.dump();
+}
+
+TEST(CodecGoldenTest, EventFramesMatchTheTreeEncoderByteForByte) {
+  const auto instance = gen::by_name("uniform", 12, 3, 5);
+  const api::SolveResult solved = api::solve("greedy-bags", instance);
+  const api::SolveResult hostile = hostile_result();
+  for (const auto kind :
+       {api::ProgressKind::Queued, api::ProgressKind::Started,
+        api::ProgressKind::Phase, api::ProgressKind::Incumbent,
+        api::ProgressKind::Finished}) {
+    for (const api::SolveResult* result :
+         {&solved, &hostile, static_cast<const api::SolveResult*>(nullptr)}) {
+      api::ProgressEvent event;
+      event.kind = kind;
+      event.solver = result == &hostile ? "" : "eptas";
+      event.phase = "pipeline\n";
+      event.incumbent_makespan = 12.75;
+      event.elapsed_seconds = 0.000123;
+      event.result = result;
+      for (const std::string id : {"7", "id \"quoted\"\x01"}) {
+        for (const bool include_schedule : {true, false}) {
+          for (const bool degraded : {true, false}) {
+            EXPECT_EQ(
+                net::event_frame(id, event, include_schedule, degraded),
+                tree_event_frame(id, event, include_schedule, degraded));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -121,11 +121,15 @@ TEST(FramingTest, ByteAtATimeFuzzAgainstWholeFeed) {
 // --- Protocol helpers ------------------------------------------------------
 
 TEST(ProtocolTest, ClientIdCanonicalizesStringsAndIntegers) {
-  EXPECT_EQ(net::client_id_text(Json("job-7")), "job-7");
-  EXPECT_EQ(net::client_id_text(Json::parse("42")), "42");
-  EXPECT_THROW(net::client_id_text(Json::parse("null")), std::runtime_error);
-  EXPECT_THROW(net::client_id_text(Json::parse("1.5")), std::runtime_error);
-  EXPECT_THROW(net::client_id_text(Json::parse("\"\"")), std::runtime_error);
+  // The argument is the raw JSON text of the id member.
+  EXPECT_EQ(net::client_id_text("\"job-7\""), "job-7");
+  EXPECT_EQ(net::client_id_text("\"j\\u006fb\""), "job");
+  EXPECT_EQ(net::client_id_text("42"), "42");
+  EXPECT_EQ(net::client_id_text("4.2e1"), "42");
+  EXPECT_THROW(net::client_id_text("null"), std::runtime_error);
+  EXPECT_THROW(net::client_id_text("1.5"), std::runtime_error);
+  EXPECT_THROW(net::client_id_text("\"\""), std::runtime_error);
+  EXPECT_THROW(net::client_id_text("[1]"), std::runtime_error);
 }
 
 TEST(ProtocolTest, ProgressKindNamesRoundTrip) {
@@ -249,6 +253,172 @@ TEST(NetServerTest, StructuredErrorsForGarbageAndBadRequests) {
 
   const auto counters = server.counters();
   EXPECT_EQ(counters.parse_errors, 1u);
+  server.stop();
+  server.wait();
+}
+
+/// The frame corpus below, sent line by line over one connection, and the
+/// (type, code-or-event-or-op, id) of every frame each line answers with.
+/// The expectations were recorded from the server that decoded frames
+/// through a Json tree: the typed decoder must answer every line alike —
+/// malformed, escaped-key, duplicate-key and wrong-typed lines included.
+struct ExpectedFrame {
+  const char* type;
+  const char* tag;  ///< "code" of errors, "event" of events, "op" of oks
+  const char* id;   ///< nullptr: the frame carries no id
+};
+
+TEST(NetServerTest, FrameCorpusGetsTheTreeDecodersAnswers) {
+  const std::string r =
+      R"({"instance":{"machines":2,"bags":2,"jobs":[{"size":1,"bag":0},)"
+      R"({"size":2,"bag":1},{"size":1.5,"bag":0}]},"solvers":["greedy-bags"]})";
+  const std::vector<std::pair<std::string, std::vector<ExpectedFrame>>>
+      corpus = {
+      {"this is not json",
+       {{"error", "parse_error", nullptr}}},
+      {"[1,2]",
+       {{"error", "bad_request", nullptr}}},
+      {"42",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"ping\"}",
+       {{"pong", "", nullptr}}},
+      {"{\"type\":\"ping\",\"proto_version\":99}",
+       {{"error", "unsupported_version", nullptr}}},
+      {"{\"type\":\"ping\",\"proto_version\":\"3\"}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"ping\",\"proto_version\":1.5}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"ping\",\"proto_version\":2}",
+       {{"pong", "", nullptr}}},
+      {"{\"\\u0074ype\":\"ping\"}",
+       {{"pong", "", nullptr}}},
+      {"{\"type\":\"submit\",\"type\":\"ping\"}",
+       {{"pong", "", nullptr}}},
+      {"{\"type\":\"ping\",\"type\":\"submit\",\"id\":\"d1\"}",
+       {{"error", "bad_request", "d1"}}},
+      {"{\"type\":\"submit\"}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"submit\",\"id\":null,\"request\":" + r + "}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"submit\",\"id\":\"\",\"request\":" + r + "}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"submit\",\"id\":1.5,\"request\":" + r + "}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"submit\",\"id\":\"s1\",\"request\":" + r + "}",
+       {{"event", "finished", "s1"}}},
+      {"{\"type\":\"submit\",\"id\":42,\"request\":" + r + "}",
+       {{"event", "finished", "42"}}},
+      {"{\"type\":\"submit\",\"id\":\"s\\u0032\",\"request\":" + r + ",\"schedule\":false}",
+       {{"event", "finished", "s2"}}},
+      {"{\"type\":\"submit\",\"id\":\"m1\",\"request\":{\"solvers\":[\"greedy-bags\"]}}",
+       {{"error", "bad_request", "m1"}}},
+      {"{\"type\":\"submit\",\"id\":\"m2\",\"request\":{\"instance\":{\"machines\":-1,\"bags\":1,\"jobs\":[]}}}",
+       {{"error", "bad_request", "m2"}}},
+      {"{\"type\":\"submit\",\"id\":\"m3\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":-1,\"bag\":0}]}}}",
+       {{"error", "bad_request", "m3"}}},
+      {"{\"type\":\"submit\",\"id\":\"m4\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"bag\":0}]}}}",
+       {{"error", "bad_request", "m4"}}},
+      {"{\"type\":\"submit\",\"id\":\"m5\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":\"many\"}}}",
+       {{"error", "bad_request", "m5"}}},
+      {"{\"type\":\"submit\",\"id\":\"u1\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"solvers\":[\"no-such-solver\"]}}",
+       {{"error", "unknown_solver", "u1"}}},
+      {"{\"type\":\"submit\",\"id\":\"w1\",\"progress\":\"yes\",\"schedule\":1,\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"options\":{\"eps\":\"x\",\"max_nodes\":true,\"seed\":\"9\"},\"priority\":\"high\",\"solvers\":[\"greedy-bags\"]}}",
+       {{"event", "finished", "w1"}}},
+      {"{\"type\":\"submit\",\"id\":\"w2\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"options\":7,\"solvers\":[\"greedy-bags\"]}}",
+       {{"event", "finished", "w2"}}},
+      {"{\"type\":\"submit\",\"id\":\"w3\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"options\":{\"cache_mode\":\"sometimes\"}}}",
+       {{"error", "bad_request", "w3"}}},
+      {"{\"type\":\"submit\",\"id\":\"w4\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"deadline_seconds\":\"soon\"}}",
+       {{"error", "bad_request", "w4"}}},
+      {"{\"type\":\"submit\",\"id\":\"w5\",\"request\":{\"instance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]},\"priority\":1.5}}",
+       {{"error", "bad_request", "w5"}}},
+      {"{\"type\":\"submit\",\"id\":\"k1\",\"request\":5,\"request\":" + r + "}",
+       {{"event", "finished", "k1"}}},
+      {"{\"type\":\"submit\",\"id\":\"k2\",\"request\":" + r + ",\"request\":5}",
+       {{"error", "bad_request", "k2"}}},
+      {"{\"type\":\"submit\",\"id\":\"k3\",\"request\":{\"instance\":5,\"\\u0069nstance\":{\"machines\":2,\"bags\":1,\"jobs\":[{\"size\":1,\"bag\":0}]}}}",
+       {{"event", "finished", "k3"}}},
+      {"{\"type\":\"submit\",\"id\":\"k4\",\"id\":\"k5\",\"request\":" + r + "}",
+       {{"event", "finished", "k5"}}},
+      {"{\"type\":\"cancel\",\"id\":\"nope\"}",
+       {{"error", "unknown_id", "nope"}}},
+      {"{\"type\":\"cancel\"}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"delta\",\"id\":\"d\",\"session\":5,\"delta\":{}}",
+       {{"error", "unknown_session", "d"}}},
+      {"{\"type\":\"delta\",\"id\":\"d2\",\"delta\":{}}",
+       {{"error", "bad_request", "d2"}}},
+      {"{\"type\":\"delta\"}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"delta\",\"id\":\"d3\",\"session\":5,\"delta\":{\"arrivals\":[{\"size\":1}]}}",
+       {{"error", "bad_request", "d3"}}},
+      {"{\"type\":\"close_session\",\"id\":\"c\",\"session\":0}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"close_session\",\"id\":\"c0\",\"session\":9}",
+       {{"error", "unknown_session", "c0"}}},
+      {"{\"type\":\"resume_session\",\"id\":\"r\",\"session\":3,\"epoch\":\"abc\"}",
+       {{"error", "bad_request", "r"}}},
+      {"{\"type\":\"resume_session\",\"id\":\"r2\",\"session\":3,\"epoch\":\"7\"}",
+       {{"error", "unknown_session", "r2"}}},
+      {"{\"type\":\"open_session\",\"id\":\"o1\",\"request\":" + r + "}",
+       {{"ok", "open_session", "o1"}, {"event", "finished", "o1"}}},
+      {"{\"type\":\"open_session\",\"id\":\"o2\",\"request\":" + r + ",\"regret_bound\":-1}",
+       {{"error", "bad_request", "o2"}}},
+      {"{\"type\":\"delta\",\"id\":\"dd1\",\"session\":1,\"schedule\":false,\"delta\":{\"arrivals\":[{\"size\":0.5,\"bag\":2}]}}",
+       {{"event", "finished", "dd1"}}},
+      {"{\"type\":\"delta\",\"id\":\"dd2\",\"session\":1,\"delta\":{\"departures\":[-1]}}",
+       {{"error", "bad_request", "dd2"}}},
+      {"{\"type\":\"delta\",\"id\":\"dd3\",\"session\":1,\"delta\":{\"machines_added\":\"two\",\"resizes\":[{\"job\":0,\"size\":2.5}]}}",
+       {{"event", "finished", "dd3"}}},
+      {"{\"type\":\"delta\",\"id\":\"dd4\",\"session\":1,\"expect_revision\":\"x\",\"delta\":{}}",
+       {{"error", "bad_request", "dd4"}}},
+      {"{\"type\":\"close_session\",\"id\":\"c1\",\"session\":1}",
+       {{"ok", "close_session", "c1"}}},
+      {"{\"type\":\"stats\"}",
+       {{"stats", "", nullptr}}},
+      {"{\"type\":\"warble\"}",
+       {{"error", "bad_request", nullptr}}},
+      {"{}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":7}",
+       {{"error", "bad_request", nullptr}}},
+      {"{\"type\":\"ping\"} trailing",
+       {{"error", "parse_error", nullptr}}},
+      {"{\"type\":\"ping\",\"x\":1e400}",
+       {{"error", "parse_error", nullptr}}},
+      {"{\"type\":\"ping\",\"x\":[1,2,{\"y\":\"\\uD83D\\uDE00\"}]}",
+       {{"pong", "", nullptr}}},
+      {"{\"type\":\"ping\",\"x\":\"\\uDE00\"}",
+       {{"error", "parse_error", nullptr}}},
+      {"{\"type\":\"ping\",",
+       {{"error", "parse_error", nullptr}}},
+      };
+  SchedServer server(test_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  for (const auto& [line, expected] : corpus) {
+    client.send_line(line);
+    for (const ExpectedFrame& want : expected) {
+      const auto frame = client.read_frame(10.0);
+      ASSERT_TRUE(frame.has_value()) << line;
+      EXPECT_EQ(frame->string_or("type", ""), want.type) << line;
+      EXPECT_EQ(frame->string_or(
+                    "code", frame->string_or(
+                                "event", frame->string_or("op", ""))),
+                want.tag)
+          << line;
+      if (want.id == nullptr) {
+        EXPECT_FALSE(frame->contains("id")) << line;
+      } else {
+        EXPECT_EQ(frame->string_or("id", ""), want.id) << line;
+      }
+    }
+  }
+  // Nothing beyond the expected frames: the next answer is the pong.
+  client.send_line("{\"type\":\"ping\"}");
+  const auto frame = client.read_frame(10.0);
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->string_or("type", ""), "pong");
   server.stop();
   server.wait();
 }

@@ -3,7 +3,10 @@
 # remote solve with streamed progress through `instance_tool --connect`,
 # fetch a JSON result, scrape /metrics, then SIGTERM the daemon and assert
 # a clean graceful drain (exit 0 and the "drained:" summary line).
-# A second phase covers durability: a journaled server is SIGKILLed with a
+# A raw-frame phase speaks NDJSON over bash's /dev/tcp — valid, malformed,
+# escaped-key and duplicate-key lines — and asserts each line gets exactly
+# one response of the expected type and code.
+# A further phase covers durability: a journaled server is SIGKILLed with a
 # session left open and must come back with that session recovered and the
 # recovery counters scrape-able (`instance_tool metrics --recovery`).
 #
@@ -66,6 +69,51 @@ grep -q "^bagsched_service_submitted_total 2$" "$work/metrics.txt"
 grep -q "^bagsched_service_finished_total 2$" "$work/metrics.txt"
 grep -q "^bagsched_server_connections_accepted" "$work/metrics.txt"
 grep -q "^bagsched_server_session_opens_total 2$" "$work/metrics.txt"
+
+# --- Raw frames: the ingress decoder on valid and hostile lines ----------
+# Each line gets exactly one response frame; `raw LINE WANT...` asserts the
+# frame contains every WANT substring. The closing ping proves no line
+# produced a second frame.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+raw() {
+  local line="$1" frame
+  shift
+  printf '%s\n' "$line" >&3
+  IFS= read -r -t 10 frame <&3
+  if [[ "$frame" == *'"type":"hello"'* ]]; then  # once, before the first
+    IFS= read -r -t 10 frame <&3
+  fi
+  for want in "$@"; do
+    if [[ "$frame" != *"$want"* ]]; then
+      echo "raw frame: sent $line" >&2
+      echo "raw frame: got $frame; missing $want" >&2
+      exit 1
+    fi
+  done
+}
+job='{"machines":2,"bags":1,"jobs":[{"size":1,"bag":0},{"size":0.5,"bag":0}]}'
+raw 'this is not json' '"type":"error"' '"code":"parse_error"'
+raw '[1,2]' '"type":"error"' '"code":"bad_request"'
+raw '{"type":"ping"}' '"type":"pong"'
+raw '{"\u0074ype":"ping"}' '"type":"pong"'
+raw '{"type":"submit","type":"ping"}' '"type":"pong"'
+raw '{"type":"ping","proto_version":99}' '"code":"unsupported_version"'
+raw '{"type":"submit","id":"r1","request":{"instance":'"$job"',"solvers":["greedy-bags"]}}' \
+  '"type":"event"' '"event":"finished"' '"id":"r1"' '"status":"optimal"'
+raw '{"type":"submit","id":7,"schedule":false,"request":{"instance":'"$job"',"options":{"eps":"x"},"solvers":["greedy-bags"]}}' \
+  '"event":"finished"' '"id":"7"'
+raw '{"type":"submit","id":"r2","request":{"instance":'"$job"'},"request":7}' \
+  '"code":"bad_request"' '"id":"r2"'
+raw '{"type":"submit","id":"r3","id":"r4","request":{"instance":{"machines":-1,"bags":1,"jobs":[]}}}' \
+  '"code":"bad_request"' '"id":"r4"'
+raw '{"type":"submit","id":"r5","request":{"instance":{"machines":2,"bags":1,"jobs":[{"size":1e400,"bag":0}]}}}' \
+  '"code":"parse_error"'
+raw '{"type":"delta","id":"d1","session":99,"delta":{}}' \
+  '"code":"unknown_session"' '"id":"d1"'
+raw '{"type":"ping"' '"code":"parse_error"'
+raw '{"type":"ping"}' '"type":"pong"'
+exec 3<&-
+echo "raw frames ok"
 
 # Graceful drain: SIGTERM must exit 0 with the drain summary.
 kill -TERM "$server_pid"
