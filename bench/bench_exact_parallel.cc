@@ -1,9 +1,11 @@
-// Speedup curve of the work-stealing parallel exact branch-and-bound over
-// the sequential engine on the standard hard-instance set (twopoint and
-// uniform shapes sized so the sequential search runs 10^5..10^7 nodes).
-// Each instance is solved sequentially, then at 1/2/4/8 worker threads;
-// makespans must agree bit-identically and the per-thread-count speedups
-// land in BENCH_exact.json for regression tracking.
+// Speedup curve of the exact branch-and-bound engine over its one-thread
+// search on the standard hard-instance set (twopoint and uniform shapes
+// sized so the one-thread search runs 10^5..10^7 nodes). Each instance is
+// solved on one thread (the /seq row: the DFS on the calling thread, no
+// pool), then at 1/2/4/8 pool threads (/tN: for N > 1 a work-stealing
+// frontier, for N = 1 the same search as /seq); makespans must agree
+// bit-identically and the per-thread-count speedups land in
+// BENCH_exact.json for regression tracking.
 //
 // Flags: --bench-json[=path] --bench-reps=N (see harness.h).
 #include <cmath>
@@ -16,7 +18,6 @@
 #include "gen/generators.h"
 #include "harness.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 
 namespace {
 
@@ -74,10 +75,10 @@ int main(int argc, char** argv) {
       sched::ExactResult par;
       auto& par_case = harness.run_case(
           label + "/t" + std::to_string(threads), reps, [&] {
-            sched::ExactParallelOptions options;
-            options.base.time_limit_seconds = 120.0;
+            sched::ExactOptions options;
+            options.time_limit_seconds = 120.0;
             options.num_threads = threads;
-            par = sched::solve_exact_parallel(instance, options);
+            par = sched::solve_exact(instance, options);
           });
       const double speedup =
           par_case.median_seconds > 0.0

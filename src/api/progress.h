@@ -32,9 +32,9 @@ struct ProgressEvent {
   /// Service request id; 0 when the solve runs outside a service.
   std::uint64_t request_id = 0;
   /// Registry name of the reporting solver ("" for service-level events).
-  std::string solver;
+  std::string solver{};
   /// Phase name (Phase events only), e.g. "pipeline", "fallback".
-  std::string phase;
+  std::string phase{};
   /// Best makespan known so far (Incumbent events only).
   double incumbent_makespan = 0.0;
   /// Seconds since the request was submitted (or the solve started when

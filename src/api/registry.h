@@ -6,6 +6,9 @@
 //
 // Registered names: "eptas", "exact", "exact-parallel", "milp", "lpt",
 // "bag-lpt", "greedy-bags", "multifit", "local-search", "greedy-stack".
+// "exact" and "exact-parallel" are one adapter over sched::solve_exact:
+// the first always searches on one thread, the second on
+// SolveOptions::num_threads.
 #pragma once
 
 #include <memory>

@@ -103,7 +103,7 @@ struct ServiceConfig {
   std::size_t max_queue_depth = 0;
   /// Canonicalizing solve cache (shards, byte budget). Consulted only by
   /// requests whose SolveOptions::cache_mode is not Off.
-  cache::CacheConfig cache;
+  cache::CacheConfig cache{};
   /// Durable session journal (persist/journal.h), not owned; nullptr = no
   /// durability. When set, every session open/commit/close is appended
   /// BEFORE its handle resolves (append-before-ack), so an acked commit

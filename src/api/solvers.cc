@@ -17,7 +17,6 @@
 #include "milp/branch_and_bound.h"
 #include "sched/bag_lpt.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 #include "sched/greedy_bags.h"
 #include "sched/local_search.h"
 #include "sched/lpt.h"
@@ -128,16 +127,23 @@ class EptasSolver final : public Solver {
   }
 };
 
+/// One adapter, two registry names: "exact" always searches on one
+/// thread, "exact-parallel" uses SolveOptions::num_threads.
 class ExactSolver final : public Solver {
  public:
-  ExactSolver()
-      : Solver({.name = "exact",
-                .summary = "branch-and-bound over job->machine assignments",
+  explicit ExactSolver(bool parallel)
+      : Solver({.name = parallel ? "exact-parallel" : "exact",
+                .summary = parallel
+                               ? "work-stealing parallel branch-and-bound"
+                               : "branch-and-bound over job->machine "
+                                 "assignments",
                 .guarantee = Guarantee::Exact,
                 .exact = true,
                 .respects_bags = true,
                 .guarantee_text = "optimal within node/time budget",
-                .typical_scale = "n <= ~24"}) {}
+                .typical_scale = parallel ? "n <= ~28 (threads permitting)"
+                                          : "n <= ~24"}),
+        parallel_(parallel) {}
 
   void run(const model::Instance& instance, const SolveOptions& options,
            SolveResult& result) const override {
@@ -146,6 +152,7 @@ class ExactSolver final : public Solver {
     native_options.time_limit_seconds = options.time_limit_seconds;
     native_options.cancel = options.cancel;
     native_options.on_incumbent = incumbent_emitter(options, name());
+    native_options.num_threads = parallel_ ? options.num_threads : 1;
 
     const auto native = sched::solve_exact(instance, native_options);
     result.schedule = native.schedule;
@@ -153,42 +160,17 @@ class ExactSolver final : public Solver {
     result.cancelled = native.cancelled;
     result.stats["nodes"] = native.nodes;
     result.stats["proven_optimal"] = native.proven_optimal;
+    if (parallel_) {
+      result.stats["threads"] = static_cast<long long>(
+          native_options.num_threads > 0
+              ? native_options.num_threads
+              : static_cast<int>(std::max(
+                    1u, std::thread::hardware_concurrency())));
+    }
   }
-};
 
-class ExactParallelSolver final : public Solver {
- public:
-  ExactParallelSolver()
-      : Solver({.name = "exact-parallel",
-                .summary = "work-stealing parallel branch-and-bound",
-                .guarantee = Guarantee::Exact,
-                .exact = true,
-                .respects_bags = true,
-                .guarantee_text = "optimal within node/time budget",
-                .typical_scale = "n <= ~28 (threads permitting)"}) {}
-
-  void run(const model::Instance& instance, const SolveOptions& options,
-           SolveResult& result) const override {
-    sched::ExactParallelOptions native_options;
-    native_options.base.max_nodes = options.max_nodes;
-    native_options.base.time_limit_seconds = options.time_limit_seconds;
-    native_options.base.cancel = options.cancel;
-    native_options.base.on_incumbent = incumbent_emitter(options, name());
-    native_options.num_threads = options.num_threads;
-
-    const auto native =
-        sched::solve_exact_parallel(instance, native_options);
-    result.schedule = native.schedule;
-    result.proven_optimal = native.proven_optimal;
-    result.cancelled = native.cancelled;
-    result.stats["nodes"] = native.nodes;
-    result.stats["proven_optimal"] = native.proven_optimal;
-    result.stats["threads"] = static_cast<long long>(
-        native_options.num_threads > 0
-            ? native_options.num_threads
-            : static_cast<int>(std::max(
-                  1u, std::thread::hardware_concurrency())));
-  }
+ private:
+  bool parallel_;
 };
 
 class MilpSolver final : public Solver {
@@ -426,8 +408,8 @@ class GreedyStackSolver final : public Solver {
 std::vector<std::unique_ptr<Solver>> make_builtin_solvers() {
   std::vector<std::unique_ptr<Solver>> solvers;
   solvers.push_back(std::make_unique<EptasSolver>());
-  solvers.push_back(std::make_unique<ExactSolver>());
-  solvers.push_back(std::make_unique<ExactParallelSolver>());
+  solvers.push_back(std::make_unique<ExactSolver>(/*parallel=*/false));
+  solvers.push_back(std::make_unique<ExactSolver>(/*parallel=*/true));
   solvers.push_back(std::make_unique<MilpSolver>());
   solvers.push_back(std::make_unique<LptSolver>());
   solvers.push_back(std::make_unique<BagLptSolver>());

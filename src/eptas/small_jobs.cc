@@ -45,7 +45,7 @@ int least_loaded_free(const model::Instance& inst,
 }  // namespace
 
 bool schedule_small_jobs(const Transformed& transformed,
-                         const Classification& cls,
+                         const Classification& /*cls*/,
                          const PatternSpace& space,
                          const MasterSolution& master,
                          PlacementResult& placement,

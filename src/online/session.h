@@ -11,8 +11,9 @@
 //                 feasible: bag size <= m), and a bounded local search
 //                 polishes the result from that warm start;
 //   2. region   — when the delta touched only a few jobs and repair missed
-//                 the regret bound, just those jobs are re-placed optimally
-//                 by a small branch-and-bound against the fixed remainder;
+//                 the regret bound, just those jobs are re-placed by the
+//                 exact engine (sched::solve_exact) against the fixed
+//                 remainder, optimally within region_max_nodes;
 //   3. fresh    — when the repaired makespan still exceeds
 //                 (1 + regret_bound) * lower_bound, fall back to a full
 //                 portfolio solve (the same one a cold request would get).
@@ -55,7 +56,7 @@ struct SessionOptions {
   /// Region re-solve triggers only when at most this many jobs were
   /// directly affected by the delta (arrivals, resizes, displaced jobs).
   int region_max_jobs = 8;
-  /// Node budget for the region branch-and-bound.
+  /// Node budget for the region re-solve (sched::ExactOptions::max_nodes).
   long long region_max_nodes = 200'000;
 };
 

@@ -1,13 +1,26 @@
-// Exact branch-and-bound solver for small instances.
+// Exact branch-and-bound solver: the ground-truth OPT against which
+// approximation ratios are measured (DESIGN.md experiment E1/E9), and the
+// optimal region re-placement of online sessions (DESIGN.md §7).
 //
-// Provides the ground-truth OPT against which approximation ratios are
-// measured (DESIGN.md experiment E1/E9). Depth-first search over job ->
-// machine assignments in LPT order, with machine-symmetry breaking, bag
-// pruning, area lower bounds, and a greedy incumbent.
+// One engine does both. It is a depth-first search over job -> machine
+// assignments of the free jobs in LPT order, with machine-symmetry breaking
+// (at most one fresh machine), bag pruning, the area lower bound and an
+// equal-load-and-equal-bag-row dominance rule. With one thread the DFS runs
+// from the root on the calling thread. With more, the top of the tree is
+// expanded breadth-first into stealable subtree frames that util::ThreadPool
+// workers drain with the same DFS; the incumbent is a std::atomic<double>
+// published via CAS, so every worker prunes against the globally best
+// makespan, and improvements are re-checked under a mutex before the
+// schedule is recorded and on_incumbent fires (emissions stay monotone).
+//
+// Determinism: for a budget large enough to finish the search, the
+// returned makespan and proven_optimal are identical at every thread count.
+// One thread visits the same nodes in the same order on every run; with
+// more, node counts and which optimal schedule wins a tie may vary.
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <vector>
 
 #include "model/instance.h"
 #include "model/schedule.h"
@@ -16,19 +29,20 @@
 namespace bagsched::sched {
 
 struct ExactOptions {
+  /// Node budget. Every worker polls it, the time limit, cancellation and
+  /// the `solver.stall.exact` fault point once per 8192 of its own nodes,
+  /// so a search may run up to that many nodes per worker past a limit.
   long long max_nodes = 50'000'000;
   double time_limit_seconds = 30.0;
-  /// Nodes between time-limit / cancellation checks (rounded down to a
-  /// power of two and used as a bit mask, so the per-node cost is one AND).
-  /// The parallel engine also uses it as the per-worker flush interval for
-  /// the shared node counter.
-  long long check_interval = 8192;
-  /// Cooperative cancellation, polled alongside the time-limit check.
+  /// Cooperative cancellation, polled alongside the time limit.
   const util::CancellationToken* cancel = nullptr;
-  /// Invoked with the incumbent makespan: once for the initial local-search
-  /// incumbent and again every time the search improves on it. Runs on the
-  /// solving thread inside the search loop — keep it cheap.
+  /// Invoked with the incumbent makespan: once for the starting schedule
+  /// and again every time the search improves on it. Runs on a solving
+  /// thread inside the search loop (serialized) — keep it cheap.
   std::function<void(double makespan)> on_incumbent;
+  /// Search threads; 0 = hardware concurrency. 1 searches on the calling
+  /// thread without a pool.
+  int num_threads = 1;
 };
 
 struct ExactResult {
@@ -40,18 +54,20 @@ struct ExactResult {
 };
 
 /// Solves to optimality when the budget allows; otherwise returns the best
-/// schedule found with proven_optimal == false.
+/// schedule found with proven_optimal == false. Starts from a local-search
+/// schedule with every job free.
 ExactResult solve_exact(const model::Instance& instance,
                         const ExactOptions& options = {});
 
-/// ExactOptions::check_interval rounded down to a power of two, as the
-/// corresponding AND-mask over the node counter (interval <= 1 means a
-/// check at every node). Shared by the sequential and parallel engines so
-/// the knob means the same thing in both.
-inline long long check_interval_mask(long long interval) {
-  long long mask = 1;
-  while (mask * 2 <= (interval > 1 ? interval : 1)) mask *= 2;
-  return mask - 1;
-}
+/// Fixed-remainder search: re-places only `free_jobs`, every other job
+/// stays where `start` puts it. `start` is the first incumbent and is
+/// returned when nothing strictly better exists; proven_optimal means
+/// optimal among schedules that agree with `start` off `free_jobs`.
+/// Throws std::invalid_argument when `start` does not validate or
+/// `free_jobs` holds an out-of-range or repeated id.
+ExactResult solve_exact(const model::Instance& instance,
+                        const model::Schedule& start,
+                        const std::vector<model::JobId>& free_jobs,
+                        const ExactOptions& options = {});
 
 }  // namespace bagsched::sched

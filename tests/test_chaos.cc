@@ -51,12 +51,13 @@ api::SolveRequest quick_request(std::uint64_t seed = 1,
 
 /// A request the worker cannot finish within any test budget (exact B&B on
 /// 60 jobs); resolves only via cancellation or its generous time limit.
-api::SolveRequest slow_request() {
+api::SolveRequest slow_request(const char* solver = "exact") {
   api::SolveOptions options;
   options.time_limit_seconds = 30.0;
   options.seed = 3;
+  options.num_threads = 2;  // "exact-parallel" runs a pool even on one core
   return api::make_request(api::make_instance("uniform", 60, 8, options),
-                           options, {"exact"});
+                           options, {solver});
 }
 
 ServerConfig test_config() {
@@ -311,42 +312,47 @@ TEST(ChaosClientTest, ProtocolErrorFramesAreAnswersNotRetried) {
 // --- Server budget, brown-out, healthz -------------------------------------
 
 TEST(ChaosServerTest, BudgetEscalatesStuckSolverToTimeoutError) {
-  FaultGuard guard;
-  HangWatchdog watchdog(60.0, "budget escalation test");
-  ServerConfig config = test_config();
-  config.request_budget_seconds = 0.05;
-  config.stuck_grace_seconds = 0.05;
-  SchedServer server(config);
-  server.start();
-  // Every cancellation poll of the exact solver sleeps 250ms with the
-  // token unchecked mid-sleep: the budget's cooperative cancel at 50ms
-  // goes unnoticed long past the escalation instant at 100ms.
-  fault::configure("solver.stall.exact=e1", 11);
-  auto client = Client::connect("127.0.0.1", server.port());
-  client.submit(slow_request(), "stuck");
-  std::string terminal_code;
-  for (;;) {
-    auto frame = client.read_frame(/*timeout_seconds=*/30.0);
-    ASSERT_TRUE(frame.has_value()) << "connection closed before a terminal";
-    const std::string type = frame->string_or("type", "");
-    if (type == "error") {
-      terminal_code = frame->string_or("code", "");
-      break;
+  // One search engine serves both names: with one thread ("exact") and
+  // with a pool ("exact-parallel"), every worker polls the stall point.
+  for (const char* solver : {"exact", "exact-parallel"}) {
+    SCOPED_TRACE(solver);
+    FaultGuard guard;
+    HangWatchdog watchdog(60.0, "budget escalation test");
+    ServerConfig config = test_config();
+    config.request_budget_seconds = 0.05;
+    config.stuck_grace_seconds = 0.05;
+    SchedServer server(config);
+    server.start();
+    // Every cancellation poll of the exact solver sleeps 250ms with the
+    // token unchecked mid-sleep: the budget's cooperative cancel at 50ms
+    // goes unnoticed long past the escalation instant at 100ms.
+    fault::configure("solver.stall.exact=e1", 11);
+    auto client = Client::connect("127.0.0.1", server.port());
+    client.submit(slow_request(solver), "stuck");
+    std::string terminal_code;
+    for (;;) {
+      auto frame = client.read_frame(/*timeout_seconds=*/30.0);
+      ASSERT_TRUE(frame.has_value()) << "connection closed before a terminal";
+      const std::string type = frame->string_or("type", "");
+      if (type == "error") {
+        terminal_code = frame->string_or("code", "");
+        break;
+      }
+      if (type == "event" &&
+          frame->string_or("event", "") == "finished") {
+        FAIL() << "escalated request must terminate with the timeout error, "
+                  "not a finished event";
+      }
     }
-    if (type == "event" &&
-        frame->string_or("event", "") == "finished") {
-      FAIL() << "escalated request must terminate with the timeout error, "
-                "not a finished event";
-    }
+    EXPECT_EQ(terminal_code, "timeout");
+    // No second terminal frame arrives for the id: the late (cancelled)
+    // result is suppressed at the sink. A short bounded read must time out.
+    EXPECT_THROW(client.read_frame(0.6), net::TimedOut);
+    EXPECT_GE(server.counters().request_timeouts, 1u);
+    client.close();
+    server.stop();
+    server.wait();
   }
-  EXPECT_EQ(terminal_code, "timeout");
-  // No second terminal frame arrives for the id: the late (cancelled)
-  // result is suppressed at the sink. A short bounded read must time out.
-  EXPECT_THROW(client.read_frame(0.6), net::TimedOut);
-  EXPECT_GE(server.counters().request_timeouts, 1u);
-  client.close();
-  server.stop();
-  server.wait();
 }
 
 TEST(ChaosServerTest, BrownOutDegradesUnderQueuePressure) {

@@ -1,6 +1,6 @@
-// Tests for the parallel work-stealing exact branch-and-bound:
-// sequential-vs-parallel equivalence at every thread count, determinism
-// across thread counts, cancellation mid-search and the api registration.
+// Tests for the exact branch-and-bound engine at several thread counts:
+// one-thread-vs-pool equivalence, determinism across thread counts,
+// cancellation mid-search and the api registration.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -11,7 +11,6 @@
 #include "gen/generators.h"
 #include "model/lower_bounds.h"
 #include "sched/exact.h"
-#include "sched/exact_parallel.h"
 #include "util/cancellation.h"
 
 namespace bagsched {
@@ -28,9 +27,9 @@ TEST(ExactParallelTest, MatchesSequentialOnRandomInstances) {
       const auto seq = sched::solve_exact(instance);
       ASSERT_TRUE(seq.proven_optimal) << family << " seed " << seed;
       for (const int threads : kThreadCounts) {
-        sched::ExactParallelOptions options;
+        sched::ExactOptions options;
         options.num_threads = threads;
-        const auto par = sched::solve_exact_parallel(instance, options);
+        const auto par = sched::solve_exact(instance, options);
         EXPECT_TRUE(par.proven_optimal)
             << family << " seed " << seed << " threads " << threads;
         EXPECT_DOUBLE_EQ(par.makespan, seq.makespan)
@@ -42,6 +41,8 @@ TEST(ExactParallelTest, MatchesSequentialOnRandomInstances) {
         EXPECT_GE(par.nodes, 0);
         EXPECT_LT(par.nodes, 4 * seq.nodes + 100000)
             << family << " seed " << seed << " threads " << threads;
+        // One pool thread runs the one-thread search: the same nodes.
+        if (threads == 1) EXPECT_EQ(par.nodes, seq.nodes);
       }
     }
   }
@@ -57,10 +58,9 @@ TEST(ExactParallelTest, MatchesPlantedOptimum) {
     params.seed = seed;
     const auto planted = gen::planted(params);
     for (const int threads : kThreadCounts) {
-      sched::ExactParallelOptions options;
+      sched::ExactOptions options;
       options.num_threads = threads;
-      const auto result =
-          sched::solve_exact_parallel(planted.instance, options);
+      const auto result = sched::solve_exact(planted.instance, options);
       ASSERT_TRUE(result.proven_optimal)
           << "seed " << seed << " threads " << threads;
       EXPECT_NEAR(result.makespan, planted.opt, 1e-9);
@@ -76,9 +76,9 @@ TEST(ExactParallelTest, BitIdenticalAcrossThreadCounts) {
     const Instance instance = gen::by_name("twopoint", 18, 4, seed);
     double reference = -1.0;
     for (const int threads : kThreadCounts) {
-      sched::ExactParallelOptions options;
+      sched::ExactOptions options;
       options.num_threads = threads;
-      const auto result = sched::solve_exact_parallel(instance, options);
+      const auto result = sched::solve_exact(instance, options);
       ASSERT_TRUE(result.proven_optimal);
       if (reference < 0.0) {
         reference = result.makespan;
@@ -93,10 +93,10 @@ TEST(ExactParallelTest, BitIdenticalAcrossThreadCounts) {
 TEST(ExactParallelTest, BudgetExhaustionStillFeasible) {
   const Instance instance = gen::by_name("uniform", 40, 6, 3);
   for (const int threads : kThreadCounts) {
-    sched::ExactParallelOptions options;
+    sched::ExactOptions options;
     options.num_threads = threads;
-    options.base.max_nodes = 5000;
-    const auto result = sched::solve_exact_parallel(instance, options);
+    options.max_nodes = 5000;
+    const auto result = sched::solve_exact(instance, options);
     EXPECT_FALSE(result.proven_optimal);
     EXPECT_FALSE(result.cancelled);
     EXPECT_TRUE(model::validate(instance, result.schedule).ok());
@@ -109,37 +109,20 @@ TEST(ExactParallelTest, CleanCancellationMidSearch) {
   const Instance instance = gen::by_name("uniform", 42, 6, 7);
   for (const int threads : kThreadCounts) {
     util::CancellationToken token;
-    sched::ExactParallelOptions options;
+    sched::ExactOptions options;
     options.num_threads = threads;
-    options.base.time_limit_seconds = 30.0;
-    options.base.check_interval = 256;  // react quickly
-    options.base.cancel = &token;
+    options.time_limit_seconds = 30.0;
+    options.cancel = &token;
     std::thread firer([&token] {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
       token.request_stop();
     });
-    const auto result = sched::solve_exact_parallel(instance, options);
+    const auto result = sched::solve_exact(instance, options);
     firer.join();
     EXPECT_FALSE(result.proven_optimal) << "threads " << threads;
     EXPECT_TRUE(result.cancelled) << "threads " << threads;
     // The best incumbent found before the stop is still returned.
     EXPECT_TRUE(model::validate(instance, result.schedule).ok());
-  }
-}
-
-TEST(ExactParallelTest, CheckIntervalKnobAcceptsAnyValue) {
-  const Instance instance = gen::by_name("twopoint", 12, 3, 1);
-  for (const long long interval : {1LL, 3LL, 1024LL, 1LL << 40}) {
-    sched::ExactOptions sequential;
-    sequential.check_interval = interval;
-    const auto seq = sched::solve_exact(instance, sequential);
-    EXPECT_TRUE(seq.proven_optimal) << "interval " << interval;
-    sched::ExactParallelOptions parallel;
-    parallel.base.check_interval = interval;
-    parallel.num_threads = 2;
-    const auto par = sched::solve_exact_parallel(instance, parallel);
-    EXPECT_TRUE(par.proven_optimal) << "interval " << interval;
-    EXPECT_DOUBLE_EQ(par.makespan, seq.makespan);
   }
 }
 

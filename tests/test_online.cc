@@ -2,12 +2,13 @@
 // generator (fixed-seed determinism, per-step feasibility), delta
 // apply/undo round trips through exact canonical fingerprints, migration
 // cost against a brute-force recount, ScheduleSession's repair pipeline
-// (regret bound, noop path, undone churn repaired in place, infeasible
-// rejection), the service's session routing (FIFO per session,
-// unknown-session errors, close semantics), and the delta JSON round
-// trips.
+// (regret bound, noop path, undone churn repaired in place, the region
+// re-solve against a brute-force optimum, infeasible rejection), the
+// service's session routing (FIFO per session, unknown-session errors,
+// close semantics), and the delta JSON round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -404,6 +405,50 @@ TEST(ScheduleSessionTest, MachineFailureMigratesTheStrandedJobs) {
   // Every job of the failed machine had to move.
   EXPECT_GE(result.moved_jobs, stranded);
   EXPECT_EQ(session.instance().num_machines(), 3);
+}
+
+TEST(ScheduleSessionTest, RegionResolveReplacesTheAffectedJobsOptimally) {
+  // m0 holds job 0 (bag 0), m1 holds job 1 (bag 1). Two arrivals of size 3:
+  // greedy puts the first on m0 (the loads tie) and the bag-1 arrival can
+  // only join it there, so repair reads 11 against a lower bound of 8 and,
+  // with repair_moves = 0, stays there. The region re-solve moves the first
+  // arrival to m1.
+  const model::Instance instance =
+      model::Instance::from_vectors({5.0, 5.0}, {0, 1}, 2);
+  model::Schedule committed(2, 2);
+  committed.assign(0, 0);
+  committed.assign(1, 1);
+  online::SessionOptions options = quick_session();
+  options.repair_moves = 0;
+  online::ScheduleSession session(instance, committed, options);
+
+  model::Delta delta;
+  delta.arrivals = {{3.0, 2}, {3.0, 1}};
+  const api::SolveResult result = session.apply(delta);
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(api::stat_str(result.stats, "online.path"), "region");
+  EXPECT_EQ(session.stats().region_resolves, 1u);
+  EXPECT_TRUE(model::validate(session.instance(), session.schedule()).ok());
+
+  // Brute-force region optimum: every machine pair for the two arrivals
+  // (jobs 2 and 3), the survivors where they were.
+  double optimum = std::numeric_limits<double>::infinity();
+  model::Schedule candidate = session.schedule();
+  for (model::MachineId a = 0; a < 2; ++a) {
+    for (model::MachineId b = 0; b < 2; ++b) {
+      candidate.assign(0, 0);
+      candidate.assign(1, 1);
+      candidate.assign(2, a);
+      candidate.assign(3, b);
+      if (model::validate(session.instance(), candidate).ok()) {
+        optimum = std::min(optimum, candidate.makespan(session.instance()));
+      }
+    }
+  }
+  EXPECT_DOUBLE_EQ(optimum, 8.0);
+  EXPECT_DOUBLE_EQ(result.makespan, optimum);
+  EXPECT_DOUBLE_EQ(session.makespan(), optimum);
+  EXPECT_EQ(result.moved_jobs, 0);
 }
 
 // --- Service sessions ------------------------------------------------------
