@@ -1,19 +1,23 @@
 // E8 (Lemma 6): cost of the MILP stage. The paper bounds the solve time by
 // a function of the number of integral variables; in the column-generated
 // implementation that maps to columns (patterns) and branch-and-bound
-// nodes. The table reports both across instance shapes, plus raw
-// LP/MILP-substrate timings.
+// nodes. The table reports both across instance shapes.
 //
-// The harness section measures whole-problem assignment-MILP node
-// throughput (nodes/second through the zero-copy B&B with warm-started
-// LPs) and the column-generated master on the served EPTAS workload
-// (eps 0.5, the five request families at each instance's final guess),
-// and writes BENCH_milp.json for regression tracking (--bench-json /
-// --bench-reps, see harness.h).
-#include <benchmark/benchmark.h>
-
+// The harness cases (BENCH_milp.json; --bench-json / --bench-reps, see
+// harness.h) time:
+//  * simplex-dense/n*: cold lp::solve on random dense LPs;
+//  * assignment MILPs: node throughput of the registered "milp" solver
+//    (zero-copy branch-and-bound, every node re-solving one persistent
+//    simplex tableau);
+//  * master-planted/m*: solve_master on planted instances at a tight
+//    guess (1.05 * OPT);
+//  * master/*: the column-generated master on the served EPTAS workload
+//    (eps 0.5, the five request families at each instance's final guess),
+//    with per-master columns, pricing and MILP node counts.
 #include <iostream>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "api/api.h"
 #include "eptas/classify.h"
@@ -36,30 +40,34 @@ namespace eptas = bagsched::eptas;
 namespace gen = bagsched::gen;
 using bagsched::model::Instance;
 
+/// A planted instance (OPT 1) on m machines, scaled to a tight guess
+/// (1.05 * OPT): plenty of medium/large jobs, so the pattern machinery is
+/// genuinely exercised.
+Instance planted_at_tight_guess(int m) {
+  const auto planted = gen::planted({.num_machines = m,
+                                     .num_bags = 3 * m,
+                                     .min_jobs_per_machine = 3,
+                                     .max_jobs_per_machine = 6,
+                                     .target = 1.0,
+                                     .seed = 5});
+  const double guess = 1.05;
+  std::vector<double> sizes;
+  std::vector<bagsched::model::BagId> bags;
+  for (const auto& job : planted.instance.jobs()) {
+    sizes.push_back(job.size / guess);
+    bags.push_back(job.bag);
+  }
+  return Instance::from_vectors(sizes, bags,
+                                planted.instance.num_machines());
+}
+
 void print_master_table() {
   bagsched::util::Table table({"m", "n", "prio_cap", "prio_bags",
                                "x_sizes", "columns", "pricing_rounds",
                                "milp_nodes", "seconds"});
   for (const int m : {6, 12}) {
     for (const int prio_cap : {1, 2, 4, 8}) {
-      // Planted at a tight guess (1.05 * OPT): plenty of medium/large
-      // jobs, so the pattern machinery is genuinely exercised.
-      const auto planted =
-          gen::planted({.num_machines = m,
-                        .num_bags = 3 * m,
-                        .min_jobs_per_machine = 3,
-                        .max_jobs_per_machine = 6,
-                        .target = 1.0,
-                        .seed = 5});
-      const double guess = 1.05;
-      std::vector<double> sizes;
-      std::vector<bagsched::model::BagId> bags;
-      for (const auto& job : planted.instance.jobs()) {
-        sizes.push_back(job.size / guess);
-        bags.push_back(job.bag);
-      }
-      const Instance scaled = Instance::from_vectors(
-          sizes, bags, planted.instance.num_machines());
+      const Instance scaled = planted_at_tight_guess(m);
       eptas::EptasConfig config;
       config.max_priority_per_size = prio_cap;
       config.max_priority_total = 2 * prio_cap;
@@ -74,7 +82,7 @@ void print_master_table() {
       if (!master) continue;
       table.row()
           .add(m)
-          .add(planted.instance.num_jobs())
+          .add(scaled.num_jobs())
           .add(prio_cap)
           .add(space.num_priority())
           .add(space.num_x_sizes())
@@ -90,67 +98,71 @@ void print_master_table() {
                "cap (the practical analogue of z integral variables)\n\n";
 }
 
-void BM_SimplexDense(benchmark::State& state) {
-  // Random dense LP of the given size.
-  const int n = static_cast<int>(state.range(0));
-  bagsched::util::Xoshiro256 rng(42);
-  bagsched::lp::Model model;
-  for (int i = 0; i < n; ++i) {
-    model.add_variable(rng.uniform_real(0.5, 2.0), 0.0, 5.0);
-  }
-  for (int r = 0; r < n; ++r) {
-    std::vector<std::pair<int, double>> terms;
-    for (int i = 0; i < n; ++i) {
-      terms.emplace_back(i, rng.uniform_real(0.0, 1.0));
+/// Random dense LP of size n x n: maximize c.x over A x <= b with a boxed
+/// x, so the optimum is a real vertex, not the origin. Each repetition
+/// runs `solves` cold solves so the small sizes are not timer noise.
+void run_simplex_cases(bagsched::bench::Harness& harness) {
+  struct Spec {
+    int n;
+    int solves;
+  };
+  for (const Spec spec : {Spec{20, 1000}, Spec{60, 200}, Spec{120, 20}}) {
+    bagsched::util::Xoshiro256 rng(42);
+    bagsched::lp::Model model;
+    model.set_objective(bagsched::lp::Objective::Maximize);
+    for (int i = 0; i < spec.n; ++i) {
+      model.add_variable(rng.uniform_real(0.5, 2.0), 0.0, 5.0);
     }
-    model.add_constraint(std::move(terms),
-                         bagsched::lp::Sense::LessEqual,
-                         rng.uniform_real(2.0, 8.0));
-  }
-  for (auto _ : state) {
-    auto result = bagsched::lp::solve(model);
-    benchmark::DoNotOptimize(result.objective);
+    for (int r = 0; r < spec.n; ++r) {
+      std::vector<std::pair<int, double>> terms;
+      for (int i = 0; i < spec.n; ++i) {
+        terms.emplace_back(i, rng.uniform_real(0.0, 1.0));
+      }
+      model.add_constraint(std::move(terms),
+                           bagsched::lp::Sense::LessEqual,
+                           rng.uniform_real(2.0, 8.0));
+    }
+    bagsched::lp::LpResult result;
+    auto& entry = harness.run_case(
+        "simplex-dense/n" + std::to_string(spec.n), harness.reps(5), [&] {
+          for (int k = 0; k < spec.solves; ++k) {
+            result = bagsched::lp::solve(model);
+          }
+        });
+    entry.metrics.set("solves", spec.solves);
+    entry.metrics.set("optimal",
+                      result.status == bagsched::lp::SolveStatus::Optimal);
+    entry.metrics.set("iterations", result.iterations);
+    entry.metrics.set("objective", result.objective);
   }
 }
-BENCHMARK(BM_SimplexDense)->Arg(20)->Arg(60)->Arg(120)
-    ->Unit(benchmark::kMillisecond);
 
-void BM_MasterSolve(benchmark::State& state) {
-  const auto planted =
-      gen::planted({.num_machines = static_cast<int>(state.range(0)),
-                    .num_bags = static_cast<int>(3 * state.range(0)),
-                    .min_jobs_per_machine = 3,
-                    .max_jobs_per_machine = 6,
-                    .target = 1.0,
-                    .seed = 5});
-  const double guess = 1.05;
-  std::vector<double> sizes;
-  std::vector<bagsched::model::BagId> bags;
-  for (const auto& job : planted.instance.jobs()) {
-    sizes.push_back(job.size / guess);
-    bags.push_back(job.bag);
-  }
-  const Instance scaled = Instance::from_vectors(
-      sizes, bags, planted.instance.num_machines());
-  const eptas::EptasConfig config;
-  const auto cls = eptas::classify(scaled, 0.5, config);
-  if (!cls) {
-    state.SkipWithError("classification failed");
-    return;
-  }
-  const auto transformed = eptas::transform(scaled, *cls);
-  const auto space = eptas::build_pattern_space(transformed, *cls);
-  for (auto _ : state) {
-    auto master = eptas::solve_master(space, transformed, *cls, config);
-    benchmark::DoNotOptimize(master);
+/// solve_master with the default config on planted_at_tight_guess(m).
+void run_planted_master_cases(bagsched::bench::Harness& harness) {
+  for (const int m : {6, 12, 24}) {
+    const Instance scaled = planted_at_tight_guess(m);
+    const eptas::EptasConfig config;
+    const auto cls = eptas::classify(scaled, 0.5, config);
+    if (!cls) continue;
+    const auto transformed = eptas::transform(scaled, *cls);
+    const auto space = eptas::build_pattern_space(transformed, *cls);
+    std::optional<eptas::MasterSolution> master;
+    auto& entry = harness.run_case(
+        "master-planted/m" + std::to_string(m), harness.reps(5), [&] {
+          master = eptas::solve_master(space, transformed, *cls, config);
+        });
+    entry.metrics.set("solved", master.has_value());
+    if (!master) continue;
+    entry.metrics.set("columns", master->stats.columns);
+    entry.metrics.set("pricing_rounds", master->stats.pricing_rounds);
+    entry.metrics.set("lp_iterations", master->stats.lp_iterations);
+    entry.metrics.set("milp_nodes", master->stats.milp_nodes);
   }
 }
-BENCHMARK(BM_MasterSolve)->Arg(6)->Arg(12)->Arg(24)
-    ->Unit(benchmark::kMillisecond);
 
 /// Assignment-MILP node throughput on the standard instance set, via the
 /// registered "milp" solver (which builds the x_ji model).
-void run_harness_cases(bagsched::bench::Harness& harness) {
+void run_assignment_cases(bagsched::bench::Harness& harness) {
   namespace api = bagsched::api;
   const api::Solver& milp_solver =
       api::SolverRegistry::global().resolve("milp");
@@ -246,6 +258,7 @@ void run_master_cases(bagsched::bench::Harness& harness) {
             total.pricing_rounds += master->stats.pricing_rounds;
             total.lp_iterations += master->stats.lp_iterations;
             total.pricing_nodes += master->stats.pricing_nodes;
+            total.milp_nodes += master->stats.milp_nodes;
           }
         });
     const double per = solved > 0 ? 1.0 / solved : 0.0;
@@ -256,6 +269,8 @@ void run_master_cases(bagsched::bench::Harness& harness) {
                       static_cast<double>(total.lp_iterations) * per);
     entry.metrics.set("pricing_nodes",
                       static_cast<double>(total.pricing_nodes) * per);
+    entry.metrics.set("milp_nodes",
+                      static_cast<double>(total.milp_nodes) * per);
   }
 }
 
@@ -264,10 +279,9 @@ void run_master_cases(bagsched::bench::Harness& harness) {
 int main(int argc, char** argv) {
   bagsched::bench::Harness harness("milp", &argc, argv);
   print_master_table();
-  run_harness_cases(harness);
+  run_simplex_cases(harness);
+  run_assignment_cases(harness);
+  run_planted_master_cases(harness);
   run_master_cases(harness);
-  if (!harness.finish(std::cout)) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return harness.finish(std::cout) ? 0 : 1;
 }

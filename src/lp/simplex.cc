@@ -16,8 +16,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// shifted to x' in [0, upper - lower]. Standardization never changes the
 /// sense: a negative RHS is handled by negating the row numerically
 /// (`flipped`), so the tableau column layout depends only on the senses
-/// and is invariant under variable-bound changes — the property the warm
-/// starts and the persistent IncrementalSimplex rely on. Upper bounds are
+/// and is invariant under variable-bound changes — the property the
+/// persistent IncrementalSimplex relies on. Upper bounds are
 /// NOT rows: the bounded-variable simplex keeps nonbasic columns at either
 /// bound.
 struct StdRow {
@@ -97,11 +97,14 @@ class Tableau {
 
   /// Installs the structural upper bounds (in shifted space, i.e.
   /// upper - lower per variable; kInf for unbounded). Must be called
-  /// before solving and again whenever the model's bounds change.
+  /// before solving and again whenever the model's bounds change. A
+  /// nonbasic column resting at an upper bound that became infinite drops
+  /// to its lower bound.
   void set_structural_uppers(const std::vector<double>& uppers) {
     for (int c = 0; c < num_structural_; ++c) {
-      upper_[static_cast<std::size_t>(c)] =
-          uppers[static_cast<std::size_t>(c)];
+      const double u = uppers[static_cast<std::size_t>(c)];
+      upper_[static_cast<std::size_t>(c)] = u;
+      if (!std::isfinite(u)) at_upper_[static_cast<std::size_t>(c)] = 0;
     }
   }
 
@@ -136,107 +139,20 @@ class Tableau {
     return iterate(iterations);
   }
 
-  /// Re-establishes a previously optimal basis (columns + at-upper set),
-  /// skipping phase 1. Returns false — leaving the tableau unusable — when
-  /// the snapshot is structurally invalid or singular. The resulting basic
-  /// solution may be primal INfeasible (the usual state after a
-  /// branch-and-bound bound tightening); reoptimize() repairs that.
-  bool warm_start(const Basis& warm) {
-    if (static_cast<int>(warm.columns.size()) != num_rows_) return false;
-    if (static_cast<int>(warm.at_upper.size()) != num_cols_) return false;
-    for (const int col : warm.columns) {
-      if (col < 0 || col >= first_artificial_) return false;
-    }
-    for (int c = 0; c < num_cols_; ++c) {
-      at_upper_[static_cast<std::size_t>(c)] = warm.at_upper[
-          static_cast<std::size_t>(c)];
-      if (at_upper_[static_cast<std::size_t>(c)] &&
-          !std::isfinite(upper_[static_cast<std::size_t>(c)])) {
-        return false;
-      }
-    }
-    // Fold the nonbasic-at-upper contributions into the RHS while the
-    // matrix still IS the original A (identity basis).
-    for (int c = 0; c < num_structural_; ++c) {
-      if (!at_upper_[static_cast<std::size_t>(c)]) continue;
-      const double u = upper_[static_cast<std::size_t>(c)];
-      for (int r = 0; r < num_rows_; ++r) {
-        const double a = at(r, c);
-        if (a != 0.0) rhs(r) -= a * u;
-      }
-    }
-    // Rows whose current (identity) basis column already belongs to the
-    // warm basis keep it without elimination: their column is e_r and
-    // stays e_r as long as the row itself is never a pivot row. Only the
-    // remaining rows need pivots.
-    std::vector<bool> used(warm.columns.size(), false);
-    std::vector<int> unmatched_rows;
-    for (int r = 0; r < num_rows_; ++r) {
-      const int current = basis_[static_cast<std::size_t>(r)];
-      bool matched = false;
-      for (std::size_t i = 0; i < warm.columns.size(); ++i) {
-        if (!used[i] && warm.columns[i] == current) {
-          used[i] = true;
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) unmatched_rows.push_back(r);
-    }
-    std::vector<int> remaining;
-    for (std::size_t i = 0; i < warm.columns.size(); ++i) {
-      if (!used[i]) remaining.push_back(warm.columns[i]);
-    }
-    // Partial pivoting: each unmatched row takes the remaining warm column
-    // with the largest pivot element (the row/column assignment is free).
-    // These pivots transform the RHS by plain elimination, which is exact
-    // here: re-basing changes the representation, not the point.
-    for (const int r : unmatched_rows) {
-      int pick = -1;
-      double best = loose_tolerance();
-      for (std::size_t i = 0; i < remaining.size(); ++i) {
-        const double value = std::abs(at(r, remaining[i]));
-        if (value > best) {
-          best = value;
-          pick = static_cast<int>(i);
-        }
-      }
-      if (pick < 0) return false;  // singular under this row order
-      pivot(r, remaining[static_cast<std::size_t>(pick)], true);
-      remaining.erase(remaining.begin() + pick);
-    }
-    in_basis_.assign(static_cast<std::size_t>(num_cols_), 0);
-    for (int r = 0; r < num_rows_; ++r) {
-      at_upper_[static_cast<std::size_t>(
-          basis_[static_cast<std::size_t>(r)])] = 0;
-      in_basis_[static_cast<std::size_t>(
-          basis_[static_cast<std::size_t>(r)])] = 1;
-    }
-    phase1_done_ = true;
-    return true;
-  }
-
-  /// Re-optimizes from a warm basis: when the basis is still dual feasible
-  /// (always true after pure RHS/bound changes against a previously
-  /// optimal basis), dual-simplex pivots restore primal feasibility, then
-  /// primal iterations finish up — usually in zero additional pivots.
-  /// Returns nullopt when the basis is neither dual nor primal feasible,
-  /// in which case the caller must cold-start from a fresh tableau.
-  std::optional<SolveStatus> reoptimize(
-      const std::vector<double>& structural_cost, long long& iterations) {
-    load_phase2_costs(structural_cost);
-    return resume(iterations);
-  }
-
   /// Recomputes every reduced cost from the tableau: after appended
   /// columns, and against drift — pivot updates carry round-off forward,
   /// and across the hundreds of pivots of a column generation run it
   /// reaches the size of real reduced costs.
   void refresh_reduced_costs() { build_reduced_costs(); }
 
-  /// reoptimize() against the phase-2 costs already loaded. A basis that
-  /// is primal but not dual feasible — the state after appending columns
-  /// with negative reduced cost — resumes with primal phase-2 pivots.
+  /// Re-optimizes from the current basis against the phase-2 costs
+  /// already loaded. A dual feasible basis (always the case after pure
+  /// RHS/bound changes to an optimal one) runs dual-simplex pivots to
+  /// restore primal feasibility, then primal iterations finish up —
+  /// usually in zero additional pivots. A basis that is primal but not
+  /// dual feasible — the state after appending columns with negative
+  /// reduced cost — resumes with primal phase-2 pivots. Returns nullopt
+  /// when the basis is neither, in which case the caller must cold-start.
   std::optional<SolveStatus> resume(long long& iterations) {
     if (dual_feasible()) return repair_and_iterate(iterations);
     // Dual infeasible (stale costs): still usable when primal feasible.
@@ -398,13 +314,6 @@ class Tableau {
     return value;
   }
 
-  Basis snapshot() const {
-    Basis basis;
-    basis.columns = basis_;
-    basis.at_upper = at_upper_;
-    return basis;
-  }
-
   /// Appends a structural column (given in standardized row space: row
   /// flips already applied) nonbasic at its lower bound, after phase 2.
   /// Its tableau column is B^-1 a, read off the artificial block. Its
@@ -513,20 +422,18 @@ class Tableau {
   }
 
   /// Slightly looser threshold than the pivot tolerance, absorbing the
-  /// round-off that accumulates across warm restarts. Scales with the
+  /// round-off that accumulates across re-solves. Scales with the
   /// configured tolerance so looser SimplexOptions stay self-consistent.
   double loose_tolerance() const { return 10.0 * options_.tolerance; }
 
   /// Eliminates column `col` into +e_row (matrix + reduced costs). The RHS
-  /// column is transformed only when `with_rhs` (warm-start re-basing);
-  /// the solving loops update it explicitly through bounded_pivot.
-  void pivot(int row, int col, bool with_rhs) {
+  /// column is left alone: bounded_pivot updates it explicitly.
+  void pivot(int row, int col) {
     const double pivot_value = at(row, col);
-    const int limit = with_rhs ? num_cols_ + 1 : num_cols_;
     // The elimination only ever reads the pivot row's nonzeros; indexing
     // them once cuts the O(rows * cols) update to its support.
     pivot_cols_.clear();
-    for (int c = 0; c < limit; ++c) {
+    for (int c = 0; c < num_cols_; ++c) {
       double& value = at(row, c);
       if (value == 0.0) continue;
       value /= pivot_value;
@@ -543,18 +450,12 @@ class Tableau {
       }
       target[col] = 0.0;  // exact by construction; keep it sparse
     }
-    // During warm-start re-basing the reduced costs are not built yet.
-    if (!reduced_.empty()) {
-      const double reduced_factor = reduced_[static_cast<std::size_t>(col)];
-      if (reduced_factor != 0.0) {
-        for (const int c : pivot_cols_) {
-          if (c < num_cols_) {
-            reduced_[static_cast<std::size_t>(c)] -=
-                reduced_factor * prow[c];
-          }
-        }
-        reduced_[static_cast<std::size_t>(col)] = 0.0;
+    const double reduced_factor = reduced_[static_cast<std::size_t>(col)];
+    if (reduced_factor != 0.0) {
+      for (const int c : pivot_cols_) {
+        reduced_[static_cast<std::size_t>(c)] -= reduced_factor * prow[c];
       }
+      reduced_[static_cast<std::size_t>(col)] = 0.0;
     }
     in_basis_[static_cast<std::size_t>(
         basis_[static_cast<std::size_t>(row)])] = 0;
@@ -576,7 +477,7 @@ class Tableau {
     }
     rhs(row) = entering_old + delta_j;
     at_upper_[static_cast<std::size_t>(col)] = 0;
-    pivot(row, col, false);
+    pivot(row, col);
   }
 
   SolveStatus iterate(long long& iterations) {
@@ -756,12 +657,10 @@ bool bounds_crossed(const Model& model, double tol) {
   return false;
 }
 
-/// Shared result assembly for lp::solve and IncrementalSimplex::resolve:
-/// structural values shifted back by the lower bounds, objective, duals
-/// and (optionally — the incremental path keeps its warm state in the
-/// tableau instead) the basis snapshot.
+/// Result assembly: structural values shifted back by the lower bounds,
+/// objective and duals.
 void fill_result(const Tableau& tableau, const Model& model,
-                 SolveStatus status, bool with_basis, LpResult& result) {
+                 SolveStatus status, LpResult& result) {
   result.status = status;
   if (status != SolveStatus::Optimal) return;
   tableau.structural_values(result.x);
@@ -773,57 +672,9 @@ void fill_result(const Tableau& tableau, const Model& model,
   for (int r = 0; r < model.num_constraints(); ++r) {
     result.duals[static_cast<std::size_t>(r)] = tableau.dual_of_row(r);
   }
-  if (with_basis) result.basis = tableau.snapshot();
 }
 
 }  // namespace
-
-LpResult solve(const Model& model, const SimplexOptions& options,
-               const Basis* warm_basis) {
-  const int n = model.num_variables();
-
-  LpResult result;
-  result.x.assign(static_cast<std::size_t>(n), 0.0);
-  if (bounds_crossed(model, options.tolerance)) {
-    result.status = SolveStatus::Infeasible;
-    return result;
-  }
-
-  const std::vector<StdRow> rows = standardize(model);
-  const std::vector<double> uppers = shifted_uppers(model);
-
-  const bool maximize = model.objective() == Objective::Maximize;
-  std::vector<double> cost(static_cast<std::size_t>(n), 0.0);
-  for (int v = 0; v < n; ++v) {
-    const double c = model.variable(v).objective;
-    cost[static_cast<std::size_t>(v)] = maximize ? -c : c;
-  }
-
-  if (warm_basis != nullptr) {
-    Tableau tableau(rows, n, options);
-    tableau.set_structural_uppers(uppers);
-    if (tableau.warm_start(*warm_basis)) {
-      // Dual-simplex repair + primal finish replaces phase 1 entirely;
-      // its outcomes (including Infeasible and Unbounded) are genuine.
-      if (const auto status = tableau.reoptimize(cost, result.iterations)) {
-        fill_result(tableau, model, *status, /*with_basis=*/true, result);
-        return result;
-      }
-    }
-    // Stale or singular basis: fall through to a fresh cold start.
-  }
-
-  Tableau tableau(rows, n, options);
-  tableau.set_structural_uppers(uppers);
-  SolveStatus status = tableau.phase1(result.iterations);
-  if (status != SolveStatus::Optimal) {
-    result.status = status;
-    return result;
-  }
-  fill_result(tableau, model, tableau.phase2(cost, result.iterations),
-              /*with_basis=*/true, result);
-  return result;
-}
 
 struct IncrementalSimplex::Impl {
   SimplexOptions options;
@@ -882,10 +733,7 @@ struct IncrementalSimplex::Impl {
     LpResult result;
     result.iterations = iterations;
     result.x.assign(static_cast<std::size_t>(n), 0.0);
-    // No basis snapshot: the warm state lives in the persistent tableau,
-    // and copying it per node would dominate the hot branch-and-bound
-    // loop this class exists for.
-    fill_result(*tableau, model, status, /*with_basis=*/false, result);
+    fill_result(*tableau, model, status, result);
     return result;
   }
 
@@ -993,6 +841,10 @@ IncrementalSimplex& IncrementalSimplex::operator=(
 
 LpResult IncrementalSimplex::resolve(const Model& model) {
   return impl_->resolve(model);
+}
+
+LpResult solve(const Model& model, const SimplexOptions& options) {
+  return IncrementalSimplex(model, options).resolve(model);
 }
 
 const char* to_string(SolveStatus status) {

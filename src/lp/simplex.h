@@ -7,13 +7,13 @@
 //    in both simplicity and constant factors;
 //  * Dantzig pricing with an automatic switch to Bland's rule after a burn-in
 //    proportional to the problem size, guaranteeing termination;
-//  * variable lower bounds handled by shifting; upper bounds by the
-//    bounded-variable simplex (nonbasic columns rest at either bound and
-//    bound hits become O(rows) flips), so the branch-and-bound's box
-//    tightenings never change the tableau shape — the property the warm
-//    starts and the persistent IncrementalSimplex build on;
-//  * dual-simplex repair pivots for warm starts: a previously optimal
-//    basis stays dual feasible under pure bound/RHS changes.
+//  * variable lower bounds handled by shifting; upper bounds (finite or
+//    not) by the bounded-variable simplex (nonbasic columns rest at either
+//    bound and bound hits become O(rows) flips), so bound changes never
+//    change the tableau shape — the property the persistent
+//    IncrementalSimplex builds on;
+//  * dual-simplex repair pivots for re-solves: an optimal basis stays dual
+//    feasible under pure bound/RHS changes.
 #pragma once
 
 #include <memory>
@@ -25,18 +25,6 @@ namespace bagsched::lp {
 
 enum class SolveStatus { Optimal, Infeasible, Unbounded, IterationLimit };
 
-/// A simplex basis snapshot: which tableau column is basic in each
-/// standardized row, plus the at-upper flag of every nonbasic column
-/// (variable upper bounds are handled by the bounded-variable simplex, not
-/// by explicit rows). Opaque to callers except as a warm-start hint for a
-/// re-solve of the same model with tightened variable bounds: the column
-/// layout depends only on the constraint senses, which bound tightening
-/// never changes.
-struct Basis {
-  std::vector<int> columns;             ///< one per standardized row
-  std::vector<unsigned char> at_upper;  ///< one per tableau column
-};
-
 struct LpResult {
   SolveStatus status = SolveStatus::IterationLimit;
   double objective = 0.0;
@@ -46,11 +34,6 @@ struct LpResult {
   /// problem). Only filled on Optimal. For Maximize models the duals refer
   /// to the internally minimized (-objective) problem.
   std::vector<double> duals;
-  /// Optimal basis, filled on Optimal by lp::solve (see Basis).
-  /// IncrementalSimplex::resolve leaves it empty — its warm state lives in
-  /// the persistent tableau, and snapshotting per node would dominate the
-  /// branch-and-bound loop it serves.
-  Basis basis;
   long long iterations = 0;
 };
 
@@ -59,27 +42,23 @@ struct SimplexOptions {
   double tolerance = 1e-8;
 };
 
-/// Solves the model; result.x has one entry per model variable.
-/// `warm_basis` (optional) is a basis returned by a previous solve of a
-/// structurally identical model (same constraints, bounds possibly
-/// tightened). The basis stays dual feasible under such bound changes, so
-/// the re-solve runs dual-simplex repair pivots instead of simplex
-/// phase 1; a stale basis silently cold-starts.
-LpResult solve(const Model& model, const SimplexOptions& options = {},
-               const Basis* warm_basis = nullptr);
+/// Solves the model cold; result.x has one entry per model variable.
+/// Equivalent to IncrementalSimplex(model, options).resolve(model).
+LpResult solve(const Model& model, const SimplexOptions& options = {});
 
 /// Persistent simplex: one tableau kept across many re-solves of the same
 /// model under changing variable bounds (branch-and-bound) or a growing
 /// set of columns (column generation).
 ///
-/// Bound tightenings change only the standardized right-hand side, never
-/// the matrix, so each resolve() recomputes the basic solution through the
-/// implicit inverse basis (O(rows^2)) and repairs primal feasibility with
-/// a handful of dual-simplex pivots — no model copy, no re-standardization
-/// and no phase 1. Requires that re-solves only tighten bounds and that
-/// every variable acquiring a finite upper bound already had one at
-/// construction (otherwise the standardized row structure would change —
-/// callers like milp::solve check this precondition up front).
+/// Bound changes alter only the standardized right-hand side and the
+/// column boxes, never the matrix, so each resolve() recomputes the basic
+/// solution through the implicit inverse basis (O(rows^2)) and repairs
+/// primal feasibility with a handful of dual-simplex pivots — no model
+/// copy, no re-standardization and no phase 1. Any bound may change,
+/// including an upper bound going from +inf to finite and back (a
+/// nonbasic column resting at an upper bound that becomes infinite moves
+/// to its lower bound). When the changes leave the basis neither primal
+/// nor dual feasible, resolve() rebuilds cold.
 ///
 /// Variables appended to the model since the last resolve() (through
 /// Model::add_column; the constraint set must stay fixed) join the live
@@ -96,8 +75,8 @@ class IncrementalSimplex {
   IncrementalSimplex& operator=(IncrementalSimplex&&) noexcept;
 
   /// Re-solves against the variable bounds currently stored in `model`
-  /// (which must be the construction model, possibly with tightened
-  /// bounds and appended columns). The first call performs the one full
+  /// (which must be the construction model, possibly with changed bounds
+  /// and appended columns). The first call performs the one full
   /// cold solve.
   LpResult resolve(const Model& model);
 

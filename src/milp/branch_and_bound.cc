@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <tuple>
@@ -21,12 +20,6 @@ struct Node {
   std::vector<std::pair<int, double>> lower_overrides;
   std::vector<std::pair<int, double>> upper_overrides;
   double bound = -std::numeric_limits<double>::infinity();
-  // Optimal basis of the parent LP, shared by both children: it stays dual
-  // feasible under the bound tightening, so the child LP runs dual-simplex
-  // repair pivots instead of simplex phase 1. Only used on the fallback
-  // path — with the persistent IncrementalSimplex the warm state lives in
-  // the tableau itself.
-  std::shared_ptr<const lp::Basis> warm_basis;
 
   // Best-bound search: smaller LP bound first (minimization).
   bool operator<(const Node& other) const { return bound > other.bound; }
@@ -113,19 +106,10 @@ MilpResult solve(const lp::Model& root_model,
     }
   }
 
-  // One persistent tableau for the whole search when the structure allows
-  // it (every branched variable must already have a finite upper bound, so
-  // bound tightening can never add standardized rows). Otherwise each node
-  // re-solves with the parent basis as a warm start.
-  bool incremental_ok = true;
-  for (const int var : integer_variables) {
-    if (!std::isfinite(work.variable(var).upper)) {
-      incremental_ok = false;
-      break;
-    }
-  }
-  std::optional<lp::IncrementalSimplex> incremental;
-  if (incremental_ok) incremental.emplace(work, options.lp_options);
+  // One persistent tableau for the whole search: each node LP re-solves
+  // the previous node's basis under the new bounds, usually with a few
+  // dual-simplex repair pivots.
+  lp::IncrementalSimplex simplex(work, options.lp_options);
 
   double incumbent_value = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent;
@@ -134,8 +118,8 @@ MilpResult solve(const lp::Model& root_model,
   open.push(Node{});
   // Plunging: after branching, dive straight into one child instead of
   // returning to the best-bound queue. Consecutive LPs then differ by a
-  // single bound, which keeps the dual-simplex warm-start repair to a few
-  // pivots; the other child goes to the queue as usual.
+  // single bound, which keeps the dual-simplex repair to a few pivots; the
+  // other child goes to the queue as usual.
   std::optional<Node> dive;
 
   // Tightest bound among nodes dropped on an LP iteration limit: they are
@@ -173,11 +157,7 @@ MilpResult solve(const lp::Model& root_model,
     BoundDelta delta(work, node, options.integrality_tolerance);
     if (delta.crossed()) continue;  // crossed bounds: empty branch
 
-    lp::LpResult lp_result =
-        incremental
-            ? incremental->resolve(work)
-            : lp::solve(work, options.lp_options,
-                        node.warm_basis ? node.warm_basis.get() : nullptr);
+    lp::LpResult lp_result = simplex.resolve(work);
     result.lp_iterations += lp_result.iterations;
     if (lp_result.status == lp::SolveStatus::Infeasible) continue;
     if (lp_result.status == lp::SolveStatus::Unbounded) {
@@ -220,19 +200,11 @@ MilpResult solve(const lp::Model& root_model,
     }
 
     const double value = lp_result.x[static_cast<std::size_t>(branch_var)];
-    // With the persistent tableau the warm basis lives in the tableau
-    // itself; per-node bases are only kept on the fallback path.
-    std::shared_ptr<const lp::Basis> warm;
-    if (!incremental) {
-      warm = std::make_shared<const lp::Basis>(std::move(lp_result.basis));
-    }
     Node down = node;
     down.bound = node_bound;
-    down.warm_basis = warm;
     down.upper_overrides.emplace_back(branch_var, std::floor(value));
     Node up = std::move(node);
     up.bound = node_bound;
-    up.warm_basis = std::move(warm);
     up.lower_overrides.emplace_back(branch_var, std::ceil(value));
     // Dive into the child the fractional value leans towards; the sibling
     // joins the best-bound queue.

@@ -1,14 +1,15 @@
-// Branch-and-bound MILP solver on top of lp::solve.
+// Branch-and-bound MILP solver on top of lp::IncrementalSimplex.
 //
 // Together with the simplex this replaces the paper's theoretical
 // Kannan/Lenstra fixed-dimension MILP oracle: the EPTAS only requires *some*
 // exact solver for its pattern MILP, and best-bound B&B is exact. Branching
-// tightens variable bounds only, so nodes are zero-copy: one mutable model
+// changes variable bounds only, so nodes are zero-copy: one mutable model
 // carries apply/undo bound deltas, the maximize->minimize flip happens once
-// at the root, and node LPs warm-start from the parent basis (or, when all
-// integer variables are boxed, from a persistent lp::IncrementalSimplex
-// tableau) via dual-simplex repair pivots. Best-bound node order with
-// plunging dives keeps consecutive LPs one bound apart.
+// at the root, and every node LP re-solves one persistent
+// lp::IncrementalSimplex tableau under the node's bounds via dual-simplex
+// repair pivots — integer variables with or without a finite upper bound
+// alike. Best-bound node order with plunging dives keeps consecutive LPs
+// one bound apart.
 #pragma once
 
 #include <functional>

@@ -205,9 +205,11 @@ TEST_P(RandomLpTest, ReturnedPointIsFeasibleAndNoWorseThanSamples) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(1, 13));
 
-/// Knapsack-relaxation model used by the warm-start tests: maximize value
-/// within one capacity row, binaries relaxed to [0, 1].
-Model knapsack_model() {
+/// Knapsack-relaxation model used by the IncrementalSimplex tests:
+/// maximize value within one capacity row, binaries relaxed to [0, 1].
+/// With `unbounded_item` a fifth item of value 5 and weight 2 — the best
+/// ratio — has no upper bound; only the capacity row bounds it.
+Model knapsack_model(bool unbounded_item = false) {
   Model model;
   model.set_objective(Objective::Maximize);
   const double values[] = {8, 11, 6, 4};
@@ -216,79 +218,56 @@ Model knapsack_model() {
   for (int i = 0; i < 4; ++i) {
     row.emplace_back(model.add_variable(values[i], 0.0, 1.0), weights[i]);
   }
+  if (unbounded_item) row.emplace_back(model.add_variable(5.0), 2.0);
   model.add_constraint(std::move(row), Sense::LessEqual, 14.0);
   return model;
 }
 
-TEST(WarmStartTest, MatchesColdSolveAfterBoundTightening) {
-  Model model = knapsack_model();
-  const auto root = lp::solve(model);
-  ASSERT_EQ(root.status, SolveStatus::Optimal);
-  EXPECT_NEAR(root.objective, 22.0, 1e-9);
-
-  // Branch-like tightenings; warm and cold must agree on every one.
-  const std::vector<std::pair<int, std::pair<double, double>>> branches = {
-      {1, {0.0, 0.0}},  // fix x1 = 0
-      {1, {1.0, 1.0}},  // fix x1 = 1
-      {2, {0.0, 0.0}},  // fix x2 = 0
-      {0, {1.0, 1.0}},  // fix x0 = 1
-  };
-  for (const auto& [var, bounds] : branches) {
-    Model child = knapsack_model();
-    child.mutable_variable(var).lower = bounds.first;
-    child.mutable_variable(var).upper = bounds.second;
-    const auto cold = lp::solve(child);
-    const auto warm = lp::solve(child, {}, &root.basis);
-    ASSERT_EQ(cold.status, SolveStatus::Optimal) << "var " << var;
-    ASSERT_EQ(warm.status, SolveStatus::Optimal) << "var " << var;
-    EXPECT_NEAR(warm.objective, cold.objective, 1e-9) << "var " << var;
-    EXPECT_LE(child.max_violation(warm.x), 1e-6);
-  }
-}
-
-TEST(WarmStartTest, StaleBasisFallsBackToColdStart) {
-  Model model = knapsack_model();
-  lp::Basis garbage;
-  garbage.columns = {2};  // wrong arity for the standardized rows is fine,
-                          // but make it right-sized and still nonsense:
-  garbage.columns.assign(1, 99);
-  garbage.at_upper.assign(64, 0);
-  const auto result = lp::solve(model, {}, &garbage);
-  ASSERT_EQ(result.status, SolveStatus::Optimal);
-  EXPECT_NEAR(result.objective, 22.0, 1e-9);
-}
-
 TEST(IncrementalSimplexTest, MatchesColdAcrossBoundChanges) {
-  Model model = knapsack_model();
-  lp::IncrementalSimplex incremental(model);
-  const auto root = incremental.resolve(model);
-  ASSERT_EQ(root.status, SolveStatus::Optimal);
-  EXPECT_NEAR(root.objective, 22.0, 1e-9);
+  for (const bool unbounded_item : {false, true}) {
+    Model model = knapsack_model(unbounded_item);
+    const int items = model.num_variables();
+    lp::IncrementalSimplex incremental(model);
+    const auto root = incremental.resolve(model);
+    ASSERT_EQ(root.status, SolveStatus::Optimal);
+    // All capacity to the best ratio: x4 = 7 when it has no upper bound.
+    EXPECT_NEAR(root.objective, unbounded_item ? 35.0 : 22.0, 1e-9);
 
-  // A branch-and-bound-like walk: tighten, resolve, undo, repeat. Every
-  // resolve must match a from-scratch solve of the same bounds.
-  util::Xoshiro256 rng(17);
-  for (int step = 0; step < 40; ++step) {
-    const int var = static_cast<int>(rng.uniform_int(0, 3));
-    const double fixed = rng.uniform_int(0, 1) == 0 ? 0.0 : 1.0;
-    const double old_lower = model.variable(var).lower;
-    const double old_upper = model.variable(var).upper;
-    model.mutable_variable(var).lower = fixed;
-    model.mutable_variable(var).upper = fixed;
-    const auto warm = incremental.resolve(model);
-    const auto cold = lp::solve(model);
-    ASSERT_EQ(warm.status, cold.status) << "step " << step;
-    if (cold.status == SolveStatus::Optimal) {
-      EXPECT_NEAR(warm.objective, cold.objective, 1e-9) << "step " << step;
-      EXPECT_LE(model.max_violation(warm.x), 1e-6) << "step " << step;
+    // A branch-and-bound-like walk: change bounds, resolve, undo, repeat.
+    // Every resolve must match a from-scratch solve of the same bounds.
+    // The unbounded item gets a finite upper bound of 1 or 2 instead of
+    // being fixed: the repair drives it onto that bound, where it rests
+    // nonbasic until the undo hands it +inf back.
+    util::Xoshiro256 rng(17);
+    for (int step = 0; step < 40; ++step) {
+      const std::string where =
+          std::string(unbounded_item ? "unbounded" : "boxed") + " step " +
+          std::to_string(step);
+      const int var = static_cast<int>(rng.uniform_int(0, items - 1));
+      const double fixed = rng.uniform_int(0, 1) == 0 ? 0.0 : 1.0;
+      const double old_lower = model.variable(var).lower;
+      const double old_upper = model.variable(var).upper;
+      if (std::isfinite(old_upper)) {
+        model.mutable_variable(var).lower = fixed;
+        model.mutable_variable(var).upper = fixed;
+      } else {
+        model.mutable_variable(var).upper = fixed + 1.0;
+      }
+      const auto warm = incremental.resolve(model);
+      const auto cold = lp::solve(model);
+      ASSERT_EQ(warm.status, cold.status) << where;
+      if (cold.status == SolveStatus::Optimal) {
+        EXPECT_NEAR(warm.objective, cold.objective, 1e-9) << where;
+        EXPECT_LE(model.max_violation(warm.x), 1e-6) << where;
+      }
+      model.mutable_variable(var).lower = old_lower;
+      model.mutable_variable(var).upper = old_upper;
+      const auto undone = incremental.resolve(model);
+      ASSERT_EQ(undone.status, SolveStatus::Optimal) << where;
+      EXPECT_NEAR(undone.objective, root.objective, 1e-9) << where;
+      EXPECT_LE(model.max_violation(undone.x), 1e-6) << where;
     }
-    model.mutable_variable(var).lower = old_lower;
-    model.mutable_variable(var).upper = old_upper;
   }
-  // State survives the walk: the root bounds re-solve to the root optimum.
-  const auto again = incremental.resolve(model);
-  ASSERT_EQ(again.status, SolveStatus::Optimal);
-  EXPECT_NEAR(again.objective, 22.0, 1e-9);
 }
 
 TEST(IncrementalSimplexTest, RecoversAfterInfeasibleNode) {

@@ -144,10 +144,12 @@ TEST(MilpTest, RespectsNodeLimit) {
 
 class RandomIlpTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomIlpTest, MatchesBruteForceOnSmallInstances) {
-  // Random small ILPs: max c.x, A x <= b, x in {0,1,2}^4. Brute force is
-  // 3^4 = 81 points.
-  util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 7919);
+/// Random small ILP: max c.x, A x <= b, x in {0,1,2}^4, checked against
+/// brute force over the 3^4 = 81 points. With `row_bounded` the integer
+/// variables have no upper bound; extra rows x_i <= 2 bound them instead,
+/// so branching moves their upper bounds between +inf and finite values.
+void expect_matches_brute_force(int seed, bool row_bounded) {
+  util::Xoshiro256 rng(static_cast<std::uint64_t>(seed) * 7919);
   Model model;
   model.set_objective(Objective::Maximize);
   const int n = 4;
@@ -155,8 +157,8 @@ TEST_P(RandomIlpTest, MatchesBruteForceOnSmallInstances) {
   std::vector<int> vars;
   for (int i = 0; i < n; ++i) {
     costs[static_cast<std::size_t>(i)] = rng.uniform_real(0.5, 3.0);
-    vars.push_back(
-        model.add_variable(costs[static_cast<std::size_t>(i)], 0.0, 2.0));
+    vars.push_back(model.add_variable(costs[static_cast<std::size_t>(i)],
+                                      0.0, row_bounded ? lp::kInfinity : 2.0));
   }
   std::vector<std::vector<double>> rows(3, std::vector<double>(n));
   std::vector<double> rhs(3);
@@ -172,6 +174,11 @@ TEST_P(RandomIlpTest, MatchesBruteForceOnSmallInstances) {
     }
     model.add_constraint(std::move(terms), Sense::LessEqual,
                          rhs[static_cast<std::size_t>(r)]);
+  }
+  if (row_bounded) {
+    for (const int var : vars) {
+      model.add_constraint({{var, 1.0}}, Sense::LessEqual, 2.0);
+    }
   }
   const auto result = milp::solve(model, vars);
   ASSERT_EQ(result.status, MilpStatus::Optimal);
@@ -195,6 +202,15 @@ TEST_P(RandomIlpTest, MatchesBruteForceOnSmallInstances) {
           brute_best = std::max(brute_best, value);
         }
   EXPECT_NEAR(result.objective, brute_best, 1e-6);
+  EXPECT_LE(model.max_violation(result.x), 1e-6);
+}
+
+TEST_P(RandomIlpTest, MatchesBruteForceOnSmallInstances) {
+  expect_matches_brute_force(GetParam(), /*row_bounded=*/false);
+}
+
+TEST_P(RandomIlpTest, MatchesBruteForceWithRowBoundedIntegers) {
+  expect_matches_brute_force(GetParam(), /*row_bounded=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomIlpTest, ::testing::Range(1, 11));
