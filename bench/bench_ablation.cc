@@ -4,13 +4,15 @@
 //  A3  rescue placements        — structure-breaking escape hatch on/off
 // Each section reports ratio vs the planted optimum and wall time. The
 // EPTAS runs through bagsched::api; the ablation knobs are the
-// SolveOptions::eptas sub-config.
-#include <benchmark/benchmark.h>
-
+// SolveOptions::eptas sub-config. Each cell's seed sweep is timed through
+// the harness (BENCH_ablation.json, see harness.h).
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
@@ -24,36 +26,44 @@ const api::Solver& eptas() {
 
 struct Cell {
   double mean_ratio = 0.0;
-  double mean_seconds = 0.0;
+  double mean_seconds = 0.0;  ///< median repetition / seeds
   int pipe_fail = 0;
 };
 
-Cell run_cells(const api::SolveOptions& options) {
-  Cell cell;
+/// Solves the four seeds under `options` as harness case `label`.
+Cell run_cells(bagsched::bench::Harness& harness, const std::string& label,
+               const api::SolveOptions& options) {
   const int seeds = 4;
+  std::vector<gen::PlantedInstance> planted;
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-    const auto planted = gen::planted({.num_machines = 8,
-                                       .num_bags = 24,
-                                       .min_jobs_per_machine = 3,
-                                       .max_jobs_per_machine = 6,
-                                       .target = 1.0,
-                                       .seed = seed});
-    const auto result = eptas().solve(planted.instance, options);
-    cell.mean_seconds += result.wall_seconds;
-    if (api::stat_bool(result.stats, "pipeline_succeeded")) {
-      cell.mean_ratio +=
-          api::stat_real(result.stats, "pipeline_makespan") / planted.opt;
-    } else {
-      ++cell.pipe_fail;
-      cell.mean_ratio += result.makespan / planted.opt;
-    }
+    planted.push_back(gen::planted({.num_machines = 8,
+                                    .num_bags = 24,
+                                    .min_jobs_per_machine = 3,
+                                    .max_jobs_per_machine = 6,
+                                    .target = 1.0,
+                                    .seed = seed}));
   }
+  Cell cell;
+  auto& entry = harness.run_case(label, harness.reps(3), [&] {
+    cell = Cell{};
+    for (const auto& [instance, opt] : planted) {
+      const auto result = eptas().solve(instance, options);
+      if (api::stat_bool(result.stats, "pipeline_succeeded")) {
+        cell.mean_ratio +=
+            api::stat_real(result.stats, "pipeline_makespan") / opt;
+      } else {
+        ++cell.pipe_fail;
+        cell.mean_ratio += result.makespan / opt;
+      }
+    }
+  });
+  entry.metrics.set("seeds", seeds);
   cell.mean_ratio /= seeds;
-  cell.mean_seconds /= seeds;
+  cell.mean_seconds = entry.median_seconds / seeds;
   return cell;
 }
 
-void print_ablation_tables() {
+void print_ablation_tables(bagsched::bench::Harness& harness) {
   {
     bagsched::util::Table table({"prio_per_size", "prio_total",
                                  "pipe_ratio", "seconds", "pipe_fail"});
@@ -62,7 +72,8 @@ void print_ablation_tables() {
       options.eps = 0.5;
       options.eptas.max_priority_per_size = cap;
       options.eptas.max_priority_total = std::max(1, 2 * cap);
-      const Cell cell = run_cells(options);
+      const Cell cell =
+          run_cells(harness, "a1-cap/" + std::to_string(cap), options);
       table.row()
           .add(cap)
           .add(options.eptas.max_priority_total)
@@ -82,7 +93,8 @@ void print_ablation_tables() {
       api::SolveOptions options;
       options.eps = 0.5;
       options.eptas.guess_step_fraction = step;
-      const Cell cell = run_cells(options);
+      const Cell cell = run_cells(
+          harness, "a2-step/" + std::to_string(step).substr(0, 5), options);
       table.row()
           .add(step, 3)
           .add(cell.mean_ratio, 4)
@@ -101,7 +113,9 @@ void print_ablation_tables() {
       api::SolveOptions options;
       options.eps = 0.5;
       options.eptas.enable_rescue = rescue;
-      const Cell cell = run_cells(options);
+      const Cell cell = run_cells(
+          harness, std::string("a3-rescue/") + (rescue ? "on" : "off"),
+          options);
       table.row()
           .add(rescue ? "on" : "off")
           .add(cell.mean_ratio, 4)
@@ -116,31 +130,10 @@ void print_ablation_tables() {
   }
 }
 
-void BM_AblationPriorityCap(benchmark::State& state) {
-  api::SolveOptions options;
-  options.eps = 0.5;
-  options.eptas.max_priority_per_size = static_cast<int>(state.range(0));
-  options.eptas.max_priority_total =
-      std::max<int>(1, 2 * static_cast<int>(state.range(0)));
-  const auto planted = gen::planted({.num_machines = 8,
-                                     .num_bags = 24,
-                                     .min_jobs_per_machine = 3,
-                                     .max_jobs_per_machine = 6,
-                                     .target = 1.0,
-                                     .seed = 1});
-  for (auto _ : state) {
-    auto result = eptas().solve(planted.instance, options);
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_AblationPriorityCap)->Arg(0)->Arg(3)->Arg(12)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_ablation_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("ablation", argc, argv);
+  print_ablation_tables(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

@@ -1,13 +1,15 @@
 // E7 (Lemma 8): bag-LPT invariants, measured. Starting from equal machine
 // heights, (a) any two machines end within p_max of each other and (b) the
 // highest machine is at most h + A/m' + p_max. Both bounds are hard
-// invariants — the `viol` columns must stay 0 across the sweep.
-#include <benchmark/benchmark.h>
-
+// invariants — the `viol` columns must stay 0 across the sweep. The
+// bag-lpt cases time Solver::solve (algorithm + api validation wrapper,
+// the cost an api caller pays) into BENCH_baglpt.json (see harness.h).
 #include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
@@ -15,17 +17,22 @@ namespace {
 namespace api = bagsched::api;
 namespace gen = bagsched::gen;
 
+/// m bags of m jobs each: dense.
+bagsched::model::Instance dense_instance(int m, std::uint64_t seed) {
+  gen::BagHeavyParams params;
+  params.num_machines = m;
+  params.num_bags = m;
+  params.fill = 1.0;
+  params.seed = seed;
+  return gen::bag_heavy(params);
+}
+
 void print_baglpt_table() {
   bagsched::util::Table table({"m", "bags", "seed", "spread", "pmax",
                                "makespan", "bound(x+pmax)", "viol"});
   for (const int m : {4, 8, 16, 32}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      gen::BagHeavyParams params;
-      params.num_machines = m;
-      params.num_bags = m;  // m bags of m jobs: dense
-      params.fill = 1.0;
-      params.seed = seed;
-      const auto instance = gen::bag_heavy(params);
+      const auto instance = dense_instance(m, seed);
       const auto schedule =
           api::solve("bag-lpt", instance).schedule;
       const auto loads = schedule.loads(instance);
@@ -53,30 +60,30 @@ void print_baglpt_table() {
                "viol = 0 everywhere\n\n";
 }
 
-// Times Solver::solve (algorithm + api validation wrapper), not the bare
-// bag_lpt call — the cost an api caller pays.
-void BM_BagLpt(benchmark::State& state) {
-  gen::BagHeavyParams params;
-  params.num_machines = static_cast<int>(state.range(0));
-  params.num_bags = static_cast<int>(state.range(0));
-  params.fill = 1.0;
-  params.seed = 1;
-  const auto instance = gen::bag_heavy(params);
+/// Each repetition runs `solves` solves so the small sizes are not timer
+/// noise.
+void run_baglpt_cases(bagsched::bench::Harness& harness) {
+  struct Spec {
+    int m;
+    int solves;
+  };
   const auto& solver = api::SolverRegistry::global().resolve("bag-lpt");
-  for (auto _ : state) {
-    auto result = solver.solve(instance);
-    benchmark::DoNotOptimize(result.makespan);
+  for (const Spec spec : {Spec{8, 2000}, Spec{32, 40}, Spec{128, 2}}) {
+    const auto instance = dense_instance(spec.m, 1);
+    auto& entry = harness.run_case(
+        "bag-lpt/m" + std::to_string(spec.m), harness.reps(3), [&] {
+          for (int k = 0; k < spec.solves; ++k) solver.solve(instance);
+        });
+    entry.metrics.set("jobs", static_cast<long long>(instance.num_jobs()));
+    entry.metrics.set("solves", spec.solves);
   }
-  state.counters["jobs"] = instance.num_jobs();
 }
-BENCHMARK(BM_BagLpt)->Arg(8)->Arg(32)->Arg(128)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bagsched::bench::Harness harness("baglpt", argc, argv);
   print_baglpt_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  run_baglpt_cases(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

@@ -3,12 +3,13 @@
 // lower bound (ratio columns) and wall time. Expected ordering:
 // eptas <= local_search <= greedy on quality, with the inverse on time; the
 // unconstrained LPT column shows the price of the bag-constraints (it may
-// be infeasible w.r.t. bags and is only a bound).
-#include <benchmark/benchmark.h>
-
+// be infeasible w.r.t. bags and is only a bound). The uniform-200x16
+// solver cases land in BENCH_baselines.json (see harness.h).
 #include <iostream>
+#include <string>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
@@ -55,55 +56,42 @@ void print_baseline_table() {
                "family; eptas pays in time.\n\n";
 }
 
-// The BM_ loops time Solver::solve, i.e. algorithm + api wrapper (instance
+// The cases time Solver::solve, i.e. algorithm + api wrapper (instance
 // validation, lower bound, schedule validation) — the cost an api caller
-// actually pays. For the cheap heuristics the wrapper is a visible constant;
-// compare BM_ numbers against each other, not against pre-api history.
-void BM_Greedy(benchmark::State& state) {
-  const auto instance = api::make_instance("uniform", 200, 16, {.seed = 1});
-  const auto& solver = api::SolverRegistry::global().resolve("greedy-bags");
-  for (auto _ : state) {
-    auto result = solver.solve(instance);
-    benchmark::DoNotOptimize(result.makespan);
+// actually pays. For the cheap heuristics the wrapper is a visible
+// constant; compare the cases against each other, not against pre-api
+// history. Each repetition runs `solves` solves so no case is timer noise.
+void run_solver_cases(bagsched::bench::Harness& harness) {
+  struct Spec {
+    const char* solver;
+    int solves;
+  };
+  const int reps = harness.reps(3);
+  api::SolveOptions options;
+  options.seed = 1;
+  const auto instance = api::make_instance("uniform", 200, 16, options);
+  for (const Spec spec : {Spec{"greedy-bags", 500}, Spec{"local-search", 50},
+                          Spec{"eptas", 20}}) {
+    const auto& solver = api::SolverRegistry::global().resolve(spec.solver);
+    auto& entry = harness.run_case(
+        std::string("uniform-200x16/") + spec.solver, reps, [&] {
+          for (int k = 0; k < spec.solves; ++k) solver.solve(instance);
+        });
+    entry.metrics.set("solves", spec.solves);
   }
-}
-BENCHMARK(BM_Greedy)->Unit(benchmark::kMicrosecond);
-
-void BM_LocalSearch(benchmark::State& state) {
-  const auto instance = api::make_instance("uniform", 200, 16, {.seed = 1});
-  const auto& solver = api::SolverRegistry::global().resolve("local-search");
-  for (auto _ : state) {
-    auto result = solver.solve(instance);
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_LocalSearch)->Unit(benchmark::kMillisecond);
-
-void BM_Eptas(benchmark::State& state) {
-  const auto instance = api::make_instance("uniform", 200, 16, {.seed = 1});
-  const auto& solver = api::SolverRegistry::global().resolve("eptas");
-  for (auto _ : state) {
-    auto result = solver.solve(instance);
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_Eptas)->Unit(benchmark::kMillisecond);
-
-void BM_Portfolio(benchmark::State& state) {
-  const auto instance = api::make_instance("uniform", 200, 16, {.seed = 1});
+  const int portfolio_solves = 10;
   api::Portfolio portfolio;
-  for (auto _ : state) {
-    auto result = portfolio.solve(instance);
-    benchmark::DoNotOptimize(result.best.makespan);
-  }
+  auto& entry = harness.run_case("uniform-200x16/portfolio", reps, [&] {
+    for (int k = 0; k < portfolio_solves; ++k) portfolio.solve(instance);
+  });
+  entry.metrics.set("solves", portfolio_solves);
 }
-BENCHMARK(BM_Portfolio)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  bagsched::bench::Harness harness("baselines", argc, argv);
   print_baseline_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  run_solver_cases(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

@@ -144,7 +144,7 @@ gen::ChurnTrace reverting(const gen::ChurnTrace& trace, int* reverts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("delta", &argc, argv);
+  bench::Harness harness("delta", argc, argv);
   const int reps = harness.reps(3);
 
   std::vector<Spec> specs(3);

@@ -2,18 +2,19 @@
 // enumeration + per-pattern y variables) against the column-generated
 // master. Quantifies the blow-up the practical profile avoids — patterns
 // and y variables explode with instance size while column generation stays
-// flat — and confirms both agree on feasibility where both run.
-#include <benchmark/benchmark.h>
-
+// flat — and confirms both agree on feasibility where both run. Both
+// solves are timed through the harness, kSolves per repetition
+// (BENCH_enumerated.json, see harness.h).
 #include <iostream>
+#include <string>
 
 #include "eptas/classify.h"
 #include "eptas/enumerate.h"
 #include "eptas/milp_model.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
+#include "harness.h"
 #include "util/csv.h"
-#include "util/stopwatch.h"
 
 namespace {
 
@@ -21,7 +22,10 @@ namespace eptas = bagsched::eptas;
 namespace gen = bagsched::gen;
 using bagsched::model::Instance;
 
-void print_enumerated_table() {
+constexpr int kSolves = 100;
+
+void print_enumerated_table(bagsched::bench::Harness& harness) {
+  const int reps = harness.reps(3);
   bagsched::util::Table table({"m", "n", "enum_patterns", "enum_y_vars",
                                "enum_rows", "enum_s", "colgen_cols",
                                "colgen_s", "agree"});
@@ -47,16 +51,24 @@ void print_enumerated_table() {
     const auto transformed = eptas::transform(scaled, *cls);
     const auto space = eptas::build_pattern_space(transformed, *cls);
 
+    const std::string suffix = "/m" + std::to_string(m);
     eptas::EnumeratedStats stats;
-    bagsched::util::Stopwatch enum_timer;
-    const auto literal = eptas::solve_enumerated_master(
-        space, transformed, *cls, config, false, &stats);
-    const double enum_seconds = enum_timer.seconds();
+    std::optional<eptas::MasterSolution> literal;
+    auto& enum_case = harness.run_case("enumerated" + suffix, reps, [&] {
+      for (int k = 0; k < kSolves; ++k) {
+        literal = eptas::solve_enumerated_master(space, transformed, *cls,
+                                                 config, false, &stats);
+      }
+    });
+    enum_case.metrics.set("solves", kSolves);
 
-    bagsched::util::Stopwatch colgen_timer;
-    const auto colgen =
-        eptas::solve_master(space, transformed, *cls, config);
-    const double colgen_seconds = colgen_timer.seconds();
+    std::optional<eptas::MasterSolution> colgen;
+    auto& colgen_case = harness.run_case("colgen" + suffix, reps, [&] {
+      for (int k = 0; k < kSolves; ++k) {
+        colgen = eptas::solve_master(space, transformed, *cls, config);
+      }
+    });
+    colgen_case.metrics.set("solves", kSolves);
 
     table.row()
         .add(m)
@@ -64,9 +76,9 @@ void print_enumerated_table() {
         .add(stats.patterns)
         .add(stats.y_variables)
         .add(stats.constraints)
-        .add(enum_seconds, 4)
+        .add(enum_case.median_seconds / kSolves, 4)
         .add(colgen ? colgen->stats.columns : 0)
-        .add(colgen_seconds, 4)
+        .add(colgen_case.median_seconds / kSolves, 4)
         .add(literal.has_value() == colgen.has_value() ? "yes" : "NO");
   }
   std::cout << "\n=== E10: literal MILP (paper §3) vs column generation "
@@ -76,44 +88,10 @@ void print_enumerated_table() {
                "while colgen_cols stays flat; agree = yes on every row\n\n";
 }
 
-void BM_EnumeratedMaster(benchmark::State& state) {
-  const auto planted =
-      gen::planted({.num_machines = static_cast<int>(state.range(0)),
-                    .num_bags = static_cast<int>(2 * state.range(0)),
-                    .min_jobs_per_machine = 2,
-                    .max_jobs_per_machine = 3,
-                    .target = 1.0,
-                    .seed = 3});
-  std::vector<double> sizes;
-  std::vector<bagsched::model::BagId> bags;
-  for (const auto& job : planted.instance.jobs()) {
-    sizes.push_back(job.size / 1.05);
-    bags.push_back(job.bag);
-  }
-  const Instance scaled = Instance::from_vectors(
-      sizes, bags, planted.instance.num_machines());
-  const eptas::EptasConfig config;
-  const auto cls = eptas::classify(scaled, 0.5, config);
-  if (!cls) {
-    state.SkipWithError("classification failed");
-    return;
-  }
-  const auto transformed = eptas::transform(scaled, *cls);
-  const auto space = eptas::build_pattern_space(transformed, *cls);
-  for (auto _ : state) {
-    auto master =
-        eptas::solve_enumerated_master(space, transformed, *cls, config);
-    benchmark::DoNotOptimize(master);
-  }
-}
-BENCHMARK(BM_EnumeratedMaster)->Arg(3)->Arg(5)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_enumerated_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("enumerated", argc, argv);
+  print_enumerated_table(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

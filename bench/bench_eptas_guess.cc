@@ -60,7 +60,7 @@ void set_search_metrics(bench::CaseResult& row, int guesses, int probes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("eptas", &argc, argv);
+  bench::Harness harness("eptas", argc, argv);
   const int reps = harness.reps(3);
 
   const std::vector<Spec> specs = {

@@ -40,7 +40,7 @@ std::string label_of(const Spec& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("exact", &argc, argv);
+  bench::Harness harness("exact", argc, argv);
   const int reps = harness.reps(3);
 
   const std::vector<Spec> specs = {
@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
     seq_case.metrics.set("nodes", seq.nodes);
     seq_case.metrics.set("makespan", seq.makespan);
     seq_case.metrics.set("proven_optimal", seq.proven_optimal);
-    const double seq_median = seq_case.median_seconds;
 
     for (std::size_t t = 0; t < thread_counts.size(); ++t) {
       const int threads = thread_counts[t];
@@ -82,7 +81,7 @@ int main(int argc, char** argv) {
           });
       const double speedup =
           par_case.median_seconds > 0.0
-              ? seq_median / par_case.median_seconds
+              ? seq_case.median_seconds / par_case.median_seconds
               : 0.0;
       par_case.metrics.set("threads", static_cast<long long>(threads));
       par_case.metrics.set("nodes", par.nodes);

@@ -3,12 +3,14 @@
 // overload a machine; a globally-informed placement achieves OPT. The table
 // regenerates the figure as measured makespans: the stacking heuristic must
 // sit at 5/3 * OPT while the EPTAS stays within its (1+O(eps)) band. All
-// solvers are resolved through the bagsched::api registry.
-#include <benchmark/benchmark.h>
-
+// solvers are resolved through the bagsched::api registry. The EPTAS
+// column is timed through the harness (BENCH_fig1.json, see harness.h),
+// kSolves solves per repetition.
 #include <iostream>
+#include <string>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
@@ -16,7 +18,10 @@ namespace {
 namespace api = bagsched::api;
 namespace gen = bagsched::gen;
 
-void print_fig1_table() {
+constexpr int kSolves = 100;
+
+void print_fig1_table(bagsched::bench::Harness& harness) {
+  const int reps = harness.reps(3);
   bagsched::util::Table table({"m", "OPT", "stack_greedy", "greedy",
                                "bag_lpt", "local_search", "eptas(.4)",
                                "stack/OPT", "eptas/OPT"});
@@ -34,7 +39,14 @@ void print_fig1_table() {
     const double baglpt = api::solve("bag-lpt", instance, options).makespan;
     const double local =
         api::solve("local-search", instance, options).makespan;
-    const double eptas = api::solve("eptas", instance, options).makespan;
+    double eptas = 0.0;
+    auto& entry = harness.run_case("eptas/m" + std::to_string(m), reps, [&] {
+      for (int k = 0; k < kSolves; ++k) {
+        eptas = api::solve("eptas", instance, options).makespan;
+      }
+    });
+    entry.metrics.set("jobs", static_cast<long long>(instance.num_jobs()));
+    entry.metrics.set("solves", kSolves);
     table.row()
         .add(m)
         .add(planted.opt, 4)
@@ -52,23 +64,10 @@ void print_fig1_table() {
                "eptas/OPT <= 1 + O(eps)\n\n";
 }
 
-void BM_Fig1Eptas(benchmark::State& state) {
-  const auto planted = gen::figure1(
-      {.num_machines = static_cast<int>(state.range(0)), .scale = 1.0,
-       .seed = 1});
-  const auto& solver = api::SolverRegistry::global().resolve("eptas");
-  for (auto _ : state) {
-    auto result = solver.solve(planted.instance, {.eps = 0.4});
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_Fig1Eptas)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_fig1_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("fig1", argc, argv);
+  print_fig1_table(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

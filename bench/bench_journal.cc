@@ -116,7 +116,7 @@ persist::JournalConfig journal_config(const std::string& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("journal", &argc, argv);
+  bench::Harness harness("journal", argc, argv);
   const int reps = harness.reps(3);
   bool contract_ok = true;
 

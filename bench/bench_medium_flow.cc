@@ -1,10 +1,13 @@
 // E5 (Lemma 3): removed medium jobs are re-inserted via a flow network;
 // the lemma bounds the per-machine height increase by 2*eps (scaled units).
 // We run the pipeline to the insertion step and measure the worst added
-// medium load per machine against that bound.
-#include <benchmark/benchmark.h>
-
+// medium load per machine against that bound. Each seed's insertion is
+// timed through the harness, kInsertions per repetition
+// (BENCH_medium_flow.json, see harness.h); the bench exits non-zero when
+// a seed's pipeline fails or its transform removes no medium job, since
+// such a case would time an empty insertion.
 #include <iostream>
+#include <string>
 
 #include "eptas/classify.h"
 #include "eptas/milp_model.h"
@@ -12,6 +15,7 @@
 #include "eptas/small_jobs.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
+#include "harness.h"
 #include "model/lower_bounds.h"
 #include "util/csv.h"
 
@@ -59,7 +63,13 @@ std::optional<Pipeline> run_pipeline(const Instance& raw, double eps,
                   std::move(*placement)};
 }
 
-void print_medium_table() {
+constexpr int kInsertions = 1000;
+
+/// Prints the E5 table and records one case per seed; false when a seed
+/// timed no real work.
+bool run_medium_table(bagsched::bench::Harness& harness) {
+  const int reps = harness.reps(3);
+  bool timed_work = true;
   bagsched::util::Table table({"seed", "eps", "mediums", "machines",
                                "max_added_height", "bound(2eps)",
                                "violations"});
@@ -73,10 +83,27 @@ void print_medium_table() {
     params.small_jobs = 40;
     params.seed = seed;
     const Instance raw = gen::mixed(params);
+    const std::string label = "insert/seed" + std::to_string(seed);
     auto pipeline = run_pipeline(raw, eps, 1.3);
-    if (!pipeline) continue;
-    const auto mediums = eptas::insert_medium_jobs(
-        pipeline->scaled, pipeline->transformed, pipeline->placement);
+    if (!pipeline) {
+      std::cerr << "E5: " << label << ": pipeline failed\n";
+      timed_work = false;
+      continue;
+    }
+    const std::size_t removed = pipeline->transformed.removed_medium.size();
+    std::optional<std::vector<int>> mediums;
+    auto& entry = harness.run_case(label, reps, [&] {
+      for (int k = 0; k < kInsertions; ++k) {
+        mediums = eptas::insert_medium_jobs(
+            pipeline->scaled, pipeline->transformed, pipeline->placement);
+      }
+    });
+    entry.metrics.set("removed_medium", static_cast<long long>(removed));
+    entry.metrics.set("insertions", kInsertions);
+    if (removed == 0) {
+      std::cerr << "E5: " << label << " removes no medium job\n";
+      timed_work = false;
+    }
     if (!mediums) continue;
     std::vector<double> added(
         static_cast<std::size_t>(raw.num_machines()), 0.0);
@@ -102,36 +129,13 @@ void print_medium_table() {
   std::cout << "\n=== E5 / Lemma 3: medium insertion height ===\n";
   table.write_aligned(std::cout);
   std::cout << "expected shape: max_added_height <= bound, violations = 0\n\n";
+  return timed_work;
 }
-
-void BM_MediumInsertion(benchmark::State& state) {
-  gen::MixedParams params;
-  params.num_machines = 8;
-  params.num_bags = 24;
-  params.medium_jobs = static_cast<int>(state.range(0));
-  params.large_jobs = 8;
-  params.small_jobs = 40;
-  params.seed = 1;
-  const Instance raw = gen::mixed(params);
-  auto pipeline = run_pipeline(raw, 0.5, 1.3);
-  if (!pipeline) {
-    state.SkipWithError("pipeline failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto mediums = eptas::insert_medium_jobs(
-        pipeline->scaled, pipeline->transformed, pipeline->placement);
-    benchmark::DoNotOptimize(mediums);
-  }
-}
-BENCHMARK(BM_MediumInsertion)->Arg(16)->Arg(64)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_medium_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("medium_flow", argc, argv);
+  const bool timed_work = run_medium_table(harness);
+  return harness.finish(std::cout) && timed_work ? 0 : 1;
 }

@@ -277,7 +277,7 @@ void run_master_cases(bagsched::bench::Harness& harness) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bagsched::bench::Harness harness("milp", &argc, argv);
+  bagsched::bench::Harness harness("milp", argc, argv);
   print_master_table();
   run_simplex_cases(harness);
   run_assignment_cases(harness);

@@ -98,7 +98,7 @@ int run_multi_client(std::uint16_t port, int clients, int per_client) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("net", &argc, argv);
+  bench::Harness harness("net", argc, argv);
 
   net::SchedServer server(server_config());
   server.start();

@@ -2,13 +2,16 @@
 // optimum across eps values, machine counts and seeds. The paper proves
 // ratio <= 1 + O(eps); the table's `max_ratio` column must stay below
 // 1 + c*eps with a small c, and shrink as eps shrinks. The EPTAS runs
-// through bagsched::api; pipeline internals come from the telemetry.
-#include <benchmark/benchmark.h>
-
+// through bagsched::api; pipeline internals come from the telemetry. Each
+// (eps, m) cell's seed sweep is timed through the harness
+// (BENCH_ratio.json, see harness.h).
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
@@ -19,40 +22,52 @@ const api::Solver& eptas() {
   return api::SolverRegistry::global().resolve("eptas");
 }
 
-void print_ratio_table() {
+void print_ratio_table(bagsched::bench::Harness& harness) {
+  const int reps = harness.reps(3);
   bagsched::util::Table table({"eps", "m", "jobs~", "seeds", "mean_ratio",
                                "max_ratio", "pipe_max", "bound(1+2eps)",
                                "pipe_fail"});
   for (const double eps : {0.75, 0.5, 1.0 / 3.0, 0.25}) {
     for (const int m : {4, 8, 16}) {
-      double sum_ratio = 0.0;
-      double max_ratio = 0.0;
-      double pipe_max = 0.0;  // ratio of the pipeline's own schedule
-      int pipe_fail = 0;
-      int jobs = 0;
       const int seeds = 5;
+      std::vector<bagsched::gen::PlantedInstance> planted;
       for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        const auto planted =
+        planted.push_back(
             bagsched::gen::planted({.num_machines = m,
                                     .num_bags = 3 * m,
                                     .min_jobs_per_machine = 2,
                                     .max_jobs_per_machine = 5,
                                     .target = 1.0,
-                                    .seed = seed});
-        jobs = planted.instance.num_jobs();
-        const auto result = eptas().solve(planted.instance, {.eps = eps});
-        const double ratio = result.makespan / planted.opt;
-        sum_ratio += ratio;
-        max_ratio = std::max(max_ratio, ratio);
-        if (api::stat_bool(result.stats, "pipeline_succeeded")) {
-          pipe_max = std::max(
-              pipe_max,
-              api::stat_real(result.stats, "pipeline_makespan") /
-                  planted.opt);
-        } else {
-          ++pipe_fail;
-        }
+                                    .seed = seed}));
       }
+      const int jobs = planted.back().instance.num_jobs();
+      double sum_ratio = 0.0;
+      double max_ratio = 0.0;
+      double pipe_max = 0.0;  // ratio of the pipeline's own schedule
+      int pipe_fail = 0;
+      api::SolveOptions options;
+      options.eps = eps;
+      const std::string label =
+          "eps" + std::to_string(eps).substr(0, 4) + "/m" + std::to_string(m);
+      auto& entry = harness.run_case(label, reps, [&] {
+        sum_ratio = max_ratio = pipe_max = 0.0;
+        pipe_fail = 0;
+        for (const auto& [instance, opt] : planted) {
+          const auto result = eptas().solve(instance, options);
+          const double ratio = result.makespan / opt;
+          sum_ratio += ratio;
+          max_ratio = std::max(max_ratio, ratio);
+          if (api::stat_bool(result.stats, "pipeline_succeeded")) {
+            pipe_max = std::max(
+                pipe_max,
+                api::stat_real(result.stats, "pipeline_makespan") / opt);
+          } else {
+            ++pipe_fail;
+          }
+        }
+      });
+      entry.metrics.set("jobs", static_cast<long long>(jobs));
+      entry.metrics.set("seeds", seeds);
       table.row()
           .add(eps, 3)
           .add(m)
@@ -74,31 +89,10 @@ void print_ratio_table() {
                "pipe_fail = 0\n\n";
 }
 
-void BM_EptasPlanted(benchmark::State& state) {
-  const auto planted = bagsched::gen::planted(
-      {.num_machines = static_cast<int>(state.range(0)),
-       .num_bags = static_cast<int>(3 * state.range(0)),
-       .min_jobs_per_machine = 2,
-       .max_jobs_per_machine = 5,
-       .target = 1.0,
-       .seed = 1});
-  const double eps = static_cast<double>(state.range(1)) / 100.0;
-  for (auto _ : state) {
-    auto result = eptas().solve(planted.instance, {.eps = eps});
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_EptasPlanted)
-    ->Args({8, 50})
-    ->Args({8, 33})
-    ->Args({16, 50})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_ratio_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("ratio", argc, argv);
+  print_ratio_table(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

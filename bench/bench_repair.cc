@@ -4,29 +4,46 @@
 // origin chain (Lemma 11). The table counts repairs (read back from the
 // api telemetry) and verifies the final schedule never needs more than the
 // rescue-free structure on these families (rescues = structure breaks,
-// ideally 0).
-#include <benchmark/benchmark.h>
-
+// ideally 0). Each row's solve is timed through the harness, kSolves
+// solves per repetition (BENCH_repair.json, see harness.h).
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "api/api.h"
+#include "harness.h"
 #include "util/csv.h"
 
 namespace {
 
 namespace api = bagsched::api;
 
-void print_repair_table() {
+constexpr int kSolves = 20;
+
+void print_repair_table(bagsched::bench::Harness& harness) {
+  const int reps = harness.reps(3);
   bagsched::util::Table table({"family", "seed", "n", "swaps",
                                "origin_repairs", "lift_swaps", "rescues",
                                "fallback", "makespan/LB"});
-  for (const auto* family : {"replica", "bagheavy", "figure1", "mixed"}) {
+  const std::pair<const char*, int> shapes[] = {
+      {"replica", 48}, {"replica", 96}, {"bagheavy", 48}, {"figure1", 48},
+      {"mixed", 48}};
+  for (const auto& [family, n] : shapes) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       api::SolveOptions options;
       options.eps = 0.5;
       options.seed = seed;
-      const auto instance = api::make_instance(family, 48, 8, options);
-      const auto result = api::solve("eptas", instance, options);
+      const auto instance = api::make_instance(family, n, 8, options);
+      const std::string label = std::string(family) + "-" +
+                                std::to_string(n) + "x8/s" +
+                                std::to_string(seed);
+      api::SolveResult result;
+      auto& entry = harness.run_case(label, reps, [&] {
+        for (int k = 0; k < kSolves; ++k) {
+          result = api::solve("eptas", instance, options);
+        }
+      });
+      entry.metrics.set("solves", kSolves);
       table.row()
           .add(family)
           .add(static_cast<long long>(seed))
@@ -45,23 +62,10 @@ void print_repair_table() {
                "<= 1 + O(eps) even on conflict-dense families\n\n";
 }
 
-void BM_EptasConflictDense(benchmark::State& state) {
-  const auto instance = api::make_instance(
-      "replica", static_cast<int>(state.range(0)), 8, {.seed = 1});
-  const auto& solver = api::SolverRegistry::global().resolve("eptas");
-  for (auto _ : state) {
-    auto result = solver.solve(instance, {.eps = 0.5});
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_EptasConflictDense)->Arg(48)->Arg(96)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_repair_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("repair", argc, argv);
+  print_repair_table(harness);
+  return harness.finish(std::cout) ? 0 : 1;
 }

@@ -4,8 +4,6 @@
 // the unified bagsched::api layer; the EPTAS internals are read back from
 // the result telemetry. Rows are timed through the regression harness and
 // land in BENCH_runtime.json (--bench-json / --bench-reps, see harness.h).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 #include <string>
 
@@ -88,48 +86,10 @@ void print_scaling_table(bagsched::bench::Harness& harness) {
                "steeper growth as eps shrinks\n\n";
 }
 
-void BM_EptasVsN(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const auto planted =
-      bagsched::gen::planted({.num_machines = m,
-                              .num_bags = 3 * m,
-                              .min_jobs_per_machine = 3,
-                              .max_jobs_per_machine = 6,
-                              .target = 1.0,
-                              .seed = 7});
-  for (auto _ : state) {
-    auto result = eptas().solve(planted.instance, {.eps = 0.5});
-    benchmark::DoNotOptimize(result.makespan);
-  }
-  state.counters["n"] = planted.instance.num_jobs();
-}
-BENCHMARK(BM_EptasVsN)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_EptasVsEps(benchmark::State& state) {
-  const double eps = static_cast<double>(state.range(0)) / 100.0;
-  const auto planted =
-      bagsched::gen::planted({.num_machines = 8,
-                              .num_bags = 24,
-                              .min_jobs_per_machine = 3,
-                              .max_jobs_per_machine = 6,
-                              .target = 1.0,
-                              .seed = 7});
-  for (auto _ : state) {
-    auto result = eptas().solve(planted.instance, {.eps = eps});
-    benchmark::DoNotOptimize(result.makespan);
-  }
-}
-BENCHMARK(BM_EptasVsEps)->Arg(80)->Arg(50)->Arg(40)->Arg(33)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bagsched::bench::Harness harness("runtime", &argc, argv);
+  bagsched::bench::Harness harness("runtime", argc, argv);
   print_scaling_table(harness);
-  if (!harness.finish(std::cout)) return 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return harness.finish(std::cout) ? 0 : 1;
 }

@@ -12,15 +12,16 @@
 // (50% exact duplicates, plus uniformly rescaled near-duplicates that
 // only the eps-rounded fingerprint catches) with the cache off and on;
 // the `speedup` metric is the acceptance gate for the canonicalizing
-// cache (>= 2x reqs/sec with 50% duplicates).
+// cache (>= 2x reqs/sec with 50% duplicates). The submit-wait and batch
+// cases time greedy-bags round trips through the queue, 1000 round trips
+// or 100 batches per repetition.
 //
 // Flags: --bench-json[=path] --bench-reps=N (see harness.h).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 #include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,8 +184,6 @@ void run_cache_cases(bench::Harness& harness, int reps) {
                                  stream, api::CacheMode::Off); });
   off_case.metrics.set("requests", static_cast<long long>(stream.size()));
   off_case.metrics.set("reqs_per_s", n / off.wall_seconds);
-  // The case reference dies at the next run_case: keep the median.
-  const double off_median = off_case.median_seconds;
 
   CacheRunStats on;
   auto& on_case =
@@ -202,7 +201,7 @@ void run_cache_cases(bench::Harness& harness, int reps) {
                       static_cast<long long>(on.service.dedup_shared));
   on_case.metrics.set("cache_entries",
                       static_cast<long long>(on.cache.entries));
-  const double speedup = off_median / on_case.median_seconds;
+  const double speedup = off_case.median_seconds / on_case.median_seconds;
   on_case.metrics.set("speedup_vs_off", speedup);
 
   std::cout << "\n=== solve cache: duplicate-heavy stream ("
@@ -215,44 +214,53 @@ void run_cache_cases(bench::Harness& harness, int reps) {
             << "speedup:   " << speedup << "x (acceptance: >= 2x)\n";
 }
 
-/// Microbenchmark: one submit+wait round trip through the service (queue,
-/// dispatch, solve, resolve) at a given thread count.
-void BM_ServiceSubmitWait(benchmark::State& state) {
-  api::SchedulingService service(
-      {.num_threads = static_cast<std::size_t>(state.range(0))});
+/// One submit+wait round trip through the service (queue, dispatch,
+/// solve, resolve) at 1 and 4 threads; a repetition times kRoundTrips.
+void run_round_trip_cases(bench::Harness& harness, int reps) {
+  constexpr int kRoundTrips = 1000;
   const auto instance = std::make_shared<const bagsched::model::Instance>(
       gen::by_name("uniform", 60, 8, 1));
-  for (auto _ : state) {
-    auto handle =
-        service.submit(api::make_request(instance, {}, {"greedy-bags"}));
-    benchmark::DoNotOptimize(handle.wait().makespan);
+  for (const std::size_t threads : {1u, 4u}) {
+    api::SchedulingService service({.num_threads = threads});
+    auto& entry = harness.run_case(
+        "submit-wait/t" + std::to_string(threads), reps, [&] {
+          for (int k = 0; k < kRoundTrips; ++k) {
+            auto handle = service.submit(
+                api::make_request(instance, {}, {"greedy-bags"}));
+            handle.wait();
+          }
+        });
+    entry.metrics.set("threads", static_cast<long long>(threads));
+    entry.metrics.set("round_trips", kRoundTrips);
   }
 }
-BENCHMARK(BM_ServiceSubmitWait)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
 
-/// Microbenchmark: batched fan-out of `depth` requests over 4 threads.
-void BM_ServiceBatch(benchmark::State& state) {
-  api::SchedulingService service({.num_threads = 4});
-  const auto instances =
-      make_workload(static_cast<int>(state.range(0)), 60);
-  for (auto _ : state) {
-    const auto [wall, solver_seconds] =
-        run_batch(service, instances, "greedy-bags");
-    benchmark::DoNotOptimize(wall + solver_seconds);
+/// Batched fan-out of `depth` requests over 4 threads; a repetition times
+/// kBatches batches.
+void run_batch_cases(bench::Harness& harness, int reps) {
+  constexpr int kBatches = 100;
+  for (const int depth : {8, 64}) {
+    api::SchedulingService service({.num_threads = 4});
+    const auto instances = make_workload(depth, 60);
+    auto& entry = harness.run_case(
+        "batch/depth" + std::to_string(depth), reps, [&] {
+          for (int k = 0; k < kBatches; ++k) {
+            run_batch(service, instances, "greedy-bags");
+          }
+        });
+    entry.metrics.set("depth", depth);
+    entry.metrics.set("batches", kBatches);
   }
-  state.counters["depth"] = static_cast<double>(state.range(0));
 }
-BENCHMARK(BM_ServiceBatch)->Arg(8)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Harness harness("service", &argc, argv);
+  bench::Harness harness("service", argc, argv);
   print_throughput_table();
-  run_cache_cases(harness, harness.reps(3));
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  const int reps = harness.reps(3);
+  run_cache_cases(harness, reps);
+  run_round_trip_cases(harness, reps);
+  run_batch_cases(harness, reps);
   return harness.finish(std::cout) ? 0 : 1;
 }

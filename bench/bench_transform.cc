@@ -2,14 +2,18 @@
 // bags and adds filler jobs. Lemma 2 bounds the loss: a makespan-C solution
 // of I yields a makespan-(1+eps)C solution of I'. We measure the area
 // inflation (the global version of that bound) and the structural effect
-// (bags split, fillers added, mediums removed).
-#include <benchmark/benchmark.h>
-
+// (bags split, fillers added, mediums removed). Each row's transform is
+// timed through the harness, kTransforms per repetition, plus a 320-job
+// mixed case (BENCH_transform.json, see harness.h).
 #include <iostream>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "eptas/classify.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
+#include "harness.h"
 #include "model/lower_bounds.h"
 #include "util/csv.h"
 
@@ -19,29 +23,48 @@ namespace eptas = bagsched::eptas;
 namespace gen = bagsched::gen;
 using bagsched::model::Instance;
 
-Instance scaled_to_guess(const Instance& instance, double guess) {
+constexpr int kTransforms = 1000;
+
+/// Classifies `raw` scaled to 1.2x its lower bound and times its
+/// transform as case `label`; nullopt when classification fails.
+std::optional<std::pair<eptas::Classification, eptas::Transformed>>
+timed_transform(bagsched::bench::Harness& harness, const std::string& label,
+                const Instance& raw, double eps) {
+  const double guess = 1.2 * bagsched::model::combined_lower_bound(raw);
   std::vector<double> sizes;
   std::vector<bagsched::model::BagId> bags;
-  for (const auto& job : instance.jobs()) {
+  for (const auto& job : raw.jobs()) {
     sizes.push_back(job.size / guess);
     bags.push_back(job.bag);
   }
-  return Instance::from_vectors(sizes, bags, instance.num_machines());
+  const Instance scaled =
+      Instance::from_vectors(sizes, bags, raw.num_machines());
+  auto cls = eptas::classify(scaled, eps, eptas::EptasConfig{});
+  if (!cls) return std::nullopt;
+  eptas::Transformed transformed;
+  auto& entry = harness.run_case(label, harness.reps(3), [&] {
+    for (int k = 0; k < kTransforms; ++k) {
+      transformed = eptas::transform(scaled, *cls);
+    }
+  });
+  entry.metrics.set("n", static_cast<long long>(raw.num_jobs()));
+  entry.metrics.set("transforms", kTransforms);
+  return std::make_pair(std::move(*cls), std::move(transformed));
 }
 
-void print_transform_table() {
+void print_transform_table(bagsched::bench::Harness& harness) {
   bagsched::util::Table table({"family", "eps", "n", "bags", "split_bags",
                                "fillers", "mediums_out", "area_ratio",
                                "bound(1+eps)"});
   for (const auto* family : {"mixed", "uniform", "twopoint", "smallbags"}) {
     for (const double eps : {0.5, 1.0 / 3.0}) {
       const Instance raw = gen::by_name(family, 80, 8, 3);
-      const double guess =
-          1.2 * bagsched::model::combined_lower_bound(raw);
-      const Instance scaled = scaled_to_guess(raw, guess);
-      const auto cls = eptas::classify(scaled, eps, eptas::EptasConfig{});
-      if (!cls) continue;
-      const auto transformed = eptas::transform(scaled, *cls);
+      const auto timed = timed_transform(
+          harness,
+          std::string(family) + "/eps" + std::to_string(eps).substr(0, 4),
+          raw, eps);
+      if (!timed) continue;
+      const auto& [cls, transformed] = *timed;
 
       int split_bags = 0;
       for (std::size_t l = 0; l < transformed.is_large_part.size(); ++l) {
@@ -52,12 +75,12 @@ void print_transform_table() {
         if (transformed.is_filler[j]) ++fillers;
       }
       double original_area = 0.0;
-      for (int j = 0; j < scaled.num_jobs(); ++j) {
-        original_area += cls->size_of(j);
+      for (int j = 0; j < raw.num_jobs(); ++j) {
+        original_area += cls.size_of(j);
       }
       double new_area = transformed.instance.total_area();
       for (const auto medium : transformed.removed_medium) {
-        new_area += cls->size_of(medium);
+        new_area += cls.size_of(medium);
       }
       table.row()
           .add(family)
@@ -76,24 +99,12 @@ void print_transform_table() {
   std::cout << "expected shape: area_ratio <= bound for every family\n\n";
 }
 
-void BM_Transform(benchmark::State& state) {
-  const Instance raw =
-      gen::by_name("mixed", static_cast<int>(state.range(0)), 8, 3);
-  const double guess = 1.2 * bagsched::model::combined_lower_bound(raw);
-  const Instance scaled = scaled_to_guess(raw, guess);
-  const auto cls = eptas::classify(scaled, 0.5, eptas::EptasConfig{});
-  for (auto _ : state) {
-    auto transformed = eptas::transform(scaled, *cls);
-    benchmark::DoNotOptimize(transformed.instance.num_jobs());
-  }
-}
-BENCHMARK(BM_Transform)->Arg(80)->Arg(320)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_transform_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  bagsched::bench::Harness harness("transform", argc, argv);
+  print_transform_table(harness);
+  timed_transform(harness, "mixed-320/eps0.50",
+                  gen::by_name("mixed", 320, 8, 3), 0.5);
+  return harness.finish(std::cout) ? 0 : 1;
 }

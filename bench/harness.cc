@@ -8,16 +8,15 @@
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/stopwatch.h"
 
 namespace bagsched::bench {
 
-Harness::Harness(std::string name, int* argc, char** argv)
+Harness::Harness(std::string name, int argc, char** argv)
     : name_(std::move(name)), json_path_("BENCH_" + name_ + ".json") {
-  if (argc == nullptr || argv == nullptr) return;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+  for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--bench-json") {
       json_requested_ = true;
@@ -38,10 +37,12 @@ Harness::Harness(std::string name, int* argc, char** argv)
       }
       reps_override_ = static_cast<int>(parsed);
     } else {
-      argv[out++] = argv[i];  // keep for benchmark::Initialize etc.
+      // A typo (--bench-rep=3) must not run with the default reps.
+      std::cerr << "harness: unknown argument \"" << arg
+                << "\" (expected --bench-json[=path] or --bench-reps=N)\n";
+      std::exit(2);
     }
   }
-  *argc = out;
 }
 
 int Harness::reps(int default_reps) const {

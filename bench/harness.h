@@ -4,14 +4,13 @@
 // median (plus min/max) and writes a machine-readable JSON file so CI and
 // future PRs have a performance trajectory to diff against:
 //
-//   bagsched::bench::Harness harness("exact", &argc, argv);
+//   bagsched::bench::Harness harness("exact", argc, argv);
 //   auto& c = harness.run_case("twopoint-26x4/seq", harness.reps(5),
 //                              [&] { run_the_thing(); });
 //   c.metrics.set("nodes", nodes);
 //   return harness.finish(std::cout) ? 0 : 1;
 //
-// Command-line flags (consumed from argv so they never reach
-// benchmark::Initialize):
+// Command-line flags (any other argument exits 2 with a message):
 //   --bench-json[=path]   write BENCH_<name>.json (or the given path)
 //   --bench-reps=N        override every case's repetition count (CI smoke
 //                         runs use N=1)
@@ -20,10 +19,10 @@
 // writes malformed JSON exits non-zero and CI catches perf-tooling rot.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "util/json.h"
 
@@ -40,8 +39,8 @@ struct CaseResult {
 
 class Harness {
  public:
-  /// Parses and removes the --bench-* flags from argc/argv.
-  Harness(std::string name, int* argc, char** argv);
+  /// Parses the --bench-* flags; exits 2 on any other argument.
+  Harness(std::string name, int argc, char** argv);
 
   const std::string& name() const { return name_; }
   bool json_requested() const { return json_requested_; }
@@ -51,7 +50,7 @@ class Harness {
   int reps(int default_reps) const;
 
   /// Times fn() `reps` times (>= 1) and records the case; the returned
-  /// reference is valid until the next run_case and accepts metrics.
+  /// reference stays valid for the harness's lifetime and accepts metrics.
   CaseResult& run_case(const std::string& label, int reps,
                        const std::function<void()>& fn);
 
@@ -67,7 +66,7 @@ class Harness {
   bool json_requested_ = false;
   std::string json_path_;
   int reps_override_ = 0;
-  std::vector<CaseResult> cases_;
+  std::deque<CaseResult> cases_;
 };
 
 }  // namespace bagsched::bench
