@@ -464,7 +464,6 @@ int cmd_metrics(std::vector<std::string>& args) {
       "bagsched_server_sessions_orphaned",
       "bagsched_server_orphans_expired",
       "bagsched_server_recovering_rejects",
-      "bagsched_server_sessions_recovered",
   };
   std::istringstream lines(body);
   std::string line;

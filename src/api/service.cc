@@ -29,7 +29,6 @@ struct RequestState {
 
   // --- Session routing (set only for session ops) ------------------------
   std::uint64_t session_id = 0;
-  bool session_op = false;    ///< runs on a session FIFO, not the queue
   bool session_open = false;  ///< this op is the session's initial solve
   model::Delta delta;         ///< the delta, when !session_open
   /// DeltaRequest::expect_revision, carried to the session op.
@@ -277,7 +276,7 @@ SchedulingService::~SchedulingService() {
     result.error = "cancelled: service shut down before the request ran";
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++finished_;
+      ++stats_.finished;
     }
     resolve(state, std::move(result), /*emit_finished=*/true);
   }
@@ -339,11 +338,11 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
       // released (like rejected submits), so a Finished callback that
       // calls back into the service cannot deadlock on mutex_.
       if (state->submit_hit.has_value()) {
-        ++submitted_;
-        ++finished_;
-        ++cache_hits_;
+        ++stats_.submitted;
+        ++stats_.finished;
+        ++stats_.cache_hits;
         if (stat_bool(state->submit_hit->stats, "cache_hit_rounded")) {
-          ++cache_rounded_hits_;
+          ++stats_.cache_rounded_hits;
         }
         state->emit({.kind = ProgressKind::Queued});
         hits.push_back(std::move(state));
@@ -354,7 +353,7 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
       if (state->cache_enabled) {
         const auto leader = inflight_.find(state->key);
         if (leader != inflight_.end()) {
-          ++submitted_;
+          ++stats_.submitted;
           if (state->request.deadline.has_value() &&
               !watchdog_.joinable()) {
             watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -366,11 +365,11 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
       }
       if (config_.max_queue_depth != 0 &&
           queue_.size() >= config_.max_queue_depth + free_slots) {
-        ++rejected_;
+        ++stats_.rejected;
         bounced.push_back(std::move(state));
         continue;
       }
-      ++submitted_;
+      ++stats_.submitted;
       if (state->request.deadline.has_value() && !watchdog_.joinable()) {
         watchdog_ = std::thread([this] { watchdog_loop(); });
       }
@@ -429,7 +428,6 @@ SchedulingService::SessionOpening SchedulingService::open_session(
   session->initial_instance = request.instance;
   auto state = std::make_shared<RequestState>(std::move(request));
   state->id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  state->session_op = true;
   state->session_open = true;
 
   SessionOpening opening;
@@ -443,7 +441,7 @@ SchedulingService::SessionOpening SchedulingService::open_session(
     session->epoch = util::mix64(session->id ^ boot_nonce_);
     state->session_id = session->id;
     sessions_.emplace(session->id, session);
-    ++sessions_opened_;
+    ++stats_.sessions_opened;
     session->busy = true;
     ++session_ops_active_;
   }
@@ -462,7 +460,6 @@ SolveHandle SchedulingService::submit(DeltaRequest request) {
       std::move(static_cast<RequestBase&>(request));
   auto state = std::make_shared<RequestState>(std::move(carrier));
   state->id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  state->session_op = true;
   state->session_id = request.session;
   state->delta = std::move(request.delta);
   state->expect_revision = request.expect_revision;
@@ -507,7 +504,7 @@ bool SchedulingService::close_session(std::uint64_t session) {
     const auto it = sessions_.find(session);
     if (it == sessions_.end() || it->second->closed) return false;
     it->second->closed = true;
-    ++sessions_closed_;
+    ++stats_.sessions_closed;
     // Queued deltas still resolve; the last one retires the entry (see
     // pump_session_locked). An idle session retires immediately.
     if (!it->second->busy && it->second->pending.empty()) sessions_.erase(it);
@@ -567,7 +564,7 @@ std::size_t SchedulingService::restore_sessions(
 
     std::lock_guard<std::mutex> lock(mutex_);
     sessions_[session->id] = session;
-    ++sessions_restored_;
+    ++stats_.sessions_restored;
     ++restored;
   }
   std::lock_guard<std::mutex> lock(mutex_);
@@ -715,7 +712,7 @@ void SchedulingService::run_session_op(
       // ones drain with "unknown session".
       session->failed = true;
       session->closed = true;
-      ++sessions_closed_;
+      ++stats_.sessions_closed;
     }
     if (committed && !poisoned) {
       session->revision = session->session->revision();
@@ -724,13 +721,13 @@ void SchedulingService::run_session_op(
       session->last_commit_result = result;
     }
     if (is_delta) {
-      ++session_deltas_;
+      ++stats_.session_deltas;
       if (duplicate) {
-        ++session_duplicates_;
+        ++stats_.session_duplicates;
       } else if (stat_str(result.stats, "online.path") == "fresh") {
-        ++session_fresh_;
+        ++stats_.session_fresh;
       } else if (result.ok()) {
-        ++session_repaired_;
+        ++stats_.session_repaired;
       }
     }
   }
@@ -755,26 +752,12 @@ void SchedulingService::wait_idle() {
 
 SchedulingService::Stats SchedulingService::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats;
-  stats.submitted = submitted_;
-  stats.rejected = rejected_;
+  Stats stats = stats_;
   stats.queue_depth = queue_.size();
   stats.active = running_.size();
-  stats.finished = finished_;
-  stats.cache_hits = cache_hits_;
-  stats.cache_rounded_hits = cache_rounded_hits_;
-  stats.dedup_shared = dedup_shared_;
-  stats.queue_wait_ewma_seconds = queue_wait_ewma_;
-  stats.sessions_opened = sessions_opened_;
-  stats.sessions_closed = sessions_closed_;
   for (const auto& [id, session] : sessions_) {
     if (!session->closed) ++stats.open_sessions;
   }
-  stats.session_deltas = session_deltas_;
-  stats.session_repaired = session_repaired_;
-  stats.session_fresh = session_fresh_;
-  stats.sessions_restored = sessions_restored_;
-  stats.session_duplicates = session_duplicates_;
   return stats;
 }
 
@@ -876,7 +859,8 @@ void SchedulingService::dispatch_locked() {
     std::shared_ptr<RequestState> state = std::move(*next);
     queue_.erase(next);
     state->queue_seconds = state->since_submit.seconds();
-    queue_wait_ewma_ = 0.8 * queue_wait_ewma_ + 0.2 * state->queue_seconds;
+    stats_.queue_wait_ewma_seconds =
+        0.8 * stats_.queue_wait_ewma_seconds + 0.2 * state->queue_seconds;
     running_.push_back(state);
     pool_.submit([this, state = std::move(state)]() mutable {
       run_request(std::move(state));
@@ -1011,9 +995,9 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (from_cache) {
-      ++cache_hits_;
+      ++stats_.cache_hits;
       if (stat_bool(result.stats, "cache_hit_rounded")) {
-        ++cache_rounded_hits_;
+        ++stats_.cache_rounded_hits;
       }
     }
     if (state->cache_enabled) {
@@ -1041,8 +1025,8 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
     }
     // Counted before any handle resolves: a stats() read issued right
     // after an answer arrives must already see it finished.
-    finished_ += 1 + shared.size();
-    dedup_shared_ += shared.size();
+    stats_.finished += 1 + shared.size();
+    stats_.dedup_shared += shared.size();
   }
 
   // Store before sharing/resolving: any request submitted from a Finished
@@ -1232,7 +1216,7 @@ void SchedulingService::watchdog_loop() {
         result.stats["request_id"] = static_cast<long long>(state->id);
         resolve(state, std::move(result), /*emit_finished=*/true);
       }
-      finished_ += expired.size();
+      stats_.finished += expired.size();
       if (!expired.empty()) idle_cv_.notify_all();
     }
   }

@@ -303,10 +303,10 @@ std::optional<api::SolveResult> SolveCache::lookup(const CacheKey& key) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      ++shard.misses;
+      ++shard.stats.misses;
       return std::nullopt;
     }
-    ++shard.hits;
+    ++shard.stats.hits;
     shard.unlink(*it);
     shard.push_newest(*it);
     payload = it->second.payload;
@@ -346,40 +346,42 @@ void SolveCache::store(const CacheKey& key, const Payload& payload,
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (bytes > shard_budget_) {
-    ++shard.oversized;
+    ++shard.stats.oversized;
     return;
   }
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
-    shard.bytes -= it->second.bytes;
+    shard.stats.bytes -= it->second.bytes;
     shard.unlink(*it);
     shard.index.erase(it);
   }
-  while (shard.bytes + bytes > shard_budget_ && shard.oldest != nullptr) {
+  while (shard.stats.bytes + bytes > shard_budget_ &&
+         shard.oldest != nullptr) {
     Slot& victim = *shard.oldest;
-    shard.bytes -= victim.second.bytes;
+    shard.stats.bytes -= victim.second.bytes;
     shard.unlink(victim);
     shard.index.erase(shard.index.find(victim.first));
-    ++shard.evictions;
+    ++shard.stats.evictions;
   }
   const auto it =
       shard.index.try_emplace(key, Entry{payload, std::move(schedule), bytes})
           .first;
   shard.push_newest(*it);
-  shard.bytes += bytes;
-  ++shard.insertions;
+  shard.stats.bytes += bytes;
+  ++shard.stats.insertions;
 }
 
 CacheStats SolveCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.insertions += shard->insertions;
-    total.evictions += shard->evictions;
-    total.oversized += shard->oversized;
+    const CacheStats& part = shard->stats;
+    total.hits += part.hits;
+    total.misses += part.misses;
+    total.insertions += part.insertions;
+    total.evictions += part.evictions;
+    total.oversized += part.oversized;
     total.entries += shard->index.size();
-    total.bytes += shard->bytes;
+    total.bytes += part.bytes;
   }
   return total;
 }
@@ -389,7 +391,7 @@ void SolveCache::clear() {
     std::lock_guard<std::mutex> lock(shard->mutex);
     shard->index.clear();
     shard->newest = shard->oldest = nullptr;
-    shard->bytes = 0;
+    shard->stats.bytes = 0;
   }
 }
 

@@ -137,12 +137,9 @@ class SolveCache {
     std::unordered_map<CacheKey, Entry, CacheKeyHash> index;
     Slot* newest = nullptr;  ///< most recently used
     Slot* oldest = nullptr;  ///< next eviction victim
-    std::size_t bytes = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t oversized = 0;
+    /// Counters and the bytes gauge; entries stays zero (stats() reads
+    /// index.size()).
+    CacheStats stats;
 
     void unlink(Slot& slot);
     void push_newest(Slot& slot);

@@ -192,13 +192,6 @@ std::pair<int, std::string> http_get(const std::string& host,
   return {status, response.substr(header_end + 4)};
 }
 
-/// Epoch token off the wire: issued as a decimal string (a u64 does not
-/// survive a JSON double) but an integer is tolerated.
-std::uint64_t epoch_from_json(const util::Json& value) {
-  if (value.is_string()) return std::stoull(value.as_string());
-  return static_cast<std::uint64_t>(value.as_int());
-}
-
 }  // namespace
 
 Client::Client(Client&& other) noexcept
@@ -347,27 +340,13 @@ Client::Session Client::open_session(const api::SolveRequest& request,
   if (regret_bound >= 0.0) frame.set("regret_bound", regret_bound);
   if (!want_schedule) frame.set("schedule", false);
   send_line(frame.dump());
-  Session session;
   // The ok frame (with the session id) precedes the initial solve's events.
-  for (;;) {
-    auto reply = read_frame(read_timeout_seconds);
-    if (!reply.has_value()) {
-      throw ConnectionError(
-          "server closed the connection before the session opened");
-    }
-    const std::string type = reply->string_or("type", "");
-    if (type == "error" && reply->string_or("id", "") == id) {
-      throw std::runtime_error(reply->string_or("code", "") + ": " +
-                               reply->string_or("message", ""));
-    }
-    if (type == "ok" && reply->string_or("op", "") == "open_session" &&
-        reply->string_or("id", "") == id) {
-      session.id = static_cast<std::uint64_t>(reply->at("session").as_int());
-      if (const util::Json* epoch = reply->find("epoch")) {
-        session.epoch = epoch_from_json(*epoch);
-      }
-      break;
-    }
+  const util::Json ok = await_ok("open_session", id, read_timeout_seconds,
+                                 "the session opened");
+  Session session;
+  session.id = static_cast<std::uint64_t>(ok.at("session").as_int());
+  if (const util::Json* epoch = ok.find("epoch")) {
+    session.epoch = util::u64_from_json(*epoch);
   }
   session.initial = await_result(id, {}, read_timeout_seconds);
   return session;
@@ -384,31 +363,17 @@ Client::Resumed Client::resume_session(std::uint64_t session,
   frame.set("session", session);
   frame.set("epoch", std::to_string(epoch));
   send_line(frame.dump());
-  for (;;) {
-    auto reply = read_frame(read_timeout_seconds);
-    if (!reply.has_value()) {
-      throw ConnectionError(
-          "server closed the connection before the resume was acknowledged");
-    }
-    const std::string type = reply->string_or("type", "");
-    if (type == "error" && reply->string_or("id", "") == id) {
-      throw std::runtime_error(reply->string_or("code", "") + ": " +
-                               reply->string_or("message", ""));
-    }
-    if (type == "ok" && reply->string_or("op", "") == "resume_session" &&
-        reply->string_or("id", "") == id) {
-      Resumed resumed;
-      resumed.session =
-          static_cast<std::uint64_t>(reply->at("session").as_int());
-      if (const util::Json* token = reply->find("epoch")) {
-        resumed.epoch = epoch_from_json(*token);
-      }
-      resumed.revision = static_cast<std::uint64_t>(
-          reply->find("revision") ? reply->at("revision").as_int() : 0);
-      resumed.digest = reply->string_or("digest", "");
-      return resumed;
-    }
+  const util::Json ok = await_ok("resume_session", id, read_timeout_seconds,
+                                 "the resume was acknowledged");
+  Resumed resumed;
+  resumed.session = static_cast<std::uint64_t>(ok.at("session").as_int());
+  if (const util::Json* token = ok.find("epoch")) {
+    resumed.epoch = util::u64_from_json(*token);
   }
+  resumed.revision = static_cast<std::uint64_t>(
+      ok.find("revision") ? ok.at("revision").as_int() : 0);
+  resumed.digest = ok.string_or("digest", "");
+  return resumed;
 }
 
 api::SolveResult Client::delta(std::uint64_t session,
@@ -438,20 +403,26 @@ void Client::close_session(std::uint64_t session, const std::string& id,
   frame.set("proto_version", static_cast<long long>(kProtoVersion));
   frame.set("session", session);
   send_line(frame.dump());
+  await_ok("close_session", id, read_timeout_seconds,
+           "the close was acknowledged");
+}
+
+util::Json Client::await_ok(const char* op, const std::string& id,
+                            double read_timeout_seconds, const char* what) {
   for (;;) {
     auto reply = read_frame(read_timeout_seconds);
     if (!reply.has_value()) {
       throw ConnectionError(
-          "server closed the connection before the close was acknowledged");
+          std::string("server closed the connection before ") + what);
     }
     const std::string type = reply->string_or("type", "");
     if (type == "error" && reply->string_or("id", "") == id) {
       throw std::runtime_error(reply->string_or("code", "") + ": " +
                                reply->string_or("message", ""));
     }
-    if (type == "ok" && reply->string_or("op", "") == "close_session" &&
+    if (type == "ok" && reply->string_or("op", "") == op &&
         reply->string_or("id", "") == id) {
-      return;
+      return std::move(*reply);
     }
   }
 }

@@ -170,6 +170,12 @@ class Client {
   api::SolveResult await_result(const std::string& id,
                                 const api::ProgressFn& on_progress,
                                 double read_timeout_seconds);
+  /// Reads frames until the `ok` frame for (`op`, `id`) and returns it.
+  /// An error frame for `id` throws std::runtime_error "code: message";
+  /// EOF throws ConnectionError "server closed the connection before
+  /// <what>". Shared ack wait of open/resume/close_session.
+  util::Json await_ok(const char* op, const std::string& id,
+                      double read_timeout_seconds, const char* what);
 
   int fd_ = -1;
   int server_proto_version_ = 0;

@@ -1,193 +1,211 @@
 #include "net/metrics.h"
 
-#include <cstdint>
-
 #include "persist/journal.h"
+#include "util/json.h"
 
 namespace bagsched::net {
 
 namespace {
 
-void metric_header(std::string& out, const char* name, const char* type,
-                   const char* help) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-  out += name;
-  out += ' ';
+constexpr auto kCounter = StatField::Type::Counter;
+constexpr auto kGauge = StatField::Type::Gauge;
+
+util::Json to_json(const std::vector<StatField>& fields) {
+  util::Json json = util::Json::object();
+  for (const StatField& field : fields) {
+    std::visit([&](auto value) { json.set(field.key, value); }, field.value);
+  }
+  return json;
 }
 
-void metric(std::string& out, const char* name, const char* type,
-            const char* help, std::uint64_t value) {
-  metric_header(out, name, type, help);
-  out += std::to_string(value);
-  out += '\n';
-}
-
-void metric(std::string& out, const char* name, const char* type,
-            const char* help, double value) {
-  metric_header(out, name, type, help);
-  out += std::to_string(value);
-  out += '\n';
+void append_series(std::string& out, const std::string& group,
+                   const std::vector<StatField>& fields) {
+  for (const StatField& field : fields) {
+    std::string name = "bagsched_";
+    const std::string key = field.key;
+    if (key.rfind(group + "_", 0) != 0) name += group + "_";
+    name += key;
+    if (field.type == kCounter) name += "_total";
+    out += "# HELP " + name + ' ' + field.help + "\n# TYPE " + name +
+           (field.type == kCounter ? " counter\n" : " gauge\n") + name + ' ';
+    std::visit([&](auto value) { out += std::to_string(value); },
+               field.value);
+    out += '\n';
+  }
 }
 
 }  // namespace
+
+std::vector<StatField> stat_fields(const api::ServiceStats& stats) {
+  return {
+      {"submitted", kCounter, "Requests accepted by the service queue",
+       stats.submitted},
+      {"rejected", kCounter, "Requests shed at the max_queue_depth cap",
+       stats.rejected},
+      {"queue_depth", kGauge, "Requests waiting for a slot right now",
+       std::uint64_t{stats.queue_depth}},
+      {"active", kGauge, "Requests running right now",
+       std::uint64_t{stats.active}},
+      {"finished", kCounter, "Accepted requests that resolved",
+       stats.finished},
+      {"cache_hits", kCounter, "Requests served from the solve cache",
+       stats.cache_hits},
+      {"cache_rounded_hits", kCounter,
+       "Cache hits through the eps-rounded key", stats.cache_rounded_hits},
+      {"dedup_shared", kCounter,
+       "Single-flight followers resolved from another request's solve",
+       stats.dedup_shared},
+      {"queue_wait_ewma_seconds", kGauge,
+       "EWMA of request queue wait in seconds (brown-out signal)",
+       stats.queue_wait_ewma_seconds},
+      {"sessions_opened", kCounter, "Online schedule sessions opened",
+       stats.sessions_opened},
+      {"sessions_closed", kCounter, "Online schedule sessions closed",
+       stats.sessions_closed},
+      {"open_sessions", kGauge, "Online schedule sessions open right now",
+       std::uint64_t{stats.open_sessions}},
+      {"session_deltas", kCounter,
+       "Delta requests resolved by online sessions", stats.session_deltas},
+      {"session_repaired", kCounter,
+       "Deltas settled without a full solve (noop/repair/region)",
+       stats.session_repaired},
+      {"session_fresh", kCounter,
+       "Deltas that fell through to a fresh portfolio solve",
+       stats.session_fresh},
+      {"sessions_restored", kCounter,
+       "Sessions re-adopted from the journal at boot",
+       stats.sessions_restored},
+      {"session_duplicates", kCounter,
+       "Deltas answered from the commit cache via expect_revision",
+       stats.session_duplicates},
+  };
+}
+
+std::vector<StatField> stat_fields(const cache::CacheStats& stats) {
+  return {
+      {"hits", kCounter, "Solve-cache lookup hits", stats.hits},
+      {"misses", kCounter, "Solve-cache lookup misses", stats.misses},
+      {"insertions", kCounter, "Solve-cache insertions", stats.insertions},
+      {"evictions", kCounter, "Entries evicted to fit the byte budget",
+       stats.evictions},
+      {"oversized", kCounter,
+       "Inserts skipped because the entry alone exceeds a shard's budget",
+       stats.oversized},
+      {"entries", kGauge, "Resident cache entries",
+       std::uint64_t{stats.entries}},
+      {"bytes", kGauge, "Approximate resident cache footprint in bytes",
+       std::uint64_t{stats.bytes}},
+  };
+}
+
+std::vector<StatField> stat_fields(const ServerCounters& stats) {
+  return {
+      {"connections_accepted", kCounter, "Client connections accepted",
+       stats.connections_accepted},
+      {"connections_active", kGauge, "Client connections open right now",
+       stats.connections_active},
+      {"frames_in", kCounter, "Protocol frames received", stats.frames_in},
+      {"frames_out", kCounter, "Protocol frames sent", stats.frames_out},
+      {"bytes_in", kCounter, "Bytes received from clients", stats.bytes_in},
+      {"bytes_out", kCounter, "Bytes sent to clients", stats.bytes_out},
+      {"parse_errors", kCounter, "Frames rejected by the JSON parser",
+       stats.parse_errors},
+      {"oversized_frames", kCounter,
+       "Connections closed for exceeding the frame-size cap",
+       stats.oversized_frames},
+      {"submits", kCounter, "Submit frames admitted to the service",
+       stats.submits},
+      {"cancels", kCounter, "Cancel frames applied to an in-flight request",
+       stats.cancels},
+      {"metrics_requests", kCounter, "GET /metrics scrapes served",
+       stats.metrics_requests},
+      {"healthz_requests", kCounter, "GET /healthz probes served",
+       stats.healthz_requests},
+      {"disconnect_cancels", kCounter,
+       "Orphaned solves cancelled after a client disconnect",
+       stats.disconnect_cancels},
+      {"slow_client_disconnects", kCounter,
+       "Clients dropped for an overfull outbound buffer",
+       stats.slow_client_disconnects},
+      {"brownouts", kCounter,
+       "Submits degraded to the brown-out solver under queue pressure",
+       stats.brownouts},
+      {"request_timeouts", kCounter,
+       "Requests escalated to a timeout error by the budget watchdog",
+       stats.request_timeouts},
+      {"session_opens", kCounter,
+       "open_session frames admitted to the service", stats.session_opens},
+      {"session_deltas", kCounter, "delta frames routed to an open session",
+       stats.session_deltas},
+      {"session_closes", kCounter,
+       "Sessions closed by close_session frames or disconnects",
+       stats.session_closes},
+      {"version_rejects", kCounter,
+       "Frames rejected for declaring a newer proto_version",
+       stats.version_rejects},
+      {"session_resumes", kCounter, "Sessions reclaimed via resume_session",
+       stats.session_resumes},
+      {"resume_rejects", kCounter, "resume_session frames refused",
+       stats.resume_rejects},
+      {"sessions_orphaned", kCounter,
+       "Sessions parked in the linger window after a disconnect",
+       stats.sessions_orphaned},
+      {"orphans_expired", kCounter,
+       "Orphaned sessions closed because nobody resumed them",
+       stats.orphans_expired},
+      {"recovering_rejects", kCounter,
+       "Frames refused while the journal replayed",
+       stats.recovering_rejects},
+  };
+}
+
+std::vector<StatField> stat_fields(const persist::JournalStats& stats) {
+  return {
+      {"records_appended", kCounter,
+       "Records appended to the write-ahead journal", stats.records_appended},
+      {"bytes_appended", kCounter, "Payload bytes appended to the journal",
+       stats.bytes_appended},
+      {"fsyncs", kCounter, "fsync calls issued by the journal", stats.fsyncs},
+      {"snapshots", kCounter, "Snapshot compactions completed",
+       stats.snapshots},
+      {"snapshot_failures", kCounter,
+       "Snapshot compactions abandoned (old journal kept)",
+       stats.snapshot_failures},
+      {"records_replayed", kCounter,
+       "Records replayed from the journal at boot", stats.records_replayed},
+      {"sessions_recovered", kCounter,
+       "Sessions reconstructed from the journal at boot",
+       stats.sessions_recovered},
+      {"truncated_bytes", kCounter,
+       "Torn-tail bytes truncated at journal open", stats.truncated_bytes},
+      {"live_sessions", kGauge, "Sessions the journal currently tracks",
+       stats.live_sessions},
+      {"journal_bytes", kGauge, "Journal file size in bytes",
+       stats.journal_bytes},
+  };
+}
+
+std::string stats_frame(const api::ServiceStats& service,
+                        const cache::CacheStats& cache,
+                        const ServerCounters& server) {
+  util::Json frame = util::Json::object();
+  frame.set("type", "stats");
+  frame.set("service", to_json(stat_fields(service)));
+  frame.set("cache", to_json(stat_fields(cache)));
+  frame.set("server", to_json(stat_fields(server)));
+  return frame.dump();
+}
 
 std::string prometheus_text(const api::ServiceStats& service,
                             const cache::CacheStats& cache,
                             const ServerCounters& server,
                             const persist::JournalStats* journal) {
   std::string out;
-  out.reserve(4096);
-  // --- SchedulingService ---------------------------------------------------
-  metric(out, "bagsched_service_submitted_total", "counter",
-         "Requests accepted by the service queue", service.submitted);
-  metric(out, "bagsched_service_rejected_total", "counter",
-         "Requests shed at the max_queue_depth cap", service.rejected);
-  metric(out, "bagsched_service_finished_total", "counter",
-         "Accepted requests that resolved", service.finished);
-  metric(out, "bagsched_service_queue_depth", "gauge",
-         "Requests waiting for a slot right now", service.queue_depth);
-  metric(out, "bagsched_service_active", "gauge",
-         "Requests running right now", service.active);
-  metric(out, "bagsched_service_cache_hits_total", "counter",
-         "Requests served from the solve cache", service.cache_hits);
-  metric(out, "bagsched_service_cache_rounded_hits_total", "counter",
-         "Cache hits through the eps-rounded key", service.cache_rounded_hits);
-  metric(out, "bagsched_service_dedup_shared_total", "counter",
-         "Single-flight followers resolved from another request's solve",
-         service.dedup_shared);
-  metric(out, "bagsched_service_queue_wait_ewma_seconds", "gauge",
-         "EWMA of request queue wait in seconds (brown-out signal)",
-         service.queue_wait_ewma_seconds);
-  metric(out, "bagsched_service_sessions_opened_total", "counter",
-         "Online schedule sessions opened", service.sessions_opened);
-  metric(out, "bagsched_service_sessions_closed_total", "counter",
-         "Online schedule sessions closed", service.sessions_closed);
-  metric(out, "bagsched_service_open_sessions", "gauge",
-         "Online schedule sessions open right now", service.open_sessions);
-  metric(out, "bagsched_service_session_deltas_total", "counter",
-         "Delta requests resolved by online sessions", service.session_deltas);
-  metric(out, "bagsched_service_session_repaired_total", "counter",
-         "Deltas settled without a full solve (noop/repair/region)",
-         service.session_repaired);
-  metric(out, "bagsched_service_session_fresh_total", "counter",
-         "Deltas that fell through to a fresh portfolio solve",
-         service.session_fresh);
-  metric(out, "bagsched_service_sessions_restored_total", "counter",
-         "Sessions re-adopted from the journal at boot",
-         service.sessions_restored);
-  metric(out, "bagsched_service_session_duplicates_total", "counter",
-         "Deltas answered from the commit cache via expect_revision",
-         service.session_duplicates);
-  // --- SolveCache ----------------------------------------------------------
-  metric(out, "bagsched_cache_hits_total", "counter", "Solve-cache lookup hits",
-         cache.hits);
-  metric(out, "bagsched_cache_misses_total", "counter",
-         "Solve-cache lookup misses", cache.misses);
-  metric(out, "bagsched_cache_insertions_total", "counter",
-         "Solve-cache insertions", cache.insertions);
-  metric(out, "bagsched_cache_evictions_total", "counter",
-         "Entries evicted to fit the byte budget", cache.evictions);
-  metric(out, "bagsched_cache_entries", "gauge", "Resident cache entries",
-         cache.entries);
-  metric(out, "bagsched_cache_bytes", "gauge",
-         "Approximate resident cache footprint in bytes", cache.bytes);
-  // --- Server --------------------------------------------------------------
-  metric(out, "bagsched_server_connections_accepted_total", "counter",
-         "Client connections accepted", server.connections_accepted);
-  metric(out, "bagsched_server_connections_active", "gauge",
-         "Client connections open right now", server.connections_active);
-  metric(out, "bagsched_server_frames_in_total", "counter",
-         "Protocol frames received", server.frames_in);
-  metric(out, "bagsched_server_frames_out_total", "counter",
-         "Protocol frames sent", server.frames_out);
-  metric(out, "bagsched_server_bytes_in_total", "counter",
-         "Bytes received from clients", server.bytes_in);
-  metric(out, "bagsched_server_bytes_out_total", "counter",
-         "Bytes sent to clients", server.bytes_out);
-  metric(out, "bagsched_server_parse_errors_total", "counter",
-         "Frames rejected by the JSON parser", server.parse_errors);
-  metric(out, "bagsched_server_oversized_frames_total", "counter",
-         "Connections closed for exceeding the frame-size cap",
-         server.oversized_frames);
-  metric(out, "bagsched_server_submits_total", "counter",
-         "Submit frames admitted to the service", server.submits);
-  metric(out, "bagsched_server_cancels_total", "counter",
-         "Cancel frames applied to an in-flight request", server.cancels);
-  metric(out, "bagsched_server_metrics_requests_total", "counter",
-         "GET /metrics scrapes served", server.metrics_requests);
-  metric(out, "bagsched_server_disconnect_cancels_total", "counter",
-         "Orphaned solves cancelled after a client disconnect",
-         server.disconnect_cancels);
-  metric(out, "bagsched_server_slow_client_disconnects_total", "counter",
-         "Clients dropped for an overfull outbound buffer",
-         server.slow_client_disconnects);
-  metric(out, "bagsched_server_healthz_requests_total", "counter",
-         "GET /healthz probes served", server.healthz_requests);
-  metric(out, "bagsched_server_brownouts_total", "counter",
-         "Submits degraded to the brown-out solver under queue pressure",
-         server.brownouts);
-  metric(out, "bagsched_server_request_timeouts_total", "counter",
-         "Requests escalated to a timeout error by the budget watchdog",
-         server.request_timeouts);
-  metric(out, "bagsched_server_session_opens_total", "counter",
-         "open_session frames admitted to the service", server.session_opens);
-  metric(out, "bagsched_server_session_deltas_total", "counter",
-         "delta frames routed to an open session", server.session_deltas);
-  metric(out, "bagsched_server_session_closes_total", "counter",
-         "Sessions closed by close_session frames or disconnects",
-         server.session_closes);
-  metric(out, "bagsched_server_version_rejects_total", "counter",
-         "Frames rejected for declaring a newer proto_version",
-         server.version_rejects);
-  metric(out, "bagsched_server_session_resumes_total", "counter",
-         "Sessions reclaimed via resume_session", server.session_resumes);
-  metric(out, "bagsched_server_resume_rejects_total", "counter",
-         "resume_session frames refused", server.resume_rejects);
-  metric(out, "bagsched_server_sessions_orphaned_total", "counter",
-         "Sessions parked in the linger window after a disconnect",
-         server.sessions_orphaned);
-  metric(out, "bagsched_server_orphans_expired_total", "counter",
-         "Orphaned sessions closed because nobody resumed them",
-         server.orphans_expired);
-  metric(out, "bagsched_server_recovering_rejects_total", "counter",
-         "Frames refused while the journal replayed",
-         server.recovering_rejects);
-  // --- Journal (only when sched_server runs with --journal-dir) -----------
-  if (journal != nullptr) {
-    metric(out, "bagsched_journal_records_appended_total", "counter",
-           "Records appended to the write-ahead journal",
-           journal->records_appended);
-    metric(out, "bagsched_journal_bytes_appended_total", "counter",
-           "Payload bytes appended to the journal", journal->bytes_appended);
-    metric(out, "bagsched_journal_fsyncs_total", "counter",
-           "fsync calls issued by the journal", journal->fsyncs);
-    metric(out, "bagsched_journal_snapshots_total", "counter",
-           "Snapshot compactions completed", journal->snapshots);
-    metric(out, "bagsched_journal_snapshot_failures_total", "counter",
-           "Snapshot compactions abandoned (old journal kept)",
-           journal->snapshot_failures);
-    metric(out, "bagsched_journal_records_replayed_total", "counter",
-           "Records replayed from the journal at boot",
-           journal->records_replayed);
-    metric(out, "bagsched_journal_sessions_recovered_total", "counter",
-           "Sessions reconstructed from the journal at boot",
-           journal->sessions_recovered);
-    metric(out, "bagsched_journal_truncated_bytes_total", "counter",
-           "Torn-tail bytes truncated at journal open",
-           journal->truncated_bytes);
-    metric(out, "bagsched_journal_live_sessions", "gauge",
-           "Sessions the journal currently tracks", journal->live_sessions);
-    metric(out, "bagsched_journal_bytes", "gauge",
-           "Journal file size in bytes", journal->journal_bytes);
-  }
+  out.reserve(8192);
+  append_series(out, "service", stat_fields(service));
+  append_series(out, "cache", stat_fields(cache));
+  append_series(out, "server", stat_fields(server));
+  if (journal != nullptr) append_series(out, "journal", stat_fields(*journal));
   return out;
 }
 

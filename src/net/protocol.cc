@@ -159,79 +159,4 @@ std::string hello_frame() {
   return frame.dump();
 }
 
-util::Json to_json(const api::ServiceStats& stats) {
-  util::Json json = util::Json::object();
-  json.set("submitted", stats.submitted);
-  json.set("rejected", stats.rejected);
-  json.set("queue_depth", static_cast<std::uint64_t>(stats.queue_depth));
-  json.set("active", static_cast<std::uint64_t>(stats.active));
-  json.set("finished", stats.finished);
-  json.set("cache_hits", stats.cache_hits);
-  json.set("cache_rounded_hits", stats.cache_rounded_hits);
-  json.set("dedup_shared", stats.dedup_shared);
-  json.set("queue_wait_ewma_seconds", stats.queue_wait_ewma_seconds);
-  json.set("sessions_opened", stats.sessions_opened);
-  json.set("sessions_closed", stats.sessions_closed);
-  json.set("open_sessions", static_cast<std::uint64_t>(stats.open_sessions));
-  json.set("session_deltas", stats.session_deltas);
-  json.set("session_repaired", stats.session_repaired);
-  json.set("session_fresh", stats.session_fresh);
-  json.set("sessions_restored", stats.sessions_restored);
-  json.set("session_duplicates", stats.session_duplicates);
-  return json;
-}
-
-util::Json to_json(const cache::CacheStats& stats) {
-  util::Json json = util::Json::object();
-  json.set("hits", stats.hits);
-  json.set("misses", stats.misses);
-  json.set("insertions", stats.insertions);
-  json.set("evictions", stats.evictions);
-  json.set("oversized", stats.oversized);
-  json.set("entries", static_cast<std::uint64_t>(stats.entries));
-  json.set("bytes", static_cast<std::uint64_t>(stats.bytes));
-  return json;
-}
-
-util::Json to_json(const ServerCounters& counters) {
-  util::Json json = util::Json::object();
-  json.set("connections_accepted", counters.connections_accepted);
-  json.set("connections_active", counters.connections_active);
-  json.set("frames_in", counters.frames_in);
-  json.set("frames_out", counters.frames_out);
-  json.set("bytes_in", counters.bytes_in);
-  json.set("bytes_out", counters.bytes_out);
-  json.set("parse_errors", counters.parse_errors);
-  json.set("oversized_frames", counters.oversized_frames);
-  json.set("submits", counters.submits);
-  json.set("cancels", counters.cancels);
-  json.set("metrics_requests", counters.metrics_requests);
-  json.set("healthz_requests", counters.healthz_requests);
-  json.set("disconnect_cancels", counters.disconnect_cancels);
-  json.set("slow_client_disconnects", counters.slow_client_disconnects);
-  json.set("brownouts", counters.brownouts);
-  json.set("request_timeouts", counters.request_timeouts);
-  json.set("session_opens", counters.session_opens);
-  json.set("session_deltas", counters.session_deltas);
-  json.set("session_closes", counters.session_closes);
-  json.set("version_rejects", counters.version_rejects);
-  json.set("session_resumes", counters.session_resumes);
-  json.set("resume_rejects", counters.resume_rejects);
-  json.set("sessions_orphaned", counters.sessions_orphaned);
-  json.set("orphans_expired", counters.orphans_expired);
-  json.set("recovering_rejects", counters.recovering_rejects);
-  return json;
-}
-
-std::string stats_frame(const api::ServiceStats& service,
-                        const cache::CacheStats& cache,
-                        const ServerCounters& server) {
-  util::Json frame = util::Json::object();
-  frame.set("type", "stats");
-  frame.set("service", to_json(service));
-  frame.set("cache", to_json(cache));
-  frame.set("server", to_json(server));
-  return frame.dump();
-}
-
 }  // namespace bagsched::net

@@ -55,8 +55,6 @@
 #include <vector>
 
 #include "api/progress.h"
-#include "api/service.h"
-#include "cache/solve_cache.h"
 #include "util/json.h"
 
 namespace bagsched::net {
@@ -98,8 +96,8 @@ inline constexpr int kProtoVersion = 3;
 /// rewrote the request to a cheap heuristic solver — the answer is valid
 /// but weaker than what was asked for.
 
-/// Connection/byte/frame gauges exported at /metrics next to the
-/// ServiceStats and cache counters.
+/// Connection/byte/frame counters, exported next to the ServiceStats and
+/// cache counters (field list: net/metrics.cc).
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;  ///< gauge
@@ -211,13 +209,5 @@ std::string pong_frame();
 
 /// Connection greeting: the server's protocol version and software name.
 std::string hello_frame();
-
-util::Json to_json(const api::ServiceStats& stats);
-util::Json to_json(const cache::CacheStats& stats);
-util::Json to_json(const ServerCounters& counters);
-
-std::string stats_frame(const api::ServiceStats& service,
-                        const cache::CacheStats& cache,
-                        const ServerCounters& server);
 
 }  // namespace bagsched::net

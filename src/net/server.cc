@@ -155,10 +155,7 @@ void SchedServer::adopt_orphans(const std::vector<std::uint64_t>& sessions) {
     adopted_orphans_.insert(adopted_orphans_.end(), sessions.begin(),
                             sessions.end());
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.sessions_orphaned += sessions.size();
-  }
+  count(&ServerCounters::sessions_orphaned, sessions.size());
   wake();
 }
 
@@ -239,6 +236,12 @@ void SchedServer::wait() {
 ServerCounters SchedServer::counters() const {
   std::lock_guard<std::mutex> lock(counters_mutex_);
   return counters_;
+}
+
+void SchedServer::count(std::uint64_t ServerCounters::*counter,
+                        std::uint64_t n) {
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  counters_.*counter += n;
 }
 
 void SchedServer::wake() {
@@ -447,10 +450,7 @@ void SchedServer::escalate_stuck() {
                                      config_.request_budget_seconds) +
                                  "s budget",
                              &id));
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.request_timeouts;
-      }
+      count(&ServerCounters::request_timeouts);
       it = connection->inflight.erase(it);
     }
   }
@@ -481,11 +481,8 @@ void SchedServer::accept_ready() {
     connection->fd = fd;
     connection->sink = std::make_shared<Sink>();
     connection->sink->wake_fd = wake_write_fd_;
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.connections_accepted;
-      ++counters_.connections_active;
-    }
+    count(&ServerCounters::connections_accepted);
+    count(&ServerCounters::connections_active);
     connections_.push_back(std::move(connection));
   }
 }
@@ -505,10 +502,7 @@ void SchedServer::read_ready(Connection& connection) {
         BAGSCHED_FAULT("net.server.read.short") ? 1 : sizeof(buffer);
     const ssize_t n = ::recv(connection.fd, buffer, cap, 0);
     if (n > 0) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        counters_.bytes_in += static_cast<std::uint64_t>(n);
-      }
+      count(&ServerCounters::bytes_in, static_cast<std::uint64_t>(n));
       connection.framer.feed(buffer, static_cast<std::size_t>(n));
       while (!connection.dead && !connection.close_after_flush) {
         const auto line = connection.framer.next();
@@ -518,10 +512,7 @@ void SchedServer::read_ready(Connection& connection) {
       }
       if (!connection.dead && connection.framer.overflowed() &&
           !connection.close_after_flush) {
-        {
-          std::lock_guard<std::mutex> lock(counters_mutex_);
-          ++counters_.oversized_frames;
-        }
+        count(&ServerCounters::oversized_frames);
         send_frame(connection,
                    error_frame("oversized_frame",
                                "frame exceeds " +
@@ -562,8 +553,7 @@ void SchedServer::flush(Connection& connection) {
         cap, MSG_NOSIGNAL);
     if (n > 0) {
       connection.out_offset += static_cast<std::size_t>(n);
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      counters_.bytes_out += static_cast<std::uint64_t>(n);
+      count(&ServerCounters::bytes_out, static_cast<std::uint64_t>(n));
       continue;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -598,17 +588,11 @@ void SchedServer::pump_sink(Connection& connection) {
     connection.out += frame;
     connection.out += '\n';
   }
-  if (!frames.empty()) {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.frames_out += frames.size();
-  }
+  if (!frames.empty()) count(&ServerCounters::frames_out, frames.size());
   for (const auto& id : finished) connection.inflight.erase(id);
   if (connection.out.size() - connection.out_offset >
       config_.max_output_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.slow_client_disconnects;
-    }
+    count(&ServerCounters::slow_client_disconnects);
     close_connection(connection);
   }
 }
@@ -642,12 +626,9 @@ void SchedServer::sweep_orphans(bool close_all) {
     }
   }
   if (expired.empty()) return;
-  {
-    // Counted before the closes are visible: whoever sees the session
-    // gone must also see it counted.
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    counters_.orphans_expired += expired.size();
-  }
+  // Counted before the closes are visible: whoever sees the session gone
+  // must also see it counted.
+  count(&ServerCounters::orphans_expired, expired.size());
   for (const std::uint64_t session : expired) service_.close_session(session);
 }
 
@@ -689,17 +670,16 @@ void SchedServer::close_connection(Connection& connection,
   ::close(connection.fd);
   connection.fd = -1;
   connection.dead = true;
+  if (count_orphans) count(&ServerCounters::disconnect_cancels, orphans);
+  count(&ServerCounters::sessions_orphaned, parked);
   std::lock_guard<std::mutex> lock(counters_mutex_);
-  if (count_orphans) counters_.disconnect_cancels += orphans;
-  counters_.sessions_orphaned += parked;
-  --counters_.connections_active;
+  --counters_.connections_active;  // the one gauge that goes down
 }
 
 void SchedServer::send_frame(Connection& connection, std::string frame) {
   connection.out += frame;
   connection.out += '\n';
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  ++counters_.frames_out;
+  count(&ServerCounters::frames_out);
 }
 
 void SchedServer::handle_line(Connection& connection,
@@ -711,10 +691,7 @@ void SchedServer::handle_line(Connection& connection,
     handle_http(connection, line);
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.frames_in;
-  }
+  count(&ServerCounters::frames_in);
   connection.saw_frame = true;
   // Greeting: sent once per NDJSON connection, before the first frame's
   // response. Deferred to here (not accept time) so HTTP probes on the
@@ -727,10 +704,7 @@ void SchedServer::handle_line(Connection& connection,
   try {
     frame.emplace(line);
   } catch (const std::exception& error) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.parse_errors;
-    }
+    count(&ServerCounters::parse_errors);
     send_frame(connection, error_frame("parse_error", error.what()));
     return;
   }
@@ -753,10 +727,7 @@ void SchedServer::handle_line(Connection& connection,
       return;
     }
     if (declared > kProtoVersion) {
-      {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.version_rejects;
-      }
+      count(&ServerCounters::version_rejects);
       send_frame(connection,
                  error_frame("unsupported_version",
                              "frame declares proto_version " +
@@ -778,10 +749,7 @@ void SchedServer::handle_line(Connection& connection,
       } catch (const std::exception&) {
       }
     }
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.recovering_rejects;
-    }
+    count(&ServerCounters::recovering_rejects);
     send_frame(connection,
                error_frame("recovering",
                            "server is replaying its journal; retry shortly",
@@ -822,10 +790,7 @@ void SchedServer::handle_http(Connection& connection,
     response = http_response(400, "text/plain",
                              "only GET is supported on this port\n");
   } else if (target == "/metrics") {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.metrics_requests;
-    }
+    count(&ServerCounters::metrics_requests);
     std::optional<persist::JournalStats> journal;
     if (config_.service.journal != nullptr) {
       journal = config_.service.journal->stats();
@@ -839,10 +804,7 @@ void SchedServer::handle_http(Connection& connection,
     // means the event loop is alive; 200 means submits are accepted, 503
     // that the server is draining (stop routing here) or still recovering
     // (journal replay; route back once the body flips to "ok").
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.healthz_requests;
-    }
+    count(&ServerCounters::healthz_requests);
     response = recovering()
                    ? http_response(503, "text/plain", "recovering\n")
                : draining()
@@ -913,8 +875,7 @@ void SchedServer::handle_submit(Connection& connection,
           config_.brownout_queue_latency_seconds) {
     request.solvers = {"bag-lpt"};
     degraded = true;
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.brownouts;
+    count(&ServerCounters::brownouts);
   }
 
   // Per-request budget: clamp the deadline so the service watchdog cancels
@@ -957,8 +918,7 @@ void SchedServer::handle_submit(Connection& connection,
     // terminal frame and finished-id are already queued on the sink, and
     // the pump after this dispatch erases the entry again.
     connection.inflight.emplace(id, Inflight{std::move(handle), escalate_at});
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.submits;
+    count(&ServerCounters::submits);
   } catch (const std::invalid_argument& error) {
     const std::string code = std::string(error.what()).find("solver") !=
                                      std::string::npos
@@ -992,10 +952,7 @@ void SchedServer::handle_cancel(Connection& connection,
     return;
   }
   it->second.handle.cancel();
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.cancels;
-  }
+  count(&ServerCounters::cancels);
   send_frame(connection, ok_frame("cancel", id));
 }
 
@@ -1074,8 +1031,7 @@ void SchedServer::handle_open_session(Connection& connection,
     // Session ops ignore cancellation tokens, so no timeout escalation.
     connection.inflight.emplace(
         id, Inflight{std::move(opening.initial), std::nullopt});
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_opens;
+    count(&ServerCounters::session_opens);
   } catch (const std::invalid_argument& error) {
     const std::string code = std::string(error.what()).find("solver") !=
                                      std::string::npos
@@ -1147,10 +1103,7 @@ void SchedServer::handle_delta(Connection& connection,
   };
   api::SolveHandle handle = service_.submit(std::move(request));
   connection.inflight.emplace(id, Inflight{std::move(handle), std::nullopt});
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_deltas;
-  }
+  count(&ServerCounters::session_deltas);
   pump_sink(connection);
 }
 
@@ -1184,10 +1137,7 @@ void SchedServer::handle_close_session(Connection& connection,
     return;
   }
   service_.close_session(session);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_closes;
-  }
+  count(&ServerCounters::session_closes);
   send_frame(connection, ok_frame("close_session", id, session));
 }
 
@@ -1215,27 +1165,14 @@ void SchedServer::handle_resume_session(Connection& connection,
     }
     // The token is issued as a decimal string (a u64 does not survive a
     // JSON double) but an integer is accepted for hand-written frames.
-    util::JsonReader epoch_reader(*epoch_value);
-    if (epoch_reader.peek_kind() == util::Json::Kind::String) {
-      const std::string text = epoch_reader.read_string();
-      std::size_t consumed = 0;
-      epoch = std::stoull(text, &consumed);
-      if (consumed != text.size()) {
-        throw std::runtime_error("epoch must be a decimal string");
-      }
-    } else {
-      epoch = static_cast<std::uint64_t>(epoch_reader.read_int());
-    }
+    epoch = util::u64_from_json(util::Json::parse(*epoch_value));
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(),
                                        id.empty() ? nullptr : &id));
     return;
   }
   const auto reject = [&](const char* code, const std::string& message) {
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.resume_rejects;
-    }
+    count(&ServerCounters::resume_rejects);
     send_frame(connection, error_frame(code, message, &id));
   };
   if (draining()) {
@@ -1275,10 +1212,7 @@ void SchedServer::handle_resume_session(Connection& connection,
   }
   orphaned_sessions_.erase(session);
   connection.sessions.insert(session);
-  {
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.session_resumes;
-  }
+  count(&ServerCounters::session_resumes);
   send_frame(connection,
              session_ok_frame("resume_session", id, session, info->epoch,
                               info->revision, info->digest));

@@ -148,6 +148,8 @@ class SchedServer {
  private:
   void loop();
   void escalate_stuck();
+  /// Adds `n` to one of counters_ under counters_mutex_.
+  void count(std::uint64_t ServerCounters::*counter, std::uint64_t n = 1);
   void accept_ready();
   void read_ready(detail::Connection& connection);
   void flush(detail::Connection& connection);

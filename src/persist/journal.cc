@@ -21,11 +21,14 @@
 namespace bagsched::persist {
 namespace {
 
-std::uint64_t u64_from_json(const util::Json& value) {
+std::uint64_t record_u64(const util::Json& value) {
   // Full-range u64 values (epochs) travel as decimal strings; session ids
   // and revisions are small enough to ride as numbers.
-  return value.is_string() ? std::stoull(value.as_string())
-                           : static_cast<std::uint64_t>(value.as_int());
+  try {
+    return util::u64_from_json(value);
+  } catch (const std::runtime_error& error) {
+    throw PersistError(std::string("journal: ") + error.what());
+  }
 }
 
 util::Json tuning_to_json(const online::SessionOptions& tuning) {
@@ -139,10 +142,9 @@ SessionJournal::SessionJournal(JournalConfig config)
 
   try {
     WalReplay found;
-    wal_ = Wal::open(wal_path(), wal_policy(),
-                     config_.fsync_interval_seconds, &found);
+    wal_ = Wal::open(wal_path(), wal_policy(), &found);
     pending_replay_ = std::move(found.records);
-    truncated_bytes_ = found.truncated_bytes;
+    stats_.truncated_bytes = found.truncated_bytes;
   } catch (...) {
     ::close(lock_fd_);
     lock_fd_ = -1;
@@ -194,6 +196,7 @@ void SessionJournal::flusher_main() {
       if (wal_.is_open() && dirty_since_flush_) {
         fd = ::dup(wal_.fd());
         dirty_since_flush_ = false;
+        if (fd >= 0) ++stats_.fsyncs;
       }
     }
     if (fd >= 0) {
@@ -206,7 +209,6 @@ void SessionJournal::flusher_main() {
       // appends hardest.
       ::fdatasync(fd);
       ::close(fd);
-      flusher_fsyncs_.fetch_add(1, std::memory_order_relaxed);
     }
     lock.lock();
   }
@@ -235,15 +237,15 @@ RecoveredState SessionJournal::replay() {
                          " is CRC-valid but unparseable: " + error.what());
     }
     ingest_locked(record);
-    ++records_replayed_;
+    ++stats_.records_replayed;
     ++index;
   }
   pending_replay_.clear();
 
   RecoveredState state;
   state.max_session_id = max_session_id_;
-  state.records_replayed = records_replayed_;
-  state.truncated_bytes = truncated_bytes_;
+  state.records_replayed = stats_.records_replayed;
+  state.truncated_bytes = stats_.truncated_bytes;
   for (auto& [session, shadow] : sessions_) {
     materialize_locked(session, shadow);
   }
@@ -259,16 +261,16 @@ RecoveredState SessionJournal::replay() {
     recovered.digest = shadow.digest;
     state.sessions.push_back(std::move(recovered));
   }
-  sessions_recovered_ = state.sessions.size();
+  stats_.sessions_recovered = state.sessions.size();
   return state;
 }
 
 void SessionJournal::ingest_locked(const util::Json& record) {
   const std::string type = record.at("type").as_string();
   if (type == "session_open") {
-    const std::uint64_t session = u64_from_json(record.at("session"));
+    const std::uint64_t session = record_u64(record.at("session"));
     Shadow shadow;
-    shadow.epoch = u64_from_json(record.at("epoch"));
+    shadow.epoch = record_u64(record.at("epoch"));
     shadow.revision = 0;
     shadow.instance = std::make_shared<const model::Instance>(
         model::instance_from_json(record.at("instance")));
@@ -281,8 +283,8 @@ void SessionJournal::ingest_locked(const util::Json& record) {
     }
     open_shadow_locked(session, std::move(shadow));
   } else if (type == "delta_commit") {
-    const std::uint64_t session = u64_from_json(record.at("session"));
-    const std::uint64_t revision = u64_from_json(record.at("revision"));
+    const std::uint64_t session = record_u64(record.at("session"));
+    const std::uint64_t revision = record_u64(record.at("revision"));
     Shadow& shadow = checked_commit_shadow_locked(session, revision);
     const model::Delta delta = api::delta_from_json(record.at("delta"));
     model::Schedule schedule = model::schedule_from_json(record.at("schedule"));
@@ -295,15 +297,15 @@ void SessionJournal::ingest_locked(const util::Json& record) {
     apply_commit_locked(session, shadow, delta, record.at("delta").dump(),
                         schedule, std::move(digest), nullptr);
   } else if (type == "session_close") {
-    sessions_.erase(u64_from_json(record.at("session")));
+    sessions_.erase(record_u64(record.at("session")));
   } else if (type == "snapshot") {
     sessions_.clear();
-    max_session_id_ = u64_from_json(record.at("max_session_id"));
+    max_session_id_ = record_u64(record.at("max_session_id"));
     for (const util::Json& entry : record.at("sessions").as_array()) {
-      const std::uint64_t session = u64_from_json(entry.at("session"));
+      const std::uint64_t session = record_u64(entry.at("session"));
       Shadow shadow;
-      shadow.epoch = u64_from_json(entry.at("epoch"));
-      shadow.revision = u64_from_json(entry.at("revision"));
+      shadow.epoch = record_u64(entry.at("epoch"));
+      shadow.revision = record_u64(entry.at("revision"));
       shadow.instance = std::make_shared<const model::Instance>(
           model::instance_from_json(entry.at("instance")));
       shadow.schedule = model::schedule_from_json(entry.at("schedule"));
@@ -381,8 +383,8 @@ void SessionJournal::materialize_locked(std::uint64_t session,
 }
 
 void SessionJournal::appended_locked(std::size_t payload_bytes) {
-  ++records_appended_;
-  bytes_appended_ += payload_bytes;
+  ++stats_.records_appended;
+  stats_.bytes_appended += payload_bytes;
   dirty_since_flush_ = true;  // wakes the Interval flusher's next cycle
   ++records_since_snapshot_;
   if (config_.snapshot_every != 0 &&
@@ -498,7 +500,7 @@ util::Json SessionJournal::snapshot_record_locked() {
 
 void SessionJournal::snapshot_locked(bool rethrow) {
   if (BAGSCHED_FAULT("persist.snapshot")) {
-    ++snapshot_failures_;
+    ++stats_.snapshot_failures;
     records_since_snapshot_ = 0;  // back off until the next full window
     if (rethrow) {
       throw PersistError("journal: injected snapshot failure "
@@ -516,7 +518,7 @@ void SessionJournal::snapshot_locked(bool rethrow) {
     tmp_wal.sync();
     tmp_wal.close();
   } catch (...) {
-    ++snapshot_failures_;
+    ++stats_.snapshot_failures;
     records_since_snapshot_ = 0;
     ::unlink(tmp.c_str());
     if (rethrow) throw;
@@ -527,7 +529,7 @@ void SessionJournal::snapshot_locked(bool rethrow) {
   // over. A failure from here on is a real I/O emergency, not something
   // automatic compaction may shrug off.
   if (::rename(tmp.c_str(), wal_path().c_str()) != 0) {
-    ++snapshot_failures_;
+    ++stats_.snapshot_failures;
     const std::string reason = std::strerror(errno);
     ::unlink(tmp.c_str());
     if (rethrow) {
@@ -541,10 +543,11 @@ void SessionJournal::snapshot_locked(bool rethrow) {
     ::fsync(dir_fd);
     ::close(dir_fd);
   }
+  stats_.fsyncs += wal_.fsyncs();  // the reopened WAL counts from zero
   wal_.close();
-  wal_ = Wal::open(wal_path(), wal_policy(), config_.fsync_interval_seconds);
+  wal_ = Wal::open(wal_path(), wal_policy());
   records_since_snapshot_ = 0;
-  ++snapshots_;
+  ++stats_.snapshots;
 }
 
 void SessionJournal::snapshot() {
@@ -559,16 +562,8 @@ void SessionJournal::sync() {
 
 JournalStats SessionJournal::stats() const {
   std::lock_guard<std::mutex> guard(mutex_);
-  JournalStats stats;
-  stats.records_appended = records_appended_;
-  stats.bytes_appended = bytes_appended_;
-  stats.fsyncs =
-      wal_.fsyncs() + flusher_fsyncs_.load(std::memory_order_relaxed);
-  stats.snapshots = snapshots_;
-  stats.snapshot_failures = snapshot_failures_;
-  stats.records_replayed = records_replayed_;
-  stats.sessions_recovered = sessions_recovered_;
-  stats.truncated_bytes = truncated_bytes_;
+  JournalStats stats = stats_;
+  stats.fsyncs += wal_.fsyncs();
   stats.live_sessions = sessions_.size();
   stats.journal_bytes = wal_.size_bytes();
   return stats;

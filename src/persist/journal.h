@@ -26,7 +26,6 @@
 // the service re-adopts them without re-solving anything.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -229,19 +228,16 @@ class SessionJournal {
   std::condition_variable flusher_cv_;
   bool stop_flusher_ = false;               ///< guarded by flusher_mutex_
   bool dirty_since_flush_ = false;          ///< guarded by mutex_
-  std::atomic<std::uint64_t> flusher_fsyncs_{0};
 
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Shadow> sessions_;  ///< ordered: stable snapshots
   std::uint64_t max_session_id_ = 0;
   std::uint64_t records_since_snapshot_ = 0;
-  std::uint64_t records_appended_ = 0;
-  std::uint64_t bytes_appended_ = 0;
-  std::uint64_t snapshots_ = 0;
-  std::uint64_t snapshot_failures_ = 0;
-  std::uint64_t records_replayed_ = 0;
-  std::uint64_t sessions_recovered_ = 0;
-  std::uint64_t truncated_bytes_ = 0;
+  /// Every counter. fsyncs holds the flusher's syncs plus those of WALs
+  /// already rotated out by a snapshot; stats() adds the live WAL's and
+  /// reads the two gauges (live_sessions, journal_bytes) off the shadows
+  /// and the file.
+  JournalStats stats_;
 };
 
 }  // namespace bagsched::persist

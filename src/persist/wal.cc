@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
 #include "util/fault.h"
@@ -46,12 +45,6 @@ std::uint32_t get_u32le(const unsigned char* in) {
          (static_cast<std::uint32_t>(in[1]) << 8) |
          (static_cast<std::uint32_t>(in[2]) << 16) |
          (static_cast<std::uint32_t>(in[3]) << 24);
-}
-
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void write_fully(int fd, const void* data, std::size_t size,
@@ -112,8 +105,6 @@ Wal& Wal::operator=(Wal&& other) noexcept {
     path_ = std::move(other.path_);
     fd_ = other.fd_;
     policy_ = other.policy_;
-    fsync_interval_seconds_ = other.fsync_interval_seconds_;
-    last_sync_ = other.last_sync_;
     size_bytes_ = other.size_bytes_;
     appends_ = other.appends_;
     fsyncs_ = other.fsyncs_;
@@ -124,7 +115,12 @@ Wal& Wal::operator=(Wal&& other) noexcept {
 }
 
 Wal Wal::open(const std::string& path, FsyncPolicy policy,
-              double fsync_interval_seconds, WalReplay* replay) {
+              WalReplay* replay) {
+  if (policy == FsyncPolicy::Interval) {
+    throw PersistError("wal: " + path +
+                       " opened with the interval policy; the session "
+                       "journal's flusher owns the sync window");
+  }
   const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
     throw PersistError("wal: cannot open " + path + ": " +
@@ -189,8 +185,6 @@ Wal Wal::open(const std::string& path, FsyncPolicy policy,
   wal.path_ = path;
   wal.fd_ = fd;
   wal.policy_ = policy;
-  wal.fsync_interval_seconds_ = fsync_interval_seconds;
-  wal.last_sync_ = monotonic_seconds();
   wal.size_bytes_ = offset;
   return wal;
 }
@@ -226,12 +220,7 @@ void Wal::append(const std::string& payload) {
     ::kill(::getpid(), SIGKILL);
   }
 
-  if (policy_ == FsyncPolicy::Always) {
-    sync();
-  } else if (policy_ == FsyncPolicy::Interval) {
-    const double now = monotonic_seconds();
-    if (now - last_sync_ >= fsync_interval_seconds_) sync();
-  }
+  if (policy_ == FsyncPolicy::Always) sync();
 }
 
 void Wal::sync() {
@@ -243,7 +232,6 @@ void Wal::sync() {
     throw PersistError("wal: fsync of " + path_ + " failed: " +
                        std::strerror(errno));
   }
-  last_sync_ = monotonic_seconds();
   ++fsyncs_;
 }
 

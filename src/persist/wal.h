@@ -14,11 +14,11 @@
 // Durability policy is configured once at open():
 //
 //   Always    fsync after every append (slowest, strongest)
-//   Interval  fsync when at least `fsync_interval_seconds` passed since
-//             the last one (bounded loss window on power failure; no loss
-//             at all under plain process death, since completed write()s
-//             survive a SIGKILL)
 //   Off       never fsync (page cache only)
+//
+// Interval (a bounded loss window on power failure) is a session-journal
+// policy, not a WAL one: the journal opens its WAL with Off and a
+// background flusher syncs it off the append path, so open() rejects it.
 //
 // Fault points (PR 8 machinery): `persist.append` fails an append before
 // any byte is written, `persist.fsync` fails a sync, and
@@ -71,9 +71,9 @@ class Wal {
   /// Opens (creating if absent) `path`, validates every record, truncates
   /// any torn tail, and leaves the write cursor at the end. `replay`
   /// (optional) receives the surviving records. Throws PersistError when
-  /// the file cannot be opened or truncated.
+  /// the file cannot be opened or truncated, or when `policy` is
+  /// Interval (see the header comment).
   static Wal open(const std::string& path, FsyncPolicy policy,
-                  double fsync_interval_seconds = 0.1,
                   WalReplay* replay = nullptr);
 
   /// Appends one framed record and applies the fsync policy. Throws
@@ -99,8 +99,6 @@ class Wal {
   std::string path_;
   int fd_ = -1;
   FsyncPolicy policy_ = FsyncPolicy::Off;
-  double fsync_interval_seconds_ = 0.1;
-  double last_sync_ = 0.0;  ///< monotonic seconds of the last fsync
   std::uint64_t size_bytes_ = 0;
   std::uint64_t appends_ = 0;
   std::uint64_t fsyncs_ = 0;

@@ -61,6 +61,28 @@ long long json_integer(double value) {
   return integer;
 }
 
+std::uint64_t u64_from_json(const Json& value) {
+  if (!value.is_string()) {
+    const long long integer = value.as_int();
+    if (integer < 0) {
+      throw std::runtime_error("json: expected a non-negative integer, found " +
+                               std::to_string(integer));
+    }
+    return static_cast<std::uint64_t>(integer);
+  }
+  const std::string& text = value.as_string();
+  std::uint64_t parsed = 0;
+  // from_chars takes no sign and no leading whitespace; the pointer check
+  // rejects a suffix, and the empty string fails with invalid_argument.
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size()) {
+    throw std::runtime_error("json: expected an unsigned decimal string, "
+                             "found \"" + text + "\"");
+  }
+  return parsed;
+}
+
 void append_json_string(std::string& out, std::string_view text) {
   out += '"';
   // Runs of bytes that need no escape are appended whole; UTF-8 bytes pass

@@ -127,6 +127,12 @@ class Json {
 /// non-integral numbers throw std::runtime_error.
 long long json_integer(double value);
 
+/// A u64 token such as a session epoch: a decimal string of digits only
+/// (no sign, whitespace or suffix, not empty — a full-range u64 does not
+/// survive a JSON double), or a non-negative JSON integer. Anything else
+/// throws std::runtime_error.
+std::uint64_t u64_from_json(const Json& value);
+
 /// Writer primitives: a quoted, escaped string and a number (integers
 /// without a decimal point, everything else shortest-round-trip;
 /// non-finite values as null).

@@ -281,6 +281,22 @@ TEST(JsonTest, NonIntegralNumbersFailAsInt) {
                std::runtime_error);
 }
 
+TEST(JsonTest, U64TokensAreDigitsOnly) {
+  EXPECT_EQ(util::u64_from_json(Json("0")), 0u);
+  EXPECT_EQ(util::u64_from_json(Json("18446744073709551615")),
+            18446744073709551615ull);
+  EXPECT_EQ(util::u64_from_json(Json(12LL)), 12u);
+  // std::stoull would read these as 2^64 - 1, 12 and 12.
+  for (const char* text : {"-1", " 12", "12abc", "", "+5",
+                           "18446744073709551616"}) {
+    EXPECT_THROW(util::u64_from_json(Json(text)), std::runtime_error)
+        << '"' << text << '"';
+  }
+  EXPECT_THROW(util::u64_from_json(Json(-1LL)), std::runtime_error);
+  EXPECT_THROW(util::u64_from_json(Json(2.5)), std::runtime_error);
+  EXPECT_THROW(util::u64_from_json(Json::object()), std::runtime_error);
+}
+
 TEST(JsonTest, KindMismatchThrows) {
   const Json number(1.5);
   EXPECT_THROW(number.as_string(), std::runtime_error);

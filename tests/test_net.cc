@@ -8,7 +8,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -549,6 +552,71 @@ TEST(NetServerTest, StatsFrameCarriesServiceCacheAndServerSections) {
   EXPECT_GE(stats.at("server").at("frames_in").as_int(), 2);
   EXPECT_EQ(stats.at("server").at("connections_active").as_int(), 1);
   EXPECT_TRUE(stats.at("cache").find("entries") != nullptr);
+  server.stop();
+  server.wait();
+}
+
+TEST(NetServerTest, StatsFrameAndMetricsRenderTheSameFields) {
+  SchedServer server(test_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  api::SolveRequest cached = quick_request(4);
+  cached.options.cache_mode = api::CacheMode::ReadWrite;
+  EXPECT_TRUE(client.solve(cached, "fill").ok());
+  EXPECT_TRUE(client.solve(cached, "hit").ok());
+  EXPECT_TRUE(client.solve(quick_request(5), "plain").ok());
+  server.service().wait_idle();
+
+  const Json stats = client.stats();
+  std::map<std::string, std::string> series;  // name -> sample text
+  std::istringstream body(net::fetch_metrics("127.0.0.1", server.port()));
+  for (std::string line; std::getline(body, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.find(' ');
+    series[line.substr(0, space)] = line.substr(space + 1);
+  }
+  EXPECT_EQ(stats.at("cache").at("hits").as_int(), 1);
+  for (const std::string group : {"service", "cache", "server"}) {
+    for (const auto& [key, value] : stats.at(group).as_object()) {
+      SCOPED_TRACE(group + "." + key);
+      const std::string name = "bagsched_" + group + "_" + key;
+      auto it = series.find(name + "_total");
+      if (it == series.end()) it = series.find(name);
+      ASSERT_TRUE(it != series.end()) << "no series " << name << "[_total]";
+      // The server's own counters moved between the two reads (the stats
+      // frame, the scrape); the service and the cache sat still. Samples
+      // print six decimals, so the one real-valued gauge (the queue-wait
+      // EWMA) matches to 1e-6.
+      if (group != "server") {
+        EXPECT_NEAR(std::stod(it->second), value.as_number(), 1e-6);
+      }
+    }
+  }
+  server.stop();
+  server.wait();
+}
+
+TEST(NetServerTest, ResumeSessionRejectsEpochsThatAreNotPlainDigits) {
+  SchedServer server(test_config());
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  for (const char* epoch : {"-1", " 12", "12abc", ""}) {
+    SCOPED_TRACE(epoch);
+    Json frame = Json::object();
+    frame.set("type", "resume_session");
+    frame.set("id", "r");
+    frame.set("session", 1LL);
+    frame.set("epoch", epoch);
+    client.send_line(frame.dump());
+    std::optional<Json> reply;
+    do {
+      reply = client.read_frame(5.0);
+      ASSERT_TRUE(reply.has_value());
+    } while (reply->string_or("type", "") != "error");
+    EXPECT_EQ(reply->string_or("code", ""), "bad_request");
+    EXPECT_EQ(reply->string_or("id", ""), "r");
+  }
+  EXPECT_EQ(server.counters().resume_rejects, 0u);
   server.stop();
   server.wait();
 }

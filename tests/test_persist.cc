@@ -132,10 +132,18 @@ TEST(WalTest, AppendReopenRoundTripsBinaryPayloads) {
     wal.sync();
   }
   WalReplay replay;
-  Wal wal = Wal::open(path, FsyncPolicy::Off, 0.025, &replay);
+  Wal wal = Wal::open(path, FsyncPolicy::Off, &replay);
   EXPECT_EQ(replay.records, payloads);
   EXPECT_EQ(replay.truncated_bytes, 0u);
   EXPECT_EQ(replay.valid_bytes, wal.size_bytes());
+}
+
+TEST(WalTest, OpenRejectsTheIntervalPolicy) {
+  // Interval is the session journal's policy (its flusher syncs a WAL it
+  // opened with Off); a WAL never syncs on a timer itself.
+  TempDir dir;
+  EXPECT_THROW(Wal::open(dir.file("log.wal"), FsyncPolicy::Interval),
+               PersistError);
 }
 
 TEST(WalTest, TornTailTruncateAtEveryOffsetKeepsTheLongestValidPrefix) {
@@ -163,7 +171,7 @@ TEST(WalTest, TornTailTruncateAtEveryOffsetKeepsTheLongestValidPrefix) {
     write_file(torn, bytes.substr(0, cut));
     WalReplay replay;
     {
-      Wal wal = Wal::open(torn, FsyncPolicy::Off, 0.025, &replay);
+      Wal wal = Wal::open(torn, FsyncPolicy::Off, &replay);
       ASSERT_EQ(replay.records.size(), keep) << "cut at " << cut;
       for (std::size_t i = 0; i < keep; ++i) {
         EXPECT_EQ(replay.records[i], payloads[i]) << "cut at " << cut;
@@ -175,7 +183,7 @@ TEST(WalTest, TornTailTruncateAtEveryOffsetKeepsTheLongestValidPrefix) {
       wal.append("after-truncate");
     }
     WalReplay again;
-    Wal::open(torn, FsyncPolicy::Off, 0.025, &again);
+    Wal::open(torn, FsyncPolicy::Off, &again);
     ASSERT_EQ(again.records.size(), keep + 1) << "cut at " << cut;
     EXPECT_EQ(again.records.back(), "after-truncate") << "cut at " << cut;
     EXPECT_EQ(again.truncated_bytes, 0u) << "cut at " << cut;
@@ -203,7 +211,7 @@ TEST(WalTest, CrcCorruptionDropsTheRecordAndEverythingAfterIt) {
 
   WalReplay replay;
   {
-    Wal wal = Wal::open(path, FsyncPolicy::Off, 0.025, &replay);
+    Wal wal = Wal::open(path, FsyncPolicy::Off, &replay);
     ASSERT_EQ(replay.records.size(), 2u);
     EXPECT_EQ(replay.records[0], "one");
     EXPECT_EQ(replay.records[1], "two");
@@ -212,7 +220,7 @@ TEST(WalTest, CrcCorruptionDropsTheRecordAndEverythingAfterIt) {
     wal.append("five");
   }
   WalReplay again;
-  Wal::open(path, FsyncPolicy::Off, 0.025, &again);
+  Wal::open(path, FsyncPolicy::Off, &again);
   const std::vector<std::string> expected = {"one", "two", "five"};
   EXPECT_EQ(again.records, expected);
 }
@@ -235,7 +243,7 @@ TEST(WalTest, InjectedAppendFailureWritesNothing) {
   wal.append("next");
   wal.close();
   WalReplay replay;
-  Wal::open(path, FsyncPolicy::Off, 0.025, &replay);
+  Wal::open(path, FsyncPolicy::Off, &replay);
   const std::vector<std::string> expected = {"kept", "next"};
   EXPECT_EQ(replay.records, expected);
 }
@@ -253,7 +261,7 @@ TEST(WalTest, InjectedFsyncFailureThrowsButTheRecordIsOnFile) {
   util::fault::disable();
   wal.close();
   WalReplay replay;
-  Wal::open(path, FsyncPolicy::Off, 0.025, &replay);
+  Wal::open(path, FsyncPolicy::Off, &replay);
   const std::vector<std::string> expected = {"unacked"};
   EXPECT_EQ(replay.records, expected);
 }
@@ -378,7 +386,7 @@ TEST(JournalTest, TuningWithTheRetiredMemoCapacityStillReplays) {
   }
   const std::string path = dir.file("journal.wal");
   WalReplay written;
-  { Wal::open(path, FsyncPolicy::Off, 0.025, &written); }
+  { Wal::open(path, FsyncPolicy::Off, &written); }
   ASSERT_EQ(written.records.size(), 1u);
   util::Json open = util::Json::parse(written.records[0]);
   util::Json old_tuning = open.at("tuning");
@@ -400,6 +408,63 @@ TEST(JournalTest, TuningWithTheRetiredMemoCapacityStillReplays) {
   EXPECT_DOUBLE_EQ(recovered.tuning.regret_bound, tuning.regret_bound);
   EXPECT_EQ(persist::schedule_digest(recovered.schedule),
             persist::schedule_digest(live.schedule()));
+}
+
+TEST(JournalTest, ReplayRejectsAnEpochThatIsNotPlainDigits) {
+  TempDir dir;
+  persist::JournalConfig config;
+  config.dir = dir.path();
+  config.fsync = FsyncPolicy::Off;
+  config.snapshot_every = 0;
+  const auto trace = gen::churn_trace(tiny_churn(22));
+  const online::SessionOptions tuning = cheap_tuning();
+  online::ScheduleSession live(trace.initial, tuning);
+  {
+    SessionJournal journal(config);
+    journal.replay();
+    journal.record_open(3, 30, trace.initial, tuning, live.schedule());
+    journal.sync();
+  }
+  const std::string path = dir.file("journal.wal");
+  WalReplay written;
+  { Wal::open(path, FsyncPolicy::Off, &written); }
+  ASSERT_EQ(written.records.size(), 1u);
+  for (const char* epoch : {"-1", " 12", "12abc", ""}) {
+    SCOPED_TRACE(epoch);
+    util::Json open = util::Json::parse(written.records[0]);
+    open.set("epoch", epoch);
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    {
+      Wal wal = Wal::open(path, FsyncPolicy::Off);
+      wal.append(open.dump());
+      wal.sync();
+    }
+    SessionJournal reopened(config);
+    EXPECT_THROW(reopened.replay(), PersistError);
+  }
+}
+
+TEST(JournalTest, FsyncCountSurvivesSnapshotRotation) {
+  // Each snapshot reopens the WAL, whose own fsync count starts over; the
+  // journal's counter must still only grow.
+  TempDir dir;
+  persist::JournalConfig config;
+  config.dir = dir.path();
+  config.fsync = FsyncPolicy::Always;
+  config.snapshot_every = 0;
+  const auto trace = gen::churn_trace(tiny_churn(22));
+  const online::SessionOptions tuning = cheap_tuning();
+  online::ScheduleSession live(trace.initial, tuning);
+  SessionJournal journal(config);
+  journal.replay();
+  journal.record_open(1, 11, trace.initial, tuning, live.schedule());
+  journal.record_open(2, 12, trace.initial, tuning, live.schedule());
+  const std::uint64_t before = journal.stats().fsyncs;
+  EXPECT_GE(before, 2u);
+  journal.snapshot();
+  EXPECT_GE(journal.stats().fsyncs, before);
+  journal.record_close(2);
+  EXPECT_GT(journal.stats().fsyncs, before);
 }
 
 TEST(JournalTest, SnapshotCompactionPreservesTheRecoveredState) {

@@ -69,6 +69,7 @@ grep -q "^bagsched_service_submitted_total 2$" "$work/metrics.txt"
 grep -q "^bagsched_service_finished_total 2$" "$work/metrics.txt"
 grep -q "^bagsched_server_connections_accepted" "$work/metrics.txt"
 grep -q "^bagsched_server_session_opens_total 2$" "$work/metrics.txt"
+grep -q "^bagsched_cache_oversized_total 0$" "$work/metrics.txt"
 
 # --- Raw frames: the ingress decoder on valid and hostile lines ----------
 # Each line gets exactly one response frame; `raw LINE WANT...` asserts the
