@@ -67,12 +67,15 @@ struct RequestBase {
 
   /// Queue priority: larger values dispatch first when the service is
   /// saturated; ties break by deadline (earlier first), then submit order.
-  /// Session deltas ignore it — per-session FIFO order is their contract.
+  /// A session op competes with it once it heads its session's FIFO; the
+  /// session's own ops always run in submit order.
   int priority = 0;
 
   /// Absolute deadline. When it expires the service cooperatively cancels
   /// the run and the handle resolves with SolveStatus::Cancelled carrying
-  /// the best incumbent found so far. Unset = no deadline.
+  /// the best incumbent found so far (a session op that was already
+  /// running commits instead, see SchedulingService::submit(DeltaRequest)).
+  /// Unset = no deadline.
   std::optional<ServiceClock::time_point> deadline;
 
   /// Streaming observer for this request: Queued/Started/Finished from the

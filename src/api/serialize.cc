@@ -120,9 +120,7 @@ SolveOptions read_options(JsonReader& reader) {
             static_cast<int>(reader.int_or(defaults.multifit_iterations));
         break;
       case 5:
-        options.seed = reader.peek_kind() == util::Json::Kind::String
-                           ? std::stoull(reader.read_string())
-                           : static_cast<std::uint64_t>(reader.read_int());
+        options.seed = reader.read_u64();
         break;
       case 6:
         options.stack_threshold = reader.number_or(defaults.stack_threshold);
@@ -229,14 +227,9 @@ DeltaRequest read_delta_request(JsonReader& reader) {
   DeltaRequest request;
   util::read_members(reader, kKeys, 0b00001, [&](std::size_t field) {
     switch (field) {
-      case 0:
-        request.session = static_cast<std::uint64_t>(reader.read_int());
-        break;
+      case 0: request.session = reader.read_u64(); break;
       case 1: request.delta = read_delta(reader); break;
-      case 2:
-        request.expect_revision =
-            static_cast<std::uint64_t>(reader.read_int());
-        break;
+      case 2: request.expect_revision = reader.read_u64(); break;
       case 3: request.priority = static_cast<int>(reader.int_or(0)); break;
       default: request.deadline = deadline_in(reader.read_number());
     }
@@ -320,9 +313,7 @@ SolveOptions options_from_json(const util::Json& json) {
   options.multifit_iterations = static_cast<int>(
       json.int_or("multifit_iterations", options.multifit_iterations));
   if (const util::Json* seed = json.find("seed")) {
-    options.seed = seed->is_string()
-                       ? std::stoull(seed->as_string())
-                       : static_cast<std::uint64_t>(seed->as_int());
+    options.seed = util::u64_from_json(*seed);
   }
   options.stack_threshold =
       json.number_or("stack_threshold", options.stack_threshold);
@@ -590,12 +581,12 @@ util::Json to_json(const DeltaRequest& request) {
 
 DeltaRequest delta_request_from_json(const util::Json& json) {
   DeltaRequest request;
-  request.session = static_cast<std::uint64_t>(json.at("session").as_int());
+  request.session = util::u64_from_json(json.at("session"));
   if (const util::Json* delta = json.find("delta")) {
     request.delta = delta_from_json(*delta);
   }
   if (const util::Json* expect = json.find("expect_revision")) {
-    request.expect_revision = static_cast<std::uint64_t>(expect->as_int());
+    request.expect_revision = util::u64_from_json(*expect);
   }
   request.priority = static_cast<int>(json.int_or("priority", 0));
   if (const util::Json* deadline = json.find("deadline_seconds")) {

@@ -20,19 +20,31 @@ namespace bagsched::api {
 
 namespace detail {
 
+struct SessionState;
+
+/// The session half of a session op: which session, and what to do to it.
+/// The outcome fields are written by the op's run and read when it settles.
+struct SessionOp {
+  std::shared_ptr<SessionState> state;
+  bool open = false;  ///< the session's initial solve; a delta otherwise
+  model::Delta delta;
+  std::optional<std::uint64_t> expect_revision;
+  /// The delta's JSON, encoded at most once per op: the duplicate check,
+  /// the journal record and the resume shadow all reuse it.
+  std::string delta_json;
+  bool committed = false;  ///< the op moved the session to a new commit
+  bool failed = false;     ///< the session can no longer serve deltas
+  std::string digest;      ///< schedule_digest of the new commit
+};
+
 struct RequestState {
   explicit RequestState(SolveRequest req)
       : request(std::move(req)), cancel(request.options.cancel) {}
 
   std::uint64_t id = 0;
   SolveRequest request;
-
-  // --- Session routing (set only for session ops) ------------------------
-  std::uint64_t session_id = 0;
-  bool session_open = false;  ///< this op is the session's initial solve
-  model::Delta delta;         ///< the delta, when !session_open
-  /// DeltaRequest::expect_revision, carried to the session op.
-  std::optional<std::uint64_t> expect_revision;
+  /// Set for session ops (open or delta), unset for solves.
+  std::optional<SessionOp> session;
 
   // --- Solve-cache participation (immutable after prepare_cache) ---------
   bool cache_enabled = false;   ///< cache_mode != Off and instance is valid
@@ -94,15 +106,16 @@ struct RequestState {
 /// One open schedule session: the repair engine plus a FIFO of its pending
 /// operations. All fields except `session` are guarded by the service
 /// mutex; `session` (the ScheduleSession itself) is only ever touched by
-/// the single in-flight op of this session, which `busy` serializes.
+/// the single in-flight op of this session, which the FIFO serializes.
 struct SessionState {
   std::uint64_t id = 0;
   online::SessionOptions tuning;
   std::shared_ptr<const model::Instance> initial_instance;
   std::unique_ptr<online::ScheduleSession> session;
-  bool busy = false;    ///< an op of this session is on the pool
   bool closed = false;  ///< no new ops accepted; drains then retires
   bool failed = false;  ///< the initial solve failed; deltas error out
+  /// Admitted ops not yet finished, in submit order. The front one runs or
+  /// is next to dispatch; the others wait, in the service queue too.
   std::deque<std::shared_ptr<RequestState>> pending;
   // --- Resume/durability shadow (guarded by the service mutex; written
   // by the session's single in-flight op BEFORE it resolves, so whatever
@@ -222,6 +235,94 @@ bool is_cacheable(const SolveResult& result) {
          result.schedule_feasible && !result.cancelled;
 }
 
+/// Eager validation of a submit or open: a null instance or an unknown
+/// solver name throws std::invalid_argument (listing the names).
+void validate(const SolveRequest& request) {
+  if (request.instance == nullptr) {
+    throw std::invalid_argument("SolveRequest.instance is null");
+  }
+  for (const auto& name : request.solvers) {
+    SolverRegistry::global().resolve(name);
+  }
+}
+
+/// A result without a schedule: an op that resolved without running
+/// (rejected, expired, cancelled or shut down while queued: Cancelled) or
+/// a session op that failed.
+SolveResult unsolved(SolveStatus status, std::string error,
+                     std::string solver = {}) {
+  SolveResult result;
+  result.status = status;
+  result.cancelled = status == SolveStatus::Cancelled;
+  result.solver = std::move(solver);
+  result.error = std::move(error);
+  return result;
+}
+
+SolveResult rejected(std::size_t max_queue_depth) {
+  return unsolved(SolveStatus::Cancelled,
+                  "rejected: service queue is full (max_queue_depth=" +
+                      std::to_string(max_queue_depth) + ")");
+}
+
+/// Whether a queued op may take a slot now: a solve always, a session op
+/// only at the front of its session's FIFO (a running op stays in front).
+bool dispatchable(const RequestState& state) {
+  return !state.session.has_value() ||
+         state.session->state->pending.front().get() == &state;
+}
+
+/// Settles how the service's stop (deadline, handle or shutdown) shows in
+/// the result. Deadline attribution is decided here, from the clock, not
+/// from the watchdog: the time-limit clamp in execute() can stop a solver
+/// right at the deadline before the watchdog's wakeup lands, and the
+/// outcome must not depend on that race. A stopped solve resolves
+/// Cancelled — except a completed optimality proof, which beats the
+/// deadline — with its incumbent fields kept as the solver filled them:
+/// Cancelled-with-incumbent is a usable result. A session op keeps its
+/// committed status: to an expect_revision resend, Cancelled must mean
+/// "not committed" (DESIGN.md §7).
+void attribute_stop(RequestState& state, SolveResult& result) {
+  if (state.request.deadline.has_value() &&
+      ServiceClock::now() >= *state.request.deadline) {
+    state.deadline_fired.store(true, std::memory_order_relaxed);
+    state.service_cancel.store(true, std::memory_order_relaxed);
+  }
+  if (state.service_cancel.load(std::memory_order_relaxed) &&
+      !state.session.has_value()) {
+    if (result.status == SolveStatus::Feasible) {
+      result.status = SolveStatus::Cancelled;
+    }
+    if (result.status == SolveStatus::Cancelled) result.cancelled = true;
+  }
+  if (state.deadline_fired.load(std::memory_order_relaxed)) {
+    result.stats["deadline_expired"] = true;
+  }
+}
+
+/// The delta's JSON, encoded on first use and kept on the op.
+const std::string& delta_json(detail::SessionOp& op) {
+  if (op.delta_json.empty()) op.delta_json = to_json(op.delta).dump();
+  return op.delta_json;
+}
+
+/// Stores the result, emits Finished pointing at the stored copy, then
+/// opens the done gate: every progress event for a request is delivered
+/// before any wait() on its handle returns.
+void resolve(RequestState& state, SolveResult result) {
+  state.result = std::move(result);
+  ProgressEvent event;
+  event.kind = ProgressKind::Finished;
+  event.solver = state.result.solver;
+  event.result = &state.result;
+  state.emit(std::move(event));
+  {
+    std::lock_guard<std::mutex> lock(state.mutex);
+    state.done = true;
+  }
+  state.cv.notify_all();
+}
+
 }  // namespace
 
 SchedulingService::SchedulingService(Config config)
@@ -237,6 +338,9 @@ SchedulingService::SchedulingService(Config config)
 
 SchedulingService::~SchedulingService() {
   std::vector<std::shared_ptr<RequestState>> pending;
+  const SolveResult shut_down =
+      unsolved(SolveStatus::Cancelled,
+               "cancelled: service shut down before the request ran");
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
@@ -253,38 +357,23 @@ SchedulingService::~SchedulingService() {
       leader->followers.clear();
     }
     inflight_.clear();
+    // Running ops stop cooperatively; a session op still commits the best
+    // feasible schedule it holds.
     for (const auto& state : running_) {
       state->service_cancel.store(true, std::memory_order_relaxed);
       state->cancel.request_stop();
     }
-    // Session FIFOs: queued ops resolve as cancelled below; in-flight ones
-    // run to completion (repairs are short) and the idle wait covers them.
-    for (const auto& [id, session] : sessions_) {
-      session->closed = true;
-      while (!session->pending.empty()) {
-        pending.push_back(std::move(session->pending.front()));
-        session->pending.pop_front();
-      }
+    for (const auto& state : pending) {
+      drop_locked(*state);
+      count_finished_locked(*state, shut_down);
     }
   }
   watchdog_cv_.notify_all();
   // Resolve never-dispatched requests so their handles don't block forever.
-  for (const auto& state : pending) {
-    SolveResult result;
-    result.status = SolveStatus::Cancelled;
-    result.cancelled = true;
-    result.error = "cancelled: service shut down before the request ran";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.finished;
-    }
-    resolve(state, std::move(result), /*emit_finished=*/true);
-  }
+  for (const auto& state : pending) resolve(*state, shut_down);
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [this] {
-      return running_.empty() && session_ops_active_ == 0;
-    });
+    idle_cv_.wait(lock, [this] { return running_.empty(); });
   }
   if (watchdog_.joinable()) watchdog_.join();
   // pool_ destructor joins the workers (its queue is already drained).
@@ -303,12 +392,7 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
   std::vector<std::shared_ptr<RequestState>> states;
   states.reserve(requests.size());
   for (auto& request : requests) {
-    if (request.instance == nullptr) {
-      throw std::invalid_argument("SolveRequest.instance is null");
-    }
-    for (const auto& name : request.solvers) {
-      SolverRegistry::global().resolve(name);  // throws, listing names
-    }
+    validate(request);
     auto state = std::make_shared<RequestState>(std::move(request));
     state->id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     // Canonicalization and the first cache probe run outside the service
@@ -325,13 +409,6 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
     if (stopping_) {
       throw std::logic_error("SchedulingService: submit after shutdown");
     }
-    // Backpressure counts the slots the deferred dispatch below will free:
-    // after it runs, the pending queue is back under max_queue_depth, and
-    // a batch admits exactly what the same requests submitted one-by-one
-    // would have admitted.
-    const std::size_t free_slots =
-        max_concurrent_ > running_.size() ? max_concurrent_ - running_.size()
-                                          : 0;
     for (auto& state : states) {
       // Cache hits take no queue slot, no backpressure, no solver run.
       // Counters settle under the lock; the handle resolves after it is
@@ -353,31 +430,12 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
       if (state->cache_enabled) {
         const auto leader = inflight_.find(state->key);
         if (leader != inflight_.end()) {
-          ++stats_.submitted;
-          if (state->request.deadline.has_value() &&
-              !watchdog_.joinable()) {
-            watchdog_ = std::thread([this] { watchdog_loop(); });
-          }
-          state->emit({.kind = ProgressKind::Queued});
+          accept_locked(*state);
           leader->second->followers.push_back(std::move(state));
           continue;
         }
       }
-      if (config_.max_queue_depth != 0 &&
-          queue_.size() >= config_.max_queue_depth + free_slots) {
-        ++stats_.rejected;
-        bounced.push_back(std::move(state));
-        continue;
-      }
-      ++stats_.submitted;
-      if (state->request.deadline.has_value() && !watchdog_.joinable()) {
-        watchdog_ = std::thread([this] { watchdog_loop(); });
-      }
-      // Queued is emitted under the lock, strictly for accepted requests:
-      // the dispatch below happens after, so Started can never precede it.
-      state->emit({.kind = ProgressKind::Queued});
-      if (state->cache_enabled) inflight_.emplace(state->key, state);
-      queue_.push_back(std::move(state));
+      if (!admit_locked(state)) bounced.push_back(state);
     }
     // One dispatch pass after the whole batch is queued, so the batch is
     // prioritised as a unit instead of first-come-first-dispatched.
@@ -388,31 +446,54 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
     state->submit_hit.reset();
     result.stats["request_id"] = static_cast<long long>(state->id);
     result.stats["queue_seconds"] = 0.0;
-    resolve(state, std::move(result), /*emit_finished=*/true);
+    resolve(*state, std::move(result));
   }
   for (const auto& state : bounced) {
-    SolveResult result;
-    result.status = SolveStatus::Cancelled;
-    result.cancelled = true;
-    result.error =
-        "rejected: service queue is full (max_queue_depth=" +
-        std::to_string(config_.max_queue_depth) + ")";
-    resolve(state, std::move(result), /*emit_finished=*/true);
+    resolve(*state, rejected(config_.max_queue_depth));
   }
   watchdog_cv_.notify_one();
   return handles;
+}
+
+void SchedulingService::accept_locked(RequestState& state) {
+  ++stats_.submitted;
+  if (state.request.deadline.has_value() && !watchdog_.joinable()) {
+    watchdog_ = std::thread([this] { watchdog_loop(); });
+  }
+  // Queued is emitted under the lock, strictly for accepted requests: the
+  // dispatch happens after, so Started can never precede it.
+  state.emit({.kind = ProgressKind::Queued});
+}
+
+bool SchedulingService::admit_locked(
+    const std::shared_ptr<RequestState>& state) {
+  // Backpressure counts the slots the deferred dispatch will free: after
+  // it runs, the pending queue is back under max_queue_depth, and a batch
+  // (which dispatches once, after all of it is queued) admits exactly what
+  // the same requests submitted one-by-one would have admitted.
+  const std::size_t free_slots =
+      max_concurrent_ > running_.size() ? max_concurrent_ - running_.size()
+                                        : 0;
+  if (config_.max_queue_depth != 0 &&
+      queue_.size() >= config_.max_queue_depth + free_slots) {
+    ++stats_.rejected;
+    drop_locked(*state);
+    return false;
+  }
+  accept_locked(*state);
+  if (state->session.has_value()) {
+    state->session->state->pending.push_back(state);
+  }
+  if (state->cache_enabled) inflight_.emplace(state->key, state);
+  queue_.push_back(state);
+  return true;
 }
 
 // --- Sessions ---------------------------------------------------------------
 
 SchedulingService::SessionOpening SchedulingService::open_session(
     SolveRequest request, online::SessionOptions tuning) {
-  if (request.instance == nullptr) {
-    throw std::invalid_argument("SolveRequest.instance is null");
-  }
-  for (const auto& name : request.solvers) {
-    SolverRegistry::global().resolve(name);  // throws, listing names
-  }
+  validate(request);
   // The request's options/solvers become the session's solve configuration
   // (the tuning struct only contributes the repair knobs) — one source of
   // truth for the session's solves and regret accounting.
@@ -420,18 +501,22 @@ SchedulingService::SessionOpening SchedulingService::open_session(
   tuning.solvers = request.solvers;
   // The session runs its own solves; the caller's progress callback is the
   // request's, not the option-level one (which portfolio members would
-  // multiply), and cancellation is not plumbed through repairs.
+  // multiply), and each op passes the session its own cancellation token.
   tuning.solve.progress = nullptr;
+  tuning.solve.cancel = nullptr;
 
   auto session = std::make_shared<SessionState>();
   session->tuning = std::move(tuning);
   session->initial_instance = request.instance;
   auto state = std::make_shared<RequestState>(std::move(request));
   state->id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  state->session_open = true;
+  state->session.emplace();
+  state->session->state = session;
+  state->session->open = true;
 
   SessionOpening opening;
   opening.initial = SolveHandle(state);
+  bool admitted = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
@@ -439,62 +524,51 @@ SchedulingService::SessionOpening SchedulingService::open_session(
     }
     session->id = ++next_session_id_;
     session->epoch = util::mix64(session->id ^ boot_nonce_);
-    state->session_id = session->id;
     sessions_.emplace(session->id, session);
     ++stats_.sessions_opened;
-    session->busy = true;
-    ++session_ops_active_;
+    admitted = admit_locked(state);
+    dispatch_locked();
   }
   opening.session = session->id;
   opening.epoch = session->epoch;
-  state->emit({.kind = ProgressKind::Queued});
-  pool_.submit([this, session, state] { run_session_op(session, state); });
+  if (!admitted) resolve(*state, rejected(config_.max_queue_depth));
+  watchdog_cv_.notify_one();
   return opening;
 }
 
 SolveHandle SchedulingService::submit(DeltaRequest request) {
-  // Carry the shared base fields (deadline, progress, ...) in a SolveRequest
-  // shell with no instance — session ops never dereference it.
+  // Carry the shared base fields (deadline, priority, progress, ...) in a
+  // SolveRequest shell with no instance — session ops never dereference it.
   SolveRequest carrier;
   static_cast<RequestBase&>(carrier) =
       std::move(static_cast<RequestBase&>(request));
   auto state = std::make_shared<RequestState>(std::move(carrier));
   state->id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  state->session_id = request.session;
-  state->delta = std::move(request.delta);
-  state->expect_revision = request.expect_revision;
+  state->session.emplace();
+  state->session->delta = std::move(request.delta);
+  state->session->expect_revision = request.expect_revision;
 
-  std::shared_ptr<SessionState> session;
-  bool start = false;
+  std::optional<SolveResult> answer;  // set when the delta does not queue
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) {
       throw std::logic_error("SchedulingService: submit after shutdown");
     }
     const auto it = sessions_.find(request.session);
-    if (it != sessions_.end() && !it->second->closed) {
-      session = it->second;
-      state->emit({.kind = ProgressKind::Queued});
-      if (session->busy) {
-        session->pending.push_back(state);
-      } else {
-        session->busy = true;
-        ++session_ops_active_;
-        start = true;
-      }
+    if (it == sessions_.end() || it->second->closed) {
+      answer = unsolved(SolveStatus::Error,
+                        "unknown session " + std::to_string(request.session),
+                        "online-session");
+      ++stats_.submitted;
+      count_finished_locked(*state, *answer);
+    } else {
+      state->session->state = it->second;
+      if (!admit_locked(state)) answer = rejected(config_.max_queue_depth);
+      dispatch_locked();
     }
   }
-  if (session == nullptr) {
-    SolveResult result;
-    result.solver = "online-session";
-    result.status = SolveStatus::Error;
-    result.error = "unknown session " + std::to_string(request.session);
-    resolve(state, std::move(result), /*emit_finished=*/true);
-    return SolveHandle(state);
-  }
-  if (start) {
-    pool_.submit([this, session, state] { run_session_op(session, state); });
-  }
+  if (answer.has_value()) resolve(*state, std::move(*answer));
+  watchdog_cv_.notify_one();
   return SolveHandle(state);
 }
 
@@ -505,9 +579,9 @@ bool SchedulingService::close_session(std::uint64_t session) {
     if (it == sessions_.end() || it->second->closed) return false;
     it->second->closed = true;
     ++stats_.sessions_closed;
-    // Queued deltas still resolve; the last one retires the entry (see
-    // pump_session_locked). An idle session retires immediately.
-    if (!it->second->busy && it->second->pending.empty()) sessions_.erase(it);
+    // Queued deltas still resolve; the last one retires the entry. An idle
+    // session retires immediately.
+    retire_if_drained_locked(*it->second);
   }
   if (config_.journal != nullptr) {
     try {
@@ -574,82 +648,85 @@ std::size_t SchedulingService::restore_sessions(
   return restored;
 }
 
-void SchedulingService::pump_session_locked(
-    const std::shared_ptr<SessionState>& session) {
-  if (session->busy) return;
-  if (!session->pending.empty() && !stopping_) {
-    auto next = std::move(session->pending.front());
-    session->pending.pop_front();
-    session->busy = true;
-    ++session_ops_active_;
-    pool_.submit(
-        [this, session, next] { run_session_op(session, next); });
-    return;
-  }
-  if (session->closed && session->pending.empty()) {
-    sessions_.erase(session->id);
+void SchedulingService::retire_if_drained_locked(const SessionState& session) {
+  if (session.closed && session.pending.empty()) {
+    const std::uint64_t id = session.id;  // the erase may free `session`
+    sessions_.erase(id);
   }
 }
 
-void SchedulingService::run_session_op(
-    std::shared_ptr<detail::SessionState> session,
-    std::shared_ptr<detail::RequestState> state) {
-  state->emit({.kind = ProgressKind::Started});
+void SchedulingService::drop_locked(RequestState& state) {
+  if (!state.session.has_value()) return;
+  detail::SessionOp& op = *state.session;
+  auto& pending = op.state->pending;
+  const auto it = std::find_if(
+      pending.begin(), pending.end(),
+      [&state](const auto& queued) { return queued.get() == &state; });
+  if (it != pending.end()) pending.erase(it);
+  // The session itself is untouched — but an open that never ran leaves a
+  // session with no schedule to serve.
+  op.failed = op.open;
+  settle_session_locked(state, SolveResult{});
+  retire_if_drained_locked(*op.state);
+}
+
+SolveResult SchedulingService::run_session(RequestState& state) {
+  detail::SessionOp& op = *state.session;
+  SessionState& session = *op.state;
+  const auto fail = [](SolveStatus status, std::string error) {
+    return unsolved(status, std::move(error), "online-session");
+  };
   SolveResult result;
-  bool failed_open = false;
-  bool duplicate = false;
-  std::uint64_t revision_before = 0;
-  if (state->session_open) {
+  if (state.service_cancel.load(std::memory_order_relaxed)) {
+    // Cancelled (or expired) while queued: resolve without touching the
+    // session, so its revision stays and its FIFO moves on.
+    op.failed = op.open;
+    result = unsolved(SolveStatus::Cancelled,
+                      "cancelled: the request was cancelled before it ran");
+  } else if (op.open) {
     try {
-      session->session = std::make_unique<online::ScheduleSession>(
-          *session->initial_instance, session->tuning);
-      result = session->session->last_result();
+      session.session = std::make_unique<online::ScheduleSession>(
+          *session.initial_instance, session.tuning, &state.cancel);
+      result = session.session->last_result();
+      op.committed = true;
     } catch (const std::exception& error) {
-      result.status = SolveStatus::Infeasible;
-      result.solver = "online-session";
-      result.error = error.what();
-      failed_open = true;
+      op.failed = true;
+      result = fail(state.cancel.stop_requested() ? SolveStatus::Cancelled
+                                                  : SolveStatus::Infeasible,
+                    error.what());
     }
-  } else if (session->failed || session->session == nullptr) {
-    result.status = SolveStatus::Error;
-    result.solver = "online-session";
-    result.error = "unknown session " + std::to_string(session->id) +
-                   ": its initial solve failed";
+  } else if (session.failed || session.session == nullptr) {
+    result = fail(SolveStatus::Error, "unknown session " +
+                                          std::to_string(session.id) +
+                                          ": its initial solve failed");
   } else {
-    revision_before = session->session->revision();
-    bool mismatch = false;
-    if (state->expect_revision.has_value()) {
-      // Resend-safe commits: a client that lost an ack resubmits with the
-      // revision it last saw. One revision behind with an identical delta
-      // means the commit landed and only the ack was lost — hand back the
-      // cached result instead of double-applying. Anything else is a real
-      // divergence and must fail loudly.
-      if (*state->expect_revision + 1 == revision_before &&
-          to_json(state->delta).dump() == session->last_delta_json) {
-        duplicate = true;
-      } else if (*state->expect_revision != revision_before) {
-        mismatch = true;
-        result.status = SolveStatus::Error;
-        result.solver = "online-session";
-        result.error = "revision mismatch: session " +
-                       std::to_string(session->id) + " is at revision " +
-                       std::to_string(revision_before) +
-                       ", request expected " +
-                       std::to_string(*state->expect_revision);
-      }
-    }
-    if (duplicate) {
-      result = session->last_commit_result;
+    const std::uint64_t revision = session.session->revision();
+    // Resend-safe commits: a client that lost an ack resubmits with the
+    // revision it last saw. One revision behind with an identical delta
+    // means the commit landed and only the ack was lost — hand back the
+    // cached result instead of double-applying. Anything else is a real
+    // divergence and must fail loudly.
+    if (op.expect_revision.has_value() &&
+        *op.expect_revision + 1 == revision &&
+        delta_json(op) == session.last_delta_json) {
+      result = session.last_commit_result;
       result.stats["online.duplicate"] = true;
-    } else if (!mismatch) {
+    } else if (op.expect_revision.has_value() &&
+               *op.expect_revision != revision) {
+      result = fail(
+          SolveStatus::Error,
+          "revision mismatch: session " + std::to_string(session.id) +
+              " is at revision " + std::to_string(revision) +
+              ", request expected " + std::to_string(*op.expect_revision));
+    } else {
       try {
-        result = session->session->apply(state->delta);
+        result = session.session->apply(op.delta, &state.cancel);
+        op.committed = session.session->revision() != revision;
       } catch (const std::exception& error) {
         // Malformed delta (unknown job ids, duplicate departures, ...): the
         // session keeps its previous commit and stays usable.
-        result.status = SolveStatus::Error;
-        result.solver = "online-session";
-        result.error = std::string("invalid delta: ") + error.what();
+        result = fail(SolveStatus::Error,
+                      std::string("invalid delta: ") + error.what());
       }
     }
   }
@@ -659,95 +736,75 @@ void SchedulingService::run_session_op(
   // §8, "acked ⇒ recovered"). A journal append failure poisons the
   // session — the client gets an error, not an ack the journal missed —
   // and the session closes rather than drift from its journal.
-  const bool is_delta = !state->session_open;
-  const bool committed =
-      state->session_open
-          ? !failed_open
-          : (!duplicate && session->session != nullptr &&
-             session->session->revision() != revision_before);
-  // The commit's delta JSON and schedule digest, computed once: the
-  // journal record and the resume/dedupe shadow below both carry them.
-  std::string delta_json;
-  std::string digest;
-  if (committed) {
-    digest = persist::schedule_digest(session->session->schedule());
-    if (is_delta) delta_json = to_json(state->delta).dump();
-  }
-  bool poisoned = false;
-  if (committed && config_.journal != nullptr) {
-    try {
-      if (state->session_open) {
-        config_.journal->record_open(session->id, session->epoch,
-                                     session->session->instance(),
-                                     session->tuning,
-                                     session->session->schedule());
-      } else {
-        config_.journal->record_commit(
-            session->id, session->session->revision(), state->delta,
-            delta_json, session->session->schedule(), digest,
-            session->session->shared_instance());
-      }
-    } catch (const std::exception& error) {
-      poisoned = true;
-      result = SolveResult{};
-      result.status = SolveStatus::Error;
-      result.solver = "online-session";
-      result.error =
-          std::string("journal append failed, session closed: ") +
-          error.what();
-    }
-  }
-
-  result.stats["request_id"] = static_cast<long long>(state->id);
-  result.stats["session"] = static_cast<long long>(session->id);
-
-  {
-    // Publish the resume/dedupe shadow, the session's closed state and the
-    // counters before the ack is visible: a client that acts on this
-    // result must find session_info and stats() consistent with it.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if ((failed_open || poisoned) && !session->closed) {
-      // A session that never committed a schedule — or whose journal no
-      // longer matches its state — cannot serve deltas; close it so queued
-      // ones drain with "unknown session".
-      session->failed = true;
-      session->closed = true;
-      ++stats_.sessions_closed;
-    }
-    if (committed && !poisoned) {
-      session->revision = session->session->revision();
-      session->digest = std::move(digest);
-      if (is_delta) session->last_delta_json = std::move(delta_json);
-      session->last_commit_result = result;
-    }
-    if (is_delta) {
-      ++stats_.session_deltas;
-      if (duplicate) {
-        ++stats_.session_duplicates;
-      } else if (stat_str(result.stats, "online.path") == "fresh") {
-        ++stats_.session_fresh;
-      } else if (result.ok()) {
-        ++stats_.session_repaired;
+  if (op.committed) {
+    op.digest = persist::schedule_digest(session.session->schedule());
+    if (!op.open) delta_json(op);
+    if (config_.journal != nullptr) {
+      try {
+        if (op.open) {
+          config_.journal->record_open(session.id, session.epoch,
+                                       session.session->instance(),
+                                       session.tuning,
+                                       session.session->schedule());
+        } else {
+          config_.journal->record_commit(
+              session.id, session.session->revision(), op.delta,
+              op.delta_json, session.session->schedule(), op.digest,
+              session.session->shared_instance());
+        }
+      } catch (const std::exception& error) {
+        op.committed = false;
+        op.failed = true;
+        result = fail(SolveStatus::Error,
+                      std::string("journal append failed, session closed: ") +
+                          error.what());
       }
     }
   }
+  result.stats["session"] = static_cast<long long>(session.id);
+  return result;
+}
 
-  resolve(state, std::move(result), /*emit_finished=*/true);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    session->busy = false;
-    --session_ops_active_;
-    pump_session_locked(session);
+void SchedulingService::settle_session_locked(RequestState& state,
+                                              const SolveResult& result) {
+  // Publishes the resume/dedupe shadow and the session's closed state
+  // before the ack is visible: a client that acts on this result must find
+  // session_info consistent with it.
+  detail::SessionOp& op = *state.session;
+  SessionState& session = *op.state;
+  if (op.failed && !session.closed) {
+    // A session that never committed a schedule — or whose journal no
+    // longer matches its state — cannot serve deltas; close it so queued
+    // ones drain with "unknown session".
+    session.failed = true;
+    session.closed = true;
+    ++stats_.sessions_closed;
   }
-  idle_cv_.notify_all();
+  if (op.committed) {
+    session.revision = session.session->revision();
+    session.digest = std::move(op.digest);
+    if (!op.open) session.last_delta_json = std::move(op.delta_json);
+    session.last_commit_result = result;
+  }
+}
+
+void SchedulingService::count_finished_locked(const RequestState& state,
+                                              const SolveResult& result) {
+  ++stats_.finished;
+  if (!state.session.has_value() || state.session->open) return;
+  ++stats_.session_deltas;
+  if (stat_bool(result.stats, "online.duplicate")) {
+    ++stats_.session_duplicates;
+  } else if (stat_str(result.stats, "online.path") == "fresh") {
+    ++stats_.session_fresh;
+  } else if (result.ok()) {
+    ++stats_.session_repaired;
+  }
 }
 
 void SchedulingService::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] {
-    return queue_.empty() && running_.empty() && session_ops_active_ == 0;
-  });
+  idle_cv_.wait(lock, [this] { return queue_.empty() && running_.empty(); });
 }
 
 SchedulingService::Stats SchedulingService::stats() const {
@@ -850,12 +907,15 @@ void SchedulingService::lead_or_follow_locked(
 }
 
 void SchedulingService::dispatch_locked() {
-  while (running_.size() < max_concurrent_ && !queue_.empty()) {
-    auto next = std::min_element(
-        queue_.begin(), queue_.end(),
-        [](const auto& a, const auto& b) {
-          return dispatches_before(*a, *b);
-        });
+  while (running_.size() < max_concurrent_) {
+    auto next = queue_.end();
+    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+      if (dispatchable(**it) &&
+          (next == queue_.end() || dispatches_before(**it, **next))) {
+        next = it;
+      }
+    }
+    if (next == queue_.end()) return;
     std::shared_ptr<RequestState> state = std::move(*next);
     queue_.erase(next);
     state->queue_seconds = state->since_submit.seconds();
@@ -863,13 +923,13 @@ void SchedulingService::dispatch_locked() {
         0.8 * stats_.queue_wait_ewma_seconds + 0.2 * state->queue_seconds;
     running_.push_back(state);
     pool_.submit([this, state = std::move(state)]() mutable {
-      run_request(std::move(state));
+      run_op(std::move(state));
     });
   }
 }
 
 SolveResult SchedulingService::execute(RequestState& state) {
-  // Injected solver failure: run_request's catch turns the throw into a
+  // Injected solver failure: run_solve's catch turns the throw into a
   // terminal SolveStatus::Error result, so the handle still resolves.
   if (BAGSCHED_FAULT("service.execute")) {
     throw std::runtime_error("injected fault: service.execute");
@@ -924,135 +984,145 @@ SolveResult SchedulingService::execute(RequestState& state) {
   return result;
 }
 
-void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
-  state->emit({.kind = ProgressKind::Started});
-  SolveResult result;
-  bool from_cache = false;
+SolveResult SchedulingService::run_solve(RequestState& state) {
   // Second-chance probe: the first lookup ran at submit time, but anything
   // cached since then — by an earlier queue entry this request could not
   // single-flight onto (rounded-key twins dedup only through the cache) —
   // serves now without running a solver.
-  if (state->cache_enabled &&
-      !state->service_cancel.load(std::memory_order_relaxed)) {
-    if (auto hit = cache_lookup(*state)) {
-      result = std::move(*hit);
-      from_cache = true;
-    }
+  if (state.cache_enabled &&
+      !state.service_cancel.load(std::memory_order_relaxed)) {
+    if (auto hit = cache_lookup(state)) return std::move(*hit);
   }
-  if (from_cache) {
-    // nothing to run
-  } else
   try {
-    result = execute(*state);
+    return execute(state);
   } catch (const std::exception& error) {
     // A throwing solver (bad eps, internal failure) must still resolve the
     // handle — an unhandled exception would die in the pool wrapper and
     // leave wait() blocked forever.
-    result = SolveResult{};
-    if (state->request.solvers.size() == 1) {
-      result.solver = state->request.solvers.front();
+    SolveResult result;
+    if (state.request.solvers.size() == 1) {
+      result.solver = state.request.solvers.front();
     }
     result.status = SolveStatus::Error;
     result.error = error.what();
+    return result;
   } catch (...) {
-    result = SolveResult{};
+    SolveResult result;
     result.status = SolveStatus::Error;
     result.error = "solver threw a non-standard exception";
+    return result;
   }
+}
 
-  // Deadline attribution is decided here, from the clock, not from the
-  // watchdog: the time-limit clamp in execute() can stop the solver right
-  // at the deadline before the watchdog's wakeup lands, and the outcome
-  // must not depend on that race.
-  if (state->request.deadline.has_value() &&
-      ServiceClock::now() >= *state->request.deadline) {
-    state->deadline_fired.store(true, std::memory_order_relaxed);
-    state->service_cancel.store(true, std::memory_order_relaxed);
-  }
-  if (state->service_cancel.load(std::memory_order_relaxed)) {
-    // Deadline / handle / shutdown cancellation determines the status —
-    // except a completed optimality proof, which beats the deadline. The
-    // incumbent fields (schedule, makespan, schedule_feasible) are kept as
-    // the solver filled them: Cancelled-with-incumbent is a usable result.
-    if (result.status == SolveStatus::Feasible) {
-      result.status = SolveStatus::Cancelled;
-    }
-    if (result.status == SolveStatus::Cancelled) result.cancelled = true;
-  }
+void SchedulingService::run_op(std::shared_ptr<RequestState> state) {
+  state->emit({.kind = ProgressKind::Started});
+  const bool is_session = state->session.has_value();
+  SolveResult result = is_session ? run_session(*state) : run_solve(*state);
+  attribute_stop(*state, result);
   result.stats["request_id"] = static_cast<long long>(state->id);
   result.stats["queue_seconds"] = state->queue_seconds;
-  if (state->deadline_fired.load(std::memory_order_relaxed)) {
-    result.stats["deadline_expired"] = true;
-  }
 
-  // --- Single-flight settlement -------------------------------------------
-  // Detach this leader from the in-flight registry and claim its
-  // followers. A shareable outcome fans out to all of them below; a
-  // cancelled/error outcome must not (the cancellation or failure may be
-  // specific to this request), so those followers re-enter the queue and
-  // the first of them leads the retry.
+  // Settled and counted before any handle resolves: a stats() or
+  // session_info() read issued right after an answer arrives must already
+  // agree with it.
   std::vector<std::shared_ptr<RequestState>> shared;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (from_cache) {
-      ++stats_.cache_hits;
-      if (stat_bool(result.stats, "cache_hit_rounded")) {
-        ++stats_.cache_rounded_hits;
-      }
+    if (is_session) {
+      settle_session_locked(*state, result);
+    } else {
+      shared = settle_solve_locked(state, result);
     }
-    if (state->cache_enabled) {
-      const auto it = inflight_.find(state->key);
-      if (it != inflight_.end() && it->second == state) inflight_.erase(it);
-      shared = std::move(state->followers);
-      state->followers.clear();
-      // A clamped-budget Feasible result only blocks sharing when it is
-      // neither proven (Optimal is budget-independent) nor structural
-      // (Infeasible does not depend on the budget at all).
-      const bool shareable =
-          !result.cancelled && result.status != SolveStatus::Error &&
-          !(state->budget_clamped.load(std::memory_order_relaxed) &&
-            result.status == SolveStatus::Feasible);
-      if (!shared.empty() && !shareable && !stopping_) {
-        for (auto& follower : shared) {
-          lead_or_follow_locked(std::move(follower));
-        }
-        shared.clear();
-        dispatch_locked();
-      }
-      // When stopping, unshareable followers stay in `shared` and resolve
-      // below with the leader's (cancelled) result — the destructor has
-      // already drained the ones it saw, this catches late attachments.
-    }
-    // Counted before any handle resolves: a stats() read issued right
-    // after an answer arrives must already see it finished.
-    stats_.finished += 1 + shared.size();
-    stats_.dedup_shared += shared.size();
+    count_finished_locked(*state, result);
   }
+  if (!is_session) share_solve(*state, result, shared);
+  resolve(*state, std::move(result));
 
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    running_.erase(std::find(running_.begin(), running_.end(), state));
+    if (is_session) {
+      SessionState& session = *state->session->state;
+      session.pending.pop_front();  // this op: the next one may dispatch
+      retire_if_drained_locked(session);
+    }
+    if (!stopping_) dispatch_locked();
+  }
+  idle_cv_.notify_all();
+  watchdog_cv_.notify_one();
+}
+
+std::vector<std::shared_ptr<RequestState>>
+SchedulingService::settle_solve_locked(
+    const std::shared_ptr<RequestState>& state, const SolveResult& result) {
+  if (stat_bool(result.stats, "cache_hit")) {
+    ++stats_.cache_hits;
+    if (stat_bool(result.stats, "cache_hit_rounded")) {
+      ++stats_.cache_rounded_hits;
+    }
+  }
+  // Single-flight settlement: detach this leader from the in-flight
+  // registry and claim its followers. A shareable outcome fans out to all
+  // of them in share_solve; a cancelled/error outcome must not (the
+  // cancellation or failure may be specific to this request), so those
+  // followers re-enter the queue and the first of them leads the retry.
+  std::vector<std::shared_ptr<RequestState>> shared;
+  if (state->cache_enabled) {
+    const auto it = inflight_.find(state->key);
+    if (it != inflight_.end() && it->second == state) inflight_.erase(it);
+    shared = std::move(state->followers);
+    state->followers.clear();
+    // A clamped-budget Feasible result only blocks sharing when it is
+    // neither proven (Optimal is budget-independent) nor structural
+    // (Infeasible does not depend on the budget at all).
+    const bool shareable =
+        !result.cancelled && result.status != SolveStatus::Error &&
+        !(state->budget_clamped.load(std::memory_order_relaxed) &&
+          result.status == SolveStatus::Feasible);
+    if (!shared.empty() && !shareable && !stopping_) {
+      for (auto& follower : shared) {
+        lead_or_follow_locked(std::move(follower));
+      }
+      shared.clear();
+      dispatch_locked();
+    }
+    // When stopping, unshareable followers stay in `shared` and resolve
+    // with the leader's (cancelled) result — the destructor has already
+    // drained the ones it saw, this catches late attachments.
+  }
+  stats_.finished += shared.size();
+  stats_.dedup_shared += shared.size();
+  return shared;
+}
+
+void SchedulingService::share_solve(
+    const RequestState& state, SolveResult& result,
+    const std::vector<std::shared_ptr<RequestState>>& shared) {
   // Store before sharing/resolving: any request submitted from a Finished
   // callback already finds the entry. The cached copy keeps its schedule
   // in canonical order and drops the per-request bookkeeping.
   // Store under the leader's ReadWrite — or a shared follower's: the
   // followers asked the identical question, so any of them opting into
   // writes is enough to persist the answer.
-  bool store = state->request.options.cache_mode == CacheMode::ReadWrite;
+  bool store = state.request.options.cache_mode == CacheMode::ReadWrite;
   for (const auto& follower : shared) {
     store = store ||
             follower->request.options.cache_mode == CacheMode::ReadWrite;
   }
-  if (!from_cache && state->cache_enabled && store && is_cacheable(result) &&
-      !(state->budget_clamped.load(std::memory_order_relaxed) &&
+  if (!stat_bool(result.stats, "cache_hit") && state.cache_enabled &&
+      store && is_cacheable(result) &&
+      !(state.budget_clamped.load(std::memory_order_relaxed) &&
         result.status == SolveStatus::Feasible)) {
     SolveResult canonical = result;
     canonical.stats.erase("request_id");
     canonical.stats.erase("queue_seconds");
-    canonical.schedule = cache::to_canonical(result.schedule, state->form);
-    const auto payload = cache_.insert(state->key, std::move(canonical));
+    canonical.schedule = cache::to_canonical(result.schedule, state.form);
+    const auto payload = cache_.insert(state.key, std::move(canonical));
     // The rounded key shares the payload; only its canonical order differs.
-    if (state->rounded_enabled) {
+    if (state.rounded_enabled) {
       cache_.insert_alias(
-          state->rounded_key, payload,
-          cache::to_canonical(result.schedule, state->rounded_form));
+          state.rounded_key, payload,
+          cache::to_canonical(result.schedule, state.rounded_form));
     }
     result.stats["cache_stored"] = true;
   }
@@ -1061,64 +1131,20 @@ void SchedulingService::run_request(std::shared_ptr<RequestState> state) {
   // schedule, makespan and status transfer verbatim), honouring each
   // follower's own deadline/cancel state. The leader is still in running_,
   // so wait_idle() cannot fire while followers are unresolved.
-  for (auto& follower : shared) {
+  for (const auto& follower : shared) {
     SolveResult out = result;
     out.stats.erase("cache_stored");
     if (out.schedule.num_jobs() > 0 &&
         out.schedule.num_jobs() == follower->request.instance->num_jobs()) {
-      out.schedule = model::remap_jobs(result.schedule, state->form.job_at,
+      out.schedule = model::remap_jobs(result.schedule, state.form.job_at,
                                        follower->form.job_at);
     }
     out.stats["single_flight"] = true;
     out.stats["request_id"] = static_cast<long long>(follower->id);
     out.stats["queue_seconds"] = follower->since_submit.seconds();
-    if (follower->request.deadline.has_value() &&
-        ServiceClock::now() >= *follower->request.deadline) {
-      follower->deadline_fired.store(true, std::memory_order_relaxed);
-      follower->service_cancel.store(true, std::memory_order_relaxed);
-    }
-    if (follower->service_cancel.load(std::memory_order_relaxed)) {
-      if (out.status == SolveStatus::Feasible) {
-        out.status = SolveStatus::Cancelled;
-      }
-      if (out.status == SolveStatus::Cancelled) out.cancelled = true;
-    }
-    if (follower->deadline_fired.load(std::memory_order_relaxed)) {
-      out.stats["deadline_expired"] = true;
-    }
-    resolve(follower, std::move(out), /*emit_finished=*/true);
+    attribute_stop(*follower, out);
+    resolve(*follower, std::move(out));
   }
-
-  resolve(state, std::move(result), /*emit_finished=*/true);
-
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_.erase(std::find(running_.begin(), running_.end(), state));
-    if (!stopping_) dispatch_locked();
-  }
-  idle_cv_.notify_all();
-  watchdog_cv_.notify_one();
-}
-
-void SchedulingService::resolve(
-    const std::shared_ptr<RequestState>& state, SolveResult result,
-    bool emit_finished) {
-  // Store first, then emit Finished pointing at the stored result, then
-  // open the done gate: every progress event for a request is delivered
-  // before any wait() on its handle returns.
-  state->result = std::move(result);
-  if (emit_finished) {
-    ProgressEvent event;
-    event.kind = ProgressKind::Finished;
-    event.solver = state->result.solver;
-    event.result = &state->result;
-    state->emit(std::move(event));
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mutex);
-    state->done = true;
-  }
-  state->cv.notify_all();
 }
 
 void SchedulingService::watchdog_loop() {
@@ -1171,11 +1197,12 @@ void SchedulingService::watchdog_loop() {
           ++it;
         }
       }
-      // An expired queue entry may have been a single-flight leader: drop
-      // its registry entry and re-admit its followers (the first becomes
-      // the new leader), or they would wait on a request that never runs.
-      bool requeued_followers = false;
+      // An expired session op leaves its session's FIFO. An expired queue
+      // entry may have been a single-flight leader: drop its registry
+      // entry and re-admit its followers (the first becomes the new
+      // leader), or they would wait on a request that never runs.
       for (const auto& state : expired) {
+        drop_locked(*state);
         if (!state->cache_enabled) continue;
         const auto it = inflight_.find(state->key);
         if (it == inflight_.end() || it->second != state) continue;
@@ -1184,10 +1211,9 @@ void SchedulingService::watchdog_loop() {
         state->followers.clear();
         for (auto& follower : followers) {
           lead_or_follow_locked(std::move(follower));
-          requeued_followers = true;
         }
       }
-      if (requeued_followers) dispatch_locked();
+      if (!expired.empty()) dispatch_locked();
       // Expired followers resolve here too: the deadline is a latency
       // bound and must not depend on when their leader finishes. A
       // leader's own expiry does NOT expire its followers — they re-enter
@@ -1207,16 +1233,14 @@ void SchedulingService::watchdog_loop() {
       // is no window where wait_idle()/stats() see the queue drained while
       // an expired handle is still unresolved.
       for (const auto& state : expired) {
-        SolveResult result;
-        result.status = SolveStatus::Cancelled;
-        result.cancelled = true;
-        result.error =
-            "cancelled: deadline expired before the request was dispatched";
+        SolveResult result = unsolved(
+            SolveStatus::Cancelled,
+            "cancelled: deadline expired before the request was dispatched");
         result.stats["deadline_expired"] = true;
         result.stats["request_id"] = static_cast<long long>(state->id);
-        resolve(state, std::move(result), /*emit_finished=*/true);
+        count_finished_locked(*state, result);
+        resolve(*state, std::move(result));
       }
-      stats_.finished += expired.size();
       if (!expired.empty()) idle_cv_.notify_all();
     }
   }

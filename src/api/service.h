@@ -20,7 +20,10 @@
 //
 // Portfolio::solve is a thin client of this service, so single solves,
 // portfolio races and batched service traffic all go through one
-// scheduling path.
+// scheduling path. Session ops (open_session and deltas) take that path
+// too: the same queue, max_queue_depth and concurrency cap, the same
+// priority order and deadline watchdog, and the same cancel. Each
+// session's ops additionally dispatch one at a time in submit order.
 //
 // Requests that opt in via SolveOptions::cache_mode additionally pass
 // through a canonicalizing solve cache (src/cache): results are keyed by
@@ -119,7 +122,8 @@ struct ServiceConfig {
 /// service always shows submitted == finished and queue_depth == active
 /// == 0 in the same snapshot.
 struct ServiceStats {
-  std::uint64_t submitted = 0;  ///< accepted requests (excludes rejected)
+  std::uint64_t submitted = 0;  ///< accepted ops — solves, session opens
+                                ///< and deltas (excludes rejected)
   std::uint64_t rejected = 0;   ///< bounced off the max_queue_depth cap
   std::size_t queue_depth = 0;  ///< gauge: waiting for a slot right now
   std::size_t active = 0;       ///< gauge: in flight right now
@@ -142,7 +146,7 @@ struct ServiceStats {
   std::uint64_t sessions_opened = 0;
   std::uint64_t sessions_closed = 0;
   std::size_t open_sessions = 0;     ///< gauge
-  std::uint64_t session_deltas = 0;  ///< resolved delta requests
+  std::uint64_t session_deltas = 0;  ///< resolved deltas (within finished)
   /// Deltas settled without a full solve (noop / repair / region).
   std::uint64_t session_repaired = 0;
   /// Deltas that fell through to a fresh portfolio solve.
@@ -207,7 +211,12 @@ class SchedulingService {
   /// submit order (FIFO); the handle resolves with the repaired schedule
   /// and migration cost, status Error on an unknown/closed session, or
   /// status Infeasible when the delta makes the instance bag-infeasible
-  /// (the session then keeps its previous commit and stays open).
+  /// (the session then keeps its previous commit and stays open). A delta
+  /// rejected at max_queue_depth, or cancelled or expired before it runs,
+  /// resolves Cancelled and leaves the session untouched; one stopped
+  /// while running commits its best feasible schedule and keeps that
+  /// status (plus deadline_expired), so Cancelled always means "not
+  /// committed".
   SolveHandle submit(DeltaRequest request);
 
   /// Closes a session: already-queued deltas still resolve, new ones get
@@ -246,22 +255,36 @@ class SchedulingService {
   std::size_t num_threads() const { return pool_.size(); }
 
  private:
+  void accept_locked(detail::RequestState& state);
+  /// Queue admission shared by every op kind: false when the op bounced
+  /// off max_queue_depth (counted as rejected, to resolve after unlock).
+  bool admit_locked(const std::shared_ptr<detail::RequestState>& state);
   void dispatch_locked();
   void prepare_cache(detail::RequestState& state);
   std::optional<SolveResult> cache_lookup(detail::RequestState& state);
   /// Single-flight admission: attach to an in-flight leader with the same
   /// key as a follower, or become the leader and enter the queue.
   void lead_or_follow_locked(std::shared_ptr<detail::RequestState> state);
-  void run_request(std::shared_ptr<detail::RequestState> state);
+  /// Every op runs here: its kind's body computes the result, then one
+  /// settle / count / resolve / slot-release / dispatch tail.
+  void run_op(std::shared_ptr<detail::RequestState> state);
+  SolveResult run_solve(detail::RequestState& state);
   SolveResult execute(detail::RequestState& state);
-  void resolve(const std::shared_ptr<detail::RequestState>& state,
-               SolveResult result, bool emit_finished);
+  SolveResult run_session(detail::RequestState& state);
+  std::vector<std::shared_ptr<detail::RequestState>> settle_solve_locked(
+      const std::shared_ptr<detail::RequestState>& state,
+      const SolveResult& result);
+  void share_solve(
+      const detail::RequestState& state, SolveResult& result,
+      const std::vector<std::shared_ptr<detail::RequestState>>& shared);
+  void settle_session_locked(detail::RequestState& state,
+                             const SolveResult& result);
+  void count_finished_locked(const detail::RequestState& state,
+                             const SolveResult& result);
+  /// A queued op leaves without running (rejected, expired, shut down).
+  void drop_locked(detail::RequestState& state);
+  void retire_if_drained_locked(const detail::SessionState& session);
   void watchdog_loop();
-  void run_session_op(std::shared_ptr<detail::SessionState> session,
-                      std::shared_ptr<detail::RequestState> state);
-  /// Pops the session's next pending op onto the pool (or retires the
-  /// session when it is closed and drained). Requires mutex_.
-  void pump_session_locked(const std::shared_ptr<detail::SessionState>& s);
 
   Config config_;
   std::size_t max_concurrent_ = 1;
@@ -292,7 +315,6 @@ class SchedulingService {
   std::unordered_map<std::uint64_t, std::shared_ptr<detail::SessionState>>
       sessions_;
   std::uint64_t next_session_id_ = 0;
-  std::size_t session_ops_active_ = 0;  ///< ops on the pool right now
   /// Per-boot random nonce mixed into every session epoch, so epochs from
   /// a previous boot never validate against recycled session ids.
   std::uint64_t boot_nonce_ = 0;

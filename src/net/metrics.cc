@@ -38,13 +38,15 @@ void append_series(std::string& out, const std::string& group,
 
 std::vector<StatField> stat_fields(const api::ServiceStats& stats) {
   return {
-      {"submitted", kCounter, "Requests accepted by the service queue",
+      {"submitted", kCounter,
+       "Ops accepted by the service queue: solves, session opens and deltas",
        stats.submitted},
       {"rejected", kCounter, "Requests shed at the max_queue_depth cap",
        stats.rejected},
-      {"queue_depth", kGauge, "Requests waiting for a slot right now",
+      {"queue_depth", kGauge,
+       "Ops (solves and session ops) waiting for a slot right now",
        std::uint64_t{stats.queue_depth}},
-      {"active", kGauge, "Requests running right now",
+      {"active", kGauge, "Ops (solves and session ops) running right now",
        std::uint64_t{stats.active}},
       {"finished", kCounter, "Accepted requests that resolved",
        stats.finished},

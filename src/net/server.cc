@@ -45,9 +45,9 @@ struct Sink {
   int wake_fd = -1;
 };
 
-/// One in-flight request on a connection: the service handle plus, when a
+/// One in-flight op on a connection: the service handle plus, when a
 /// request budget is configured, the instant past which a still-unresolved
-/// solve is escalated to a terminal "timeout" error.
+/// op is escalated to a terminal "timeout" error.
 struct Inflight {
   api::SolveHandle handle;
   std::optional<std::chrono::steady_clock::time_point> escalate_at;
@@ -95,25 +95,45 @@ bool is_rejection(const api::SolveResult& result) {
          result.error.rfind("rejected:", 0) == 0;
 }
 
+/// The raw text of a member that frames of `type` require; throws
+/// `<type> requires a(n) "<key>"` when it is missing.
+std::string_view required(const ClientFrame& frame, const std::string& type,
+                          const char* key) {
+  const std::string_view* value = frame.find(key);
+  if (value == nullptr) {
+    const bool vowel = std::string_view("aeiou").find(key[0]) !=
+                       std::string_view::npos;
+    throw std::runtime_error(type + " requires " + (vowel ? "an" : "a") +
+                             " \"" + key + "\"");
+  }
+  return *value;
+}
+
+/// A frame's "session" member: a positive u64 id.
+std::uint64_t session_member(const ClientFrame& frame,
+                             const std::string& type) {
+  const std::uint64_t session =
+      util::JsonReader(required(frame, type, "session")).read_u64();
+  if (session == 0) throw std::runtime_error("session must be a positive id");
+  return session;
+}
+
 /// Worker-thread side of the sink: queues `frame` (and, when terminal, its
 /// id as finished) and wakes the poll loop. Drops the frame when the
-/// connection is gone, or — with `honour_suppression` — when the id was
-/// escalated to a timeout.
+/// connection is gone or the id was escalated to a timeout.
 void post_frame(Sink& sink, const std::string& id, std::string frame,
-                bool terminal, bool honour_suppression) {
+                bool terminal) {
   int wake_fd = -1;
   {
     std::lock_guard<std::mutex> lock(sink.mutex);
     if (!sink.alive) return;
-    if (honour_suppression) {
-      const auto suppressed = sink.suppressed.find(id);
-      if (suppressed != sink.suppressed.end()) {
-        // Escalated: the "timeout" error was this request's terminal
-        // frame. Late events are dropped; the Finished one retires the
-        // suppression so the id can be reused.
-        if (terminal) sink.suppressed.erase(suppressed);
-        return;
-      }
+    const auto suppressed = sink.suppressed.find(id);
+    if (suppressed != sink.suppressed.end()) {
+      // Escalated: the "timeout" error was this request's terminal frame.
+      // Late events are dropped; the Finished one retires the suppression
+      // so the id can be reused.
+      if (terminal) sink.suppressed.erase(suppressed);
+      return;
     }
     sink.frames.push_back(std::move(frame));
     if (terminal) sink.finished.push_back(id);
@@ -818,20 +838,16 @@ void SchedServer::handle_http(Connection& connection,
   flush(connection);
 }
 
-void SchedServer::handle_submit(Connection& connection,
-                                const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "submit requires an \"id\""));
-    return;
-  }
+std::optional<std::string> SchedServer::op_id(Connection& connection,
+                                              const ClientFrame& frame,
+                                              const std::string& type,
+                                              const char* refusal) {
   std::string id;
   try {
-    id = client_id_text(*id_value);
+    id = client_id_text(required(frame, type, "id"));
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what()));
-    return;
+    return std::nullopt;
   }
   if (connection.inflight.count(id) != 0) {
     send_frame(connection,
@@ -839,48 +855,29 @@ void SchedServer::handle_submit(Connection& connection,
                            "id \"" + id +
                                "\" is already in flight on this connection",
                            &id));
-    return;
+    return std::nullopt;
   }
   if (draining()) {
     send_frame(connection,
                error_frame("draining",
-                           "server is draining and accepts no new submits",
+                           std::string("server is draining and ") + refusal,
                            &id));
-    return;
+    return std::nullopt;
   }
-  const std::string_view* request_value = frame.find("request");
-  if (request_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "submit requires a \"request\"",
-                           &id));
-    return;
-  }
-  api::SolveRequest request;
-  try {
-    request = api::decode_solve_request(*request_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(), &id));
-    return;
-  }
+  return id;
+}
+
+void SchedServer::start_op(Connection& connection, const ClientFrame& frame,
+                           const std::string& id, api::RequestBase& request,
+                           bool degraded,
+                           std::uint64_t ServerCounters::*counter,
+                           const std::function<api::SolveHandle()>& start) {
   const bool want_progress = frame.bool_or("progress", false);
   const bool want_schedule = frame.bool_or("schedule", true);
 
-  // Overload brown-out: with the queue-wait EWMA past the threshold, a
-  // full solve would only deepen the backlog. Degrade to the cheap bag-LPT
-  // heuristic — an answer now beats a better answer after the queue melts
-  // — and flag every frame of this request "degraded" on the wire.
-  bool degraded = false;
-  if (config_.brownout_queue_latency_seconds > 0.0 &&
-      service_.stats().queue_wait_ewma_seconds >
-          config_.brownout_queue_latency_seconds) {
-    request.solvers = {"bag-lpt"};
-    degraded = true;
-    count(&ServerCounters::brownouts);
-  }
-
   // Per-request budget: clamp the deadline so the service watchdog cancels
-  // cooperatively at the budget; escalate_stuck() handles solvers that
-  // ignore the cancel past the extra grace.
+  // cooperatively at the budget; escalate_stuck() handles ops that ignore
+  // the cancel past the extra grace.
   std::optional<std::chrono::steady_clock::time_point> escalate_at;
   if (config_.request_budget_seconds > 0.0) {
     const auto budget_deadline =
@@ -897,9 +894,9 @@ void SchedServer::handle_submit(Connection& connection,
   }
 
   // The callback runs on service worker threads (and, for Queued, on this
-  // thread inside submit). It serializes the frame outside the sink lock;
-  // post_frame drops it when the connection is gone or the id was
-  // escalated to a timeout, and wakes the poll loop.
+  // thread inside the service call). It serializes the frame outside the
+  // sink lock; post_frame drops it when the connection is gone or the id
+  // was escalated to a timeout, and wakes the poll loop.
   std::shared_ptr<Sink> sink = connection.sink;
   request.on_progress = [sink, id, want_progress, want_schedule,
                          degraded](const api::ProgressEvent& event) {
@@ -909,16 +906,15 @@ void SchedServer::handle_submit(Connection& connection,
         terminal && event.result != nullptr && is_rejection(*event.result)
             ? error_frame("rejected", event.result->error, &id)
             : event_frame(id, event, want_schedule, degraded);
-    post_frame(*sink, id, std::move(frame_text), terminal,
-               /*honour_suppression=*/true);
+    post_frame(*sink, id, std::move(frame_text), terminal);
   };
   try {
-    api::SolveHandle handle = service_.submit(std::move(request));
-    // A backpressure rejection resolved synchronously inside submit(): its
-    // terminal frame and finished-id are already queued on the sink, and
-    // the pump after this dispatch erases the entry again.
+    api::SolveHandle handle = start();
+    // A backpressure rejection resolved synchronously inside the service
+    // call: its terminal frame and finished-id are already queued on the
+    // sink, and the pump below erases the entry again.
     connection.inflight.emplace(id, Inflight{std::move(handle), escalate_at});
-    count(&ServerCounters::submits);
+    count(counter);
   } catch (const std::invalid_argument& error) {
     const std::string code = std::string(error.what()).find("solver") !=
                                      std::string::npos
@@ -926,20 +922,47 @@ void SchedServer::handle_submit(Connection& connection,
                                  : "bad_request";
     send_frame(connection, error_frame(code, error.what(), &id));
   } catch (const std::exception& error) {
+    // The service shut down under a frame that passed the drain gate.
     send_frame(connection, error_frame("draining", error.what(), &id));
   }
   pump_sink(connection);
 }
 
+void SchedServer::handle_submit(Connection& connection,
+                                const ClientFrame& frame) {
+  const std::optional<std::string> id =
+      op_id(connection, frame, "submit", "accepts no new submits");
+  if (!id.has_value()) return;
+  api::SolveRequest request;
+  try {
+    request = api::decode_solve_request(required(frame, "submit", "request"));
+  } catch (const std::exception& error) {
+    send_frame(connection, error_frame("bad_request", error.what(), &*id));
+    return;
+  }
+
+  // Overload brown-out: with the queue-wait EWMA past the threshold, a
+  // full solve would only deepen the backlog. Degrade to the cheap bag-LPT
+  // heuristic — an answer now beats a better answer after the queue melts
+  // — and flag every frame of this request "degraded" on the wire.
+  bool degraded = false;
+  if (config_.brownout_queue_latency_seconds > 0.0 &&
+      service_.stats().queue_wait_ewma_seconds >
+          config_.brownout_queue_latency_seconds) {
+    request.solvers = {"bag-lpt"};
+    degraded = true;
+    count(&ServerCounters::brownouts);
+  }
+  start_op(connection, frame, *id, request, degraded,
+           &ServerCounters::submits,
+           [&] { return service_.submit(std::move(request)); });
+}
+
 void SchedServer::handle_cancel(Connection& connection,
                                 const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
   std::string id;
   try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("cancel requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
+    id = client_id_text(required(frame, "cancel", "id"));
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what()));
     return;
@@ -958,45 +981,14 @@ void SchedServer::handle_cancel(Connection& connection,
 
 void SchedServer::handle_open_session(Connection& connection,
                                       const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "open_session requires an \"id\""));
-    return;
-  }
-  std::string id;
-  try {
-    id = client_id_text(*id_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
-    return;
-  }
-  if (connection.inflight.count(id) != 0) {
-    send_frame(connection,
-               error_frame("duplicate_id",
-                           "id \"" + id +
-                               "\" is already in flight on this connection",
-                           &id));
-    return;
-  }
-  if (draining()) {
-    send_frame(connection,
-               error_frame("draining",
-                           "server is draining and opens no new sessions",
-                           &id));
-    return;
-  }
-  const std::string_view* request_value = frame.find("request");
-  if (request_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request",
-                           "open_session requires a \"request\"", &id));
-    return;
-  }
+  const std::optional<std::string> id =
+      op_id(connection, frame, "open_session", "opens no new sessions");
+  if (!id.has_value()) return;
   api::SolveRequest request;
   online::SessionOptions tuning;
   try {
-    request = api::decode_solve_request(*request_value);
+    request =
+        api::decode_solve_request(required(frame, "open_session", "request"));
     if (const std::string_view* regret = frame.find("regret_bound")) {
       tuning.regret_bound = util::JsonReader(*regret).read_number();
       if (!(tuning.regret_bound >= 0.0)) {
@@ -1004,81 +996,35 @@ void SchedServer::handle_open_session(Connection& connection,
       }
     }
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(), &id));
+    send_frame(connection, error_frame("bad_request", error.what(), &*id));
     return;
   }
-  const bool want_progress = frame.bool_or("progress", false);
-  const bool want_schedule = frame.bool_or("schedule", true);
-  std::shared_ptr<Sink> sink = connection.sink;
-  request.on_progress = [sink, id, want_progress,
-                         want_schedule](const api::ProgressEvent& event) {
-    const bool terminal = event.kind == api::ProgressKind::Finished;
-    if (!terminal && !want_progress) return;
-    post_frame(*sink, id, event_frame(id, event, want_schedule), terminal,
-               /*honour_suppression=*/false);
-  };
-  try {
-    api::SchedulingService::SessionOpening opening =
-        service_.open_session(std::move(request), std::move(tuning));
-    // The ok frame (with the assigned session id and its epoch token)
-    // precedes every event of the initial solve: it goes straight to the
-    // outbound buffer while the events wait on the sink until the pump
-    // below.
-    send_frame(connection, session_ok_frame("open_session", id,
-                                            opening.session, opening.epoch,
-                                            /*revision=*/0));
-    connection.sessions.insert(opening.session);
-    // Session ops ignore cancellation tokens, so no timeout escalation.
-    connection.inflight.emplace(
-        id, Inflight{std::move(opening.initial), std::nullopt});
-    count(&ServerCounters::session_opens);
-  } catch (const std::invalid_argument& error) {
-    const std::string code = std::string(error.what()).find("solver") !=
-                                     std::string::npos
-                                 ? "unknown_solver"
-                                 : "bad_request";
-    send_frame(connection, error_frame(code, error.what(), &id));
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(), &id));
-  }
-  pump_sink(connection);
+  start_op(connection, frame, *id, request, /*degraded=*/false,
+           &ServerCounters::session_opens, [&] {
+             api::SchedulingService::SessionOpening opening =
+                 service_.open_session(std::move(request), std::move(tuning));
+             // The ok frame (with the assigned session id and its epoch
+             // token) precedes every event of the initial solve: it goes
+             // straight to the outbound buffer while the events wait on the
+             // sink until the pump.
+             send_frame(connection,
+                        session_ok_frame("open_session", *id, opening.session,
+                                         opening.epoch, /*revision=*/0));
+             connection.sessions.insert(opening.session);
+             return opening.initial;
+           });
 }
 
 void SchedServer::handle_delta(Connection& connection,
                                const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
-  if (id_value == nullptr) {
-    send_frame(connection,
-               error_frame("bad_request", "delta requires an \"id\""));
-    return;
-  }
-  std::string id;
-  try {
-    id = client_id_text(*id_value);
-  } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what()));
-    return;
-  }
-  if (connection.inflight.count(id) != 0) {
-    send_frame(connection,
-               error_frame("duplicate_id",
-                           "id \"" + id +
-                               "\" is already in flight on this connection",
-                           &id));
-    return;
-  }
-  if (draining()) {
-    send_frame(connection,
-               error_frame("draining",
-                           "server is draining and accepts no new deltas",
-                           &id));
-    return;
-  }
+  const std::optional<std::string> id =
+      op_id(connection, frame, "delta", "accepts no new deltas");
+  if (!id.has_value()) return;
   api::DeltaRequest request;
   try {
     request = api::decode_delta_request(frame.text());
   } catch (const std::exception& error) {
-    send_frame(connection, error_frame("bad_request", error.what(), &id));
+    send_frame(connection, error_frame("bad_request", error.what(), &*id));
     return;
   }
   // Ownership check: a connection may only mutate sessions it opened. This
@@ -1088,42 +1034,21 @@ void SchedServer::handle_delta(Connection& connection,
                error_frame("unknown_session",
                            "session " + std::to_string(request.session) +
                                " is not open on this connection",
-                           &id));
+                           &*id));
     return;
   }
-  const bool want_progress = frame.bool_or("progress", false);
-  const bool want_schedule = frame.bool_or("schedule", true);
-  std::shared_ptr<Sink> sink = connection.sink;
-  request.on_progress = [sink, id, want_progress,
-                         want_schedule](const api::ProgressEvent& event) {
-    const bool terminal = event.kind == api::ProgressKind::Finished;
-    if (!terminal && !want_progress) return;
-    post_frame(*sink, id, event_frame(id, event, want_schedule), terminal,
-               /*honour_suppression=*/false);
-  };
-  api::SolveHandle handle = service_.submit(std::move(request));
-  connection.inflight.emplace(id, Inflight{std::move(handle), std::nullopt});
-  count(&ServerCounters::session_deltas);
-  pump_sink(connection);
+  start_op(connection, frame, *id, request, /*degraded=*/false,
+           &ServerCounters::session_deltas,
+           [&] { return service_.submit(std::move(request)); });
 }
 
 void SchedServer::handle_close_session(Connection& connection,
                                        const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
   std::string id;
   std::uint64_t session = 0;
   try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("close_session requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
-    const std::string_view* session_value = frame.find("session");
-    if (session_value == nullptr) {
-      throw std::runtime_error("close_session requires a \"session\"");
-    }
-    const long long raw = util::JsonReader(*session_value).read_int();
-    if (raw <= 0) throw std::runtime_error("session must be a positive id");
-    session = static_cast<std::uint64_t>(raw);
+    id = client_id_text(required(frame, "close_session", "id"));
+    session = session_member(frame, "close_session");
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what()));
     return;
@@ -1143,29 +1068,16 @@ void SchedServer::handle_close_session(Connection& connection,
 
 void SchedServer::handle_resume_session(Connection& connection,
                                         const ClientFrame& frame) {
-  const std::string_view* id_value = frame.find("id");
   std::string id;
   std::uint64_t session = 0;
   std::uint64_t epoch = 0;
   try {
-    if (id_value == nullptr) {
-      throw std::runtime_error("resume_session requires an \"id\"");
-    }
-    id = client_id_text(*id_value);
-    const std::string_view* session_value = frame.find("session");
-    if (session_value == nullptr) {
-      throw std::runtime_error("resume_session requires a \"session\"");
-    }
-    const long long raw = util::JsonReader(*session_value).read_int();
-    if (raw <= 0) throw std::runtime_error("session must be a positive id");
-    session = static_cast<std::uint64_t>(raw);
-    const std::string_view* epoch_value = frame.find("epoch");
-    if (epoch_value == nullptr) {
-      throw std::runtime_error("resume_session requires an \"epoch\"");
-    }
+    id = client_id_text(required(frame, "resume_session", "id"));
+    session = session_member(frame, "resume_session");
     // The token is issued as a decimal string (a u64 does not survive a
     // JSON double) but an integer is accepted for hand-written frames.
-    epoch = util::u64_from_json(util::Json::parse(*epoch_value));
+    epoch = util::JsonReader(required(frame, "resume_session", "epoch"))
+                .read_u64();
   } catch (const std::exception& error) {
     send_frame(connection, error_frame("bad_request", error.what(),
                                        id.empty() ? nullptr : &id));

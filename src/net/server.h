@@ -32,8 +32,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -158,6 +160,19 @@ class SchedServer {
                         bool count_orphans = true);
   void handle_line(detail::Connection& connection, const std::string& line);
   void handle_http(detail::Connection& connection, const std::string& line);
+  /// The client id of a submit / open_session / delta frame; nullopt once
+  /// a missing, malformed or duplicate id or the drain gate was answered.
+  std::optional<std::string> op_id(detail::Connection& connection,
+                                   const ClientFrame& frame,
+                                   const std::string& type,
+                                   const char* refusal);
+  /// Shared tail of those three frames: the request budget, the progress
+  /// callback, the in-flight entry and the error codes; `start` hands the
+  /// request to the service.
+  void start_op(detail::Connection& connection, const ClientFrame& frame,
+                const std::string& id, api::RequestBase& request,
+                bool degraded, std::uint64_t ServerCounters::*counter,
+                const std::function<api::SolveHandle()>& start);
   void handle_submit(detail::Connection& connection, const ClientFrame& frame);
   void handle_cancel(detail::Connection& connection, const ClientFrame& frame);
   void handle_open_session(detail::Connection& connection,

@@ -107,14 +107,20 @@ void greedy_place(const model::Instance& instance,
 }  // namespace
 
 ScheduleSession::ScheduleSession(model::Instance initial,
-                                 SessionOptions options)
+                                 SessionOptions options,
+                                 const util::CancellationToken* cancel)
     : options_(std::move(options)) {
   initial.validate();
   if (!initial.is_feasible()) {
     throw std::invalid_argument(
         "ScheduleSession: initial instance is bag-infeasible");
   }
-  api::SolveResult result = fresh_solve(initial);
+  if (cancel == nullptr) cancel = options_.solve.cancel;
+  api::SolveResult result = fresh_solve(initial, cancel);
+  if (result.status == api::SolveStatus::Cancelled &&
+      result.schedule_feasible) {
+    result.status = api::SolveStatus::Feasible;  // committed, not dropped
+  }
   if (!result.ok() || !result.schedule_feasible) {
     throw std::invalid_argument(
         "ScheduleSession: no feasible schedule for the initial instance: " +
@@ -149,11 +155,14 @@ ScheduleSession::ScheduleSession(model::Instance initial,
 }
 
 api::SolveResult ScheduleSession::fresh_solve(
-    const model::Instance& instance) const {
+    const model::Instance& instance,
+    const util::CancellationToken* cancel) const {
   const api::Portfolio portfolio =
       options_.solvers.empty() ? api::Portfolio()
                                : api::Portfolio(options_.solvers);
-  return portfolio.solve(instance, options_.solve).best;
+  api::SolveOptions options = options_.solve;
+  options.cancel = cancel;
+  return portfolio.solve(instance, options).best;
 }
 
 void ScheduleSession::commit(std::shared_ptr<const model::Instance> instance,
@@ -167,7 +176,9 @@ void ScheduleSession::commit(std::shared_ptr<const model::Instance> instance,
   ++revision_;
 }
 
-api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
+api::SolveResult ScheduleSession::apply(
+    const model::Delta& delta, const util::CancellationToken* cancel) {
+  if (cancel == nullptr) cancel = options_.solve.cancel;
   util::Stopwatch clock;
   ++stats_.deltas;
   if (model::is_noop(delta)) {
@@ -240,7 +251,7 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
     sched::LocalSearchOptions polish;
     polish.max_moves = options_.repair_moves;
     polish.seed = options_.solve.seed;
-    polish.cancel = options_.solve.cancel;
+    polish.cancel = cancel;
     sched::improve(next, repaired, polish);
   }
 
@@ -249,7 +260,7 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
       affected <= static_cast<std::size_t>(options_.region_max_jobs)) {
     sched::ExactOptions region_options;
     region_options.max_nodes = options_.region_max_nodes;
-    region_options.cancel = options_.solve.cancel;
+    region_options.cancel = cancel;
     sched::ExactResult regional =
         sched::solve_exact(next, repaired, region, region_options);
     if (regional.schedule.makespan(next) < repaired.makespan(next) &&
@@ -261,8 +272,8 @@ api::SolveResult ScheduleSession::apply(const model::Delta& delta) {
 
   // --- 3. fresh portfolio solve as the last resort -----------------------
   api::SolveResult result;
-  if (repaired.makespan(next) > regret_cap) {
-    api::SolveResult fresh = fresh_solve(next);
+  if (repaired.makespan(next) > regret_cap && !util::stop_requested(cancel)) {
+    api::SolveResult fresh = fresh_solve(next, cancel);
     if (fresh.ok() && fresh.schedule_feasible &&
         fresh.makespan < repaired.makespan(next)) {
       result = std::move(fresh);

@@ -91,8 +91,12 @@ class ScheduleSession {
   /// Opens a session on `initial` with a fresh portfolio solve; the solve's
   /// result (available via last_result()) is the first committed schedule.
   /// Throws std::invalid_argument when the initial instance is infeasible.
+  /// `cancel` (default: options.solve.cancel) stops the solve early; its
+  /// best feasible incumbent is then committed with status Feasible, and
+  /// the constructor throws only when the stop came before any incumbent.
   explicit ScheduleSession(model::Instance initial,
-                           SessionOptions options = {});
+                           SessionOptions options = {},
+                           const util::CancellationToken* cancel = nullptr);
 
   /// Opens a session adopting an existing schedule (e.g. the service already
   /// solved this instance). The schedule must be complete and bag-feasible.
@@ -104,8 +108,12 @@ class ScheduleSession {
   /// keys (path, affected jobs, repair acceptance). A malformed delta
   /// throws (std::invalid_argument, session state unchanged); a delta that
   /// makes the instance bag-infeasible returns SolveStatus::Infeasible and
-  /// leaves the previous commit in place.
-  api::SolveResult apply(const model::Delta& delta);
+  /// leaves the previous commit in place. `cancel` (default:
+  /// options.solve.cancel) cuts the polish, region and fresh stages short;
+  /// the best feasible schedule held at that point is committed — the
+  /// repair always is one — so a stopped apply still commits.
+  api::SolveResult apply(const model::Delta& delta,
+                         const util::CancellationToken* cancel = nullptr);
 
   /// The committed instance; the reference is valid until the next
   /// commit replaces it (shared_instance() keeps it alive longer).
@@ -133,7 +141,8 @@ class ScheduleSession {
               model::Schedule schedule, api::SolveResult result,
               double lower_bound);
 
-  api::SolveResult fresh_solve(const model::Instance& instance) const;
+  api::SolveResult fresh_solve(const model::Instance& instance,
+                               const util::CancellationToken* cancel) const;
 
   SessionOptions options_;
   std::shared_ptr<const model::Instance> instance_;

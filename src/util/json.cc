@@ -62,25 +62,7 @@ long long json_integer(double value) {
 }
 
 std::uint64_t u64_from_json(const Json& value) {
-  if (!value.is_string()) {
-    const long long integer = value.as_int();
-    if (integer < 0) {
-      throw std::runtime_error("json: expected a non-negative integer, found " +
-                               std::to_string(integer));
-    }
-    return static_cast<std::uint64_t>(integer);
-  }
-  const std::string& text = value.as_string();
-  std::uint64_t parsed = 0;
-  // from_chars takes no sign and no leading whitespace; the pointer check
-  // rejects a suffix, and the empty string fails with invalid_argument.
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), parsed);
-  if (error != std::errc() || end != text.data() + text.size()) {
-    throw std::runtime_error("json: expected an unsigned decimal string, "
-                             "found \"" + text + "\"");
-  }
-  return parsed;
+  return JsonReader(value.dump()).read_u64();  // one rule for both paths
 }
 
 void append_json_string(std::string& out, std::string_view text) {
@@ -222,6 +204,30 @@ double JsonReader::read_number() {
 }
 
 long long JsonReader::read_int() { return json_integer(read_number()); }
+
+std::uint64_t JsonReader::read_u64() {
+  if (peek_kind() != Json::Kind::String) {
+    const long long integer = read_int();
+    if (integer < 0) {
+      throw std::runtime_error(
+          "json: expected a non-negative integer, found " +
+          std::to_string(integer));
+    }
+    return static_cast<std::uint64_t>(integer);
+  }
+  std::string scratch;
+  const std::string_view text = read_string(scratch);
+  std::uint64_t parsed = 0;
+  // from_chars takes no sign and no leading whitespace; the pointer check
+  // rejects a suffix, and the empty string fails with invalid_argument.
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size()) {
+    throw std::runtime_error("json: expected an unsigned decimal string, "
+                             "found \"" + std::string(text) + "\"");
+  }
+  return parsed;
+}
 
 double JsonReader::number_or(double fallback) {
   if (peek_kind() == Json::Kind::Number) return read_number();

@@ -204,6 +204,7 @@ class JsonReader {
   std::string read_string();
   double read_number();
   long long read_int();  ///< read_number with json_integer's checks
+  std::uint64_t read_u64();  ///< u64_from_json's rule, without a tree
   bool read_bool();
   void read_null();
 

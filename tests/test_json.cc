@@ -852,6 +852,35 @@ TEST(CodecDiffTest, HandWrittenDeltasDecodeAlike) {
   }
 }
 
+TEST(CodecDiffTest, U64FieldsRejectSignsAndWhitespaceAlike) {
+  // seed, session and expect_revision follow u64_from_json: digits only (or
+  // a non-negative integer), never wrapped through a signed read.
+  const std::string instance =
+      R"({"machines":2,"bags":1,"jobs":[{"size":1,"bag":0}]})";
+  for (const std::string& text : std::vector<std::string>{
+           R"({"instance":)" + instance + R"(,"options":{"seed":"-1"}})",
+           R"({"instance":)" + instance + R"(,"options":{"seed":" 12"}})",
+       }) {
+    expect_same_solve_request(text);
+    EXPECT_EQ(outcome([&] {
+                return describe(api::decode_solve_request(text));
+              }).rfind("error", 0),
+              0u)
+        << text;
+  }
+  for (const std::string& text : std::vector<std::string>{
+           R"({"session":-1})",
+           R"({"session":3,"expect_revision":-1})",
+       }) {
+    expect_same_delta_request(text);
+    EXPECT_EQ(outcome([&] {
+                return describe(api::decode_delta_request(text));
+              }).rfind("error", 0),
+              0u)
+        << text;
+  }
+}
+
 api::SolveResult hostile_result() {
   api::SolveResult result;
   result.solver = std::string("bag\x01\"quoted\"\\\n");

@@ -885,6 +885,104 @@ TEST(NetServerTest, SessionOpenDeltaCloseOverTheWire) {
   server.wait();
 }
 
+/// Reads frames until `id`'s finished event and returns its result.
+Json finished_result(Client& client, const std::string& id) {
+  for (;;) {
+    auto frame = client.read_frame(5.0);
+    if (!frame.has_value()) throw std::runtime_error("connection closed");
+    if (frame->string_or("id", "") == id &&
+        frame->string_or("event", "") == "finished") {
+      return frame->at("result");
+    }
+  }
+}
+
+TEST(NetServerTest, CancelTakesEffectOnAQueuedDelta) {
+  auto config = test_config();
+  config.service.num_threads = 1;
+  config.service.max_concurrent = 1;
+  SchedServer server(config);
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  const auto session = client.open_session(quick_request(2), "open");
+  ASSERT_TRUE(session.initial.ok());
+
+  // The hog holds the only slot, so the delta is still queued when the
+  // cancel lands: once the slot frees, it resolves Cancelled without
+  // running, and the session stays at revision 0.
+  client.submit(slow_request(), "hog");
+  model::Delta delta;
+  delta.arrivals.push_back(model::JobArrival{0.5, 0});
+  Json frame = Json::object();
+  frame.set("type", "delta");
+  frame.set("id", "queued");
+  frame.set("session", session.id);
+  frame.set("delta", api::to_json(delta));
+  client.send_line(frame.dump());
+  client.cancel("queued");
+  client.cancel("hog");
+  const Json result = finished_result(client, "queued");
+  EXPECT_EQ(result.at("status").as_string(), "cancelled");
+  EXPECT_EQ(server.service().session_info(session.id)->revision, 0u);
+
+  const auto next = client.delta(session.id, delta, "next", true, 5.0,
+                                 /*expect_revision=*/0);
+  ASSERT_TRUE(next.ok()) << next.error;
+  EXPECT_EQ(api::stat_int(next.stats, "online.revision"), 1);
+  server.stop();
+  server.wait();
+}
+
+TEST(NetServerTest, QueueCapRejectsAnOverCapDelta) {
+  auto config = test_config();
+  config.service.num_threads = 1;
+  config.service.max_concurrent = 1;
+  config.service.max_queue_depth = 1;
+  SchedServer server(config);
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  const auto session = client.open_session(quick_request(3), "open");
+  ASSERT_TRUE(session.initial.ok());
+
+  client.submit(slow_request(), "hog");
+  client.submit(slow_request(), "queued");
+  model::Delta delta;
+  delta.arrivals.push_back(model::JobArrival{0.5, 0});
+  const auto over = client.delta(session.id, delta, "over", true, 5.0);
+  EXPECT_EQ(over.status, api::SolveStatus::Cancelled);
+  EXPECT_NE(over.error.find("rejected"), std::string::npos);
+  EXPECT_EQ(server.service().stats().rejected, 1u);
+  EXPECT_EQ(server.service().session_info(session.id)->revision, 0u);
+  client.cancel("hog");
+  client.cancel("queued");
+  server.stop();
+  server.wait();
+}
+
+TEST(NetServerTest, RequestBudgetBoundsASlowSessionOpen) {
+  auto config = test_config();
+  config.request_budget_seconds = 0.3;
+  config.stuck_grace_seconds = 0.7;
+  SchedServer server(config);
+  server.start();
+  auto client = Client::connect("127.0.0.1", server.port());
+  const auto started = std::chrono::steady_clock::now();
+  const auto session =
+      client.open_session(slow_request(), "open", -1.0, true, 10.0);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  EXPECT_LT(elapsed, config.request_budget_seconds +
+                         config.stuck_grace_seconds);
+  // Cut at the budget, the open commits the solver's incumbent.
+  ASSERT_TRUE(session.initial.ok()) << session.initial.error;
+  EXPECT_TRUE(session.initial.schedule_feasible);
+  EXPECT_TRUE(api::stat_bool(session.initial.stats, "deadline_expired"));
+  EXPECT_EQ(server.counters().request_timeouts, 0u);
+  server.stop();
+  server.wait();
+}
+
 TEST(NetServerTest, SessionsDieWithTheirConnection) {
   SchedServer server(test_config());
   server.start();

@@ -19,10 +19,12 @@
 #include "api/telemetry.h"
 #include "cache/canonicalize.h"
 #include "gen/churn.h"
+#include "gen/generators.h"
 #include "model/delta.h"
 #include "model/schedule.h"
 #include "online/session.h"
 #include "util/prng.h"
+#include "util/stopwatch.h"
 
 namespace bagsched {
 namespace {
@@ -518,6 +520,88 @@ TEST(ServiceSessionTest, DeltasSerializeFifoPerSession) {
   }
   service.close_session(opening.session);
   service.wait_idle();
+}
+
+/// A solve that holds a worker until cancelled (exact B&B on 60 jobs).
+api::SolveRequest blocking_request() {
+  api::SolveOptions options;
+  options.time_limit_seconds = 30.0;
+  options.seed = 3;
+  return api::make_request(
+      gen::by_name("uniform", 60, 8, options.seed), options, {"exact"});
+}
+
+TEST(ServiceSessionTest, QueuedDeltaPastItsDeadlineLeavesTheSessionAlone) {
+  api::SchedulingService service({.num_threads = 1, .max_concurrent = 1});
+  const auto trace = gen::churn_trace(small_churn(91));
+  auto opening = service.open_session(
+      api::make_request(trace.initial, {.seed = 5}, {"greedy-bags"}));
+  ASSERT_TRUE(opening.initial.wait().ok());
+
+  // The only slot is busy, so the delta waits in the queue past its
+  // deadline: it resolves Cancelled there, without touching the session.
+  auto blocker = service.submit(blocking_request());
+  auto request = api::make_delta_request(opening.session, trace.deltas[0]);
+  request.deadline = api::deadline_in(0.1);
+  auto expired = service.submit(std::move(request));
+  const bool resolved = expired.wait_for(5.0);
+  blocker.cancel();
+  ASSERT_TRUE(resolved);
+  EXPECT_EQ(expired.wait().status, api::SolveStatus::Cancelled);
+  EXPECT_TRUE(api::stat_bool(expired.wait().stats, "deadline_expired"));
+  EXPECT_EQ(service.session_info(opening.session)->revision, 0u);
+
+  // The FIFO moved on: the next delta commits revision 1.
+  auto next = service.submit(
+      api::make_delta_request(opening.session, trace.deltas[0]));
+  ASSERT_TRUE(next.wait().ok()) << next.wait().error;
+  EXPECT_EQ(api::stat_int(next.wait().stats, "online.revision"), 1);
+  EXPECT_EQ(service.session_info(opening.session)->revision, 1u);
+}
+
+TEST(ServiceSessionTest, DeadlineCutsTheFreshStageAndTheRepairCommits) {
+  // A zero regret bound and no region stage send every delta to a fresh
+  // exact solve that would run for seconds; the deadline cuts it short and
+  // the session commits the better of the repair and the cut incumbent.
+  api::SchedulingService service({.num_threads = 2});
+  api::SolveOptions options;
+  options.time_limit_seconds = 2.0;
+  options.seed = 3;
+  auto first = api::make_request(gen::by_name("uniform", 60, 8, options.seed),
+                                options, {"exact"});
+  first.deadline = api::deadline_in(0.2);
+  online::SessionOptions tuning;
+  tuning.regret_bound = 0.0;
+  tuning.region_max_jobs = 0;
+  auto opening = service.open_session(std::move(first), tuning);
+  const api::SolveResult& initial = opening.initial.wait();
+  ASSERT_TRUE(initial.ok()) << initial.error;
+  EXPECT_TRUE(api::stat_bool(initial.stats, "deadline_expired"));
+
+  model::Delta delta;
+  delta.arrivals.push_back({0.75, 0});
+  auto request = api::make_delta_request(opening.session, delta);
+  request.expect_revision = 0;
+  request.deadline = api::deadline_in(0.2);
+  util::Stopwatch clock;
+  auto cut = service.submit(request);
+  const api::SolveResult& committed = cut.wait();
+  EXPECT_LT(clock.seconds(), 1.5);
+  ASSERT_TRUE(committed.ok()) << committed.error;
+  EXPECT_TRUE(committed.schedule_feasible);
+  EXPECT_TRUE(api::stat_bool(committed.stats, "deadline_expired"));
+  EXPECT_EQ(api::stat_int(committed.stats, "online.revision"), 1);
+  EXPECT_EQ(service.session_info(opening.session)->revision, 1u);
+
+  // The commit landed, so a resend of the same delta at the same expected
+  // revision is answered as a duplicate, not applied again.
+  request.deadline.reset();
+  auto resend = service.submit(std::move(request));
+  const api::SolveResult& duplicate = resend.wait();
+  ASSERT_TRUE(duplicate.ok()) << duplicate.error;
+  EXPECT_TRUE(api::stat_bool(duplicate.stats, "online.duplicate"));
+  EXPECT_DOUBLE_EQ(duplicate.makespan, committed.makespan);
+  EXPECT_EQ(service.session_info(opening.session)->revision, 1u);
 }
 
 // --- Serialization ---------------------------------------------------------

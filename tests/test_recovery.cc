@@ -399,6 +399,7 @@ TEST(RecoveryTest, RetryingClientResumesAcrossARestart) {
   }
   EXPECT_EQ(client.revision(), commits.size());
   client.close_session();
+  client.close();
 
   ::kill(revived.pid, SIGTERM);
   const int drained = revived.wait_status();

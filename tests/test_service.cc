@@ -430,5 +430,39 @@ TEST(ServiceTest, DestructorResolvesQueuedRequestsAsCancelled) {
   }
 }
 
+TEST(ServiceTest, ShutdownCountsQueuedSessionOpsAsSubmittedBeforeFinished) {
+  // Deltas queued behind a running solve are drained at shutdown. They were
+  // counted as submitted when admitted, so no snapshot taken while they
+  // resolve may show more finished than submitted ops.
+  std::mutex mutex;
+  std::vector<api::ServiceStats> seen;
+  std::vector<SolveHandle> deltas;
+  {
+    SchedulingService service({.num_threads = 1, .max_concurrent = 1});
+    auto opening =
+        service.open_session(quick_request(4, "greedy-bags"));
+    ASSERT_TRUE(opening.initial.wait().ok());
+    auto blocker = service.submit(slow_exact_request());
+    for (int i = 0; i < 3; ++i) {
+      model::Delta delta;
+      delta.arrivals.push_back({0.5, 0});
+      auto request = api::make_delta_request(opening.session, delta);
+      request.on_progress = [&](const ProgressEvent& event) {
+        if (event.kind != ProgressKind::Finished) return;
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.push_back(service.stats());
+      };
+      deltas.push_back(service.submit(std::move(request)));
+    }
+  }
+  ASSERT_EQ(seen.size(), deltas.size());
+  for (const auto& stats : seen) {
+    EXPECT_LE(stats.finished, stats.submitted);
+  }
+  for (auto& handle : deltas) {
+    EXPECT_EQ(handle.wait().status, SolveStatus::Cancelled);
+  }
+}
+
 }  // namespace
 }  // namespace bagsched

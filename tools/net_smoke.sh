@@ -63,10 +63,13 @@ grep -q "moved .* jobs" "$work/delta.out"
   >"$work/delta.json"
 "$BUILD/instance_tool" jsoncheck "$work/delta.json"
 
-# Prometheus endpoint reflects the solves and the session traffic.
+# Prometheus endpoint reflects the solves and the session traffic. Every
+# op counts as submitted and finished: 2 solves, 2 session opens and 3
+# deltas.
 "$BUILD/instance_tool" metrics "127.0.0.1:$port" >"$work/metrics.txt"
-grep -q "^bagsched_service_submitted_total 2$" "$work/metrics.txt"
-grep -q "^bagsched_service_finished_total 2$" "$work/metrics.txt"
+grep -q "^bagsched_service_submitted_total 7$" "$work/metrics.txt"
+grep -q "^bagsched_service_finished_total 7$" "$work/metrics.txt"
+grep -q "^bagsched_service_session_deltas_total 3$" "$work/metrics.txt"
 grep -q "^bagsched_server_connections_accepted" "$work/metrics.txt"
 grep -q "^bagsched_server_session_opens_total 2$" "$work/metrics.txt"
 grep -q "^bagsched_cache_oversized_total 0$" "$work/metrics.txt"
