@@ -91,7 +91,7 @@ struct SolveOptions {
   /// adapter. Invoked on the solving thread; must be thread-safe when the
   /// same options are shared across a portfolio. Empty = no streaming.
   ProgressFn progress;
-  /// Advanced EPTAS tuning (constants profile, caps, rescue, MILP budgets).
+  /// Advanced EPTAS tuning (priority caps, rescue, guess grid, MILP budgets).
   /// time_limit_seconds and cancel override the nested MILP settings.
   eptas::EptasConfig eptas;
 };

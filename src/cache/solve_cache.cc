@@ -7,7 +7,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "api/options_digest.h"
 #include "util/fault.h"
 #include "util/hash.h"
 
@@ -20,10 +19,6 @@ std::size_t CacheKeyHash::operator()(const CacheKey& key) const {
   seed = util::hash_combine(seed, static_cast<std::size_t>(key.options));
   seed = util::hash_combine(seed, key.rounded ? 0x5eedULL : 0ULL);
   return seed;
-}
-
-std::uint64_t options_digest(const api::SolveOptions& options) {
-  return api::options_digest(options);
 }
 
 namespace {

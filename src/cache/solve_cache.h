@@ -4,7 +4,7 @@
 // The key is (fingerprint, solver selection, options digest, rounded?):
 // two requests share an entry only when their instances collide under the
 // Canonicalizer AND they ask the same solver(s) with the same
-// result-relevant options (eps, budgets, seed — see options_digest). The
+// result-relevant options (eps, budgets, seed — see api::options_digest). The
 // stored result keeps its schedule in *canonical job order*; callers remap
 // it into their own instance's order on the way in and out
 // (cache::remap_schedule), which is what makes one entry serve every
@@ -47,7 +47,7 @@ struct CacheKey {
   Fingerprint fingerprint;
   /// Solver selection: a registry name, or a portfolio signature.
   std::string solver;
-  /// Digest of the result-relevant SolveOptions (see options_digest).
+  /// Digest of the result-relevant SolveOptions (api/options_digest.h).
   std::uint64_t options = 0;
   /// True when fingerprint came from Canonicalizer::rounded.
   bool rounded = false;
@@ -61,11 +61,6 @@ struct CacheKey {
 struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const;
 };
-
-/// Deprecated alias of api::options_digest (api/options_digest.h), the one
-/// registry of result-relevant option fields shared by cache keys,
-/// single-flight dedup and online delta sessions.
-std::uint64_t options_digest(const api::SolveOptions& options);
 
 struct CacheConfig {
   /// Mutex-striped shards; rounded up to a power of two, min 1.

@@ -112,10 +112,8 @@ std::optional<Classification> classify(
   // --- Priority bags (Definition 2) -----------------------------------------
   // For each large size s, sort bags by |B_l^s| descending (the paper's
   // index function o_s) and mark the first `cutoff` bags as priority.
-  long long cutoff = cls.b_prime;
-  if (config.profile == ConstantsProfile::Practical) {
-    cutoff = std::min<long long>(cutoff, config.max_priority_per_size);
-  }
+  const long long cutoff =
+      std::min<long long>(cls.b_prime, config.max_priority_per_size);
   cls.priority_cutoff = static_cast<int>(cutoff);
 
   cls.is_priority = cls.is_large_bag;  // every large bag is priority
@@ -137,32 +135,30 @@ std::optional<Classification> classify(
     }
   }
 
-  // Practical profile: keep |A| bounded. Drop the priority flag from the
+  // Keep |A| within max_priority_total. Drop the priority flag from the
   // bags with the fewest medium-or-large jobs until the cap holds. (Large
   // bags are never dropped; their count is O(1/eps^{k+2}) by the paper.)
-  if (config.profile == ConstantsProfile::Practical) {
-    std::vector<std::pair<int, BagId>> priority_list;  // (ml count, bag)
-    for (BagId l = 0; l < b; ++l) {
-      if (!cls.is_priority[static_cast<std::size_t>(l)] ||
-          cls.is_large_bag[static_cast<std::size_t>(l)]) {
-        continue;
-      }
-      int ml_count = 0;
-      for (JobId j : scaled.bag(l)) {
-        if (cls.class_of(j) != JobClass::Small) ++ml_count;
-      }
-      priority_list.emplace_back(ml_count, l);
+  std::vector<std::pair<int, BagId>> priority_list;  // (ml count, bag)
+  for (BagId l = 0; l < b; ++l) {
+    if (!cls.is_priority[static_cast<std::size_t>(l)] ||
+        cls.is_large_bag[static_cast<std::size_t>(l)]) {
+      continue;
     }
-    int total_priority = 0;
-    for (BagId l = 0; l < b; ++l) {
-      if (cls.is_priority[static_cast<std::size_t>(l)]) ++total_priority;
+    int ml_count = 0;
+    for (JobId j : scaled.bag(l)) {
+      if (cls.class_of(j) != JobClass::Small) ++ml_count;
     }
-    std::sort(priority_list.begin(), priority_list.end());
-    for (const auto& [ml_count, bag] : priority_list) {
-      if (total_priority <= config.max_priority_total) break;
-      cls.is_priority[static_cast<std::size_t>(bag)] = false;
-      --total_priority;
-    }
+    priority_list.emplace_back(ml_count, l);
+  }
+  int total_priority = 0;
+  for (BagId l = 0; l < b; ++l) {
+    if (cls.is_priority[static_cast<std::size_t>(l)]) ++total_priority;
+  }
+  std::sort(priority_list.begin(), priority_list.end());
+  for (const auto& [ml_count, bag] : priority_list) {
+    if (total_priority <= config.max_priority_total) break;
+    cls.is_priority[static_cast<std::size_t>(bag)] = false;
+    --total_priority;
   }
 
   return cls;

@@ -39,7 +39,7 @@ struct Classification {
 
   /// Paper constants for reporting: q (jobs per machine bound), d (#large
   /// sizes), b' (priority bags per size). The *effective* per-size priority
-  /// cut-off actually used (after the profile cap) is priority_cutoff.
+  /// cut-off actually used is priority_cutoff = min(b', max_priority_per_size).
   double q = 0.0;
   int d = 0;
   long long b_prime = 0;
@@ -65,8 +65,8 @@ std::optional<Classification> classify(
     const model::Instance& scaled, double eps, const EptasConfig& config,
     const std::vector<double>* precomputed_rounded = nullptr);
 
-/// The paper's b' = (d*q + 1) * q for given d and q (used by tests and by
-/// the PaperExact profile).
+/// The paper's b' = (d*q + 1) * q for given d and q (classify caps it with
+/// EptasConfig::max_priority_per_size).
 long long paper_b_prime(int d, double q);
 
 }  // namespace bagsched::eptas

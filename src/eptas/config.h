@@ -1,9 +1,10 @@
 // Tunable constants of the EPTAS implementation.
 //
 // The paper's constants make the algorithm a pure theory result (DESIGN.md
-// §3); ConstantsProfile::Practical keeps the identical pipeline but caps the
-// combinatorial blow-up. PaperExact uses the published formulas and is only
-// tractable on toy instances — it exists so tests can exercise the formulas.
+// §3); the default caps keep the identical pipeline but bound the
+// combinatorial blow-up. Setting both priority caps to
+// std::numeric_limits<int>::max() gives the published formulas, tractable
+// only on toy instances.
 #pragma once
 
 #include <cstdint>
@@ -13,8 +14,6 @@
 #include "util/cancellation.h"
 
 namespace bagsched::eptas {
-
-enum class ConstantsProfile { Practical, PaperExact };
 
 /// One consumed dual-approximation probe, reported in search order.
 struct GuessProbeEvent {
@@ -26,28 +25,20 @@ struct GuessProbeEvent {
 };
 
 struct EptasConfig {
-  ConstantsProfile profile = ConstantsProfile::Practical;
-
-  // --- Practical-profile caps -------------------------------------------
-  /// Priority bags taken per large size (paper: b' = (dq+1)q).
+  // --- Caps -----------------------------------------------------------------
+  /// Priority bags taken per large size: the cut-off is
+  /// min(b', max_priority_per_size), where the paper's b' = (dq+1)q.
   int max_priority_per_size = 3;
-  /// Hard cap on the total number of priority bags |A|.
+  /// Hard cap on the total number of priority bags |A| (large bags are
+  /// never dropped).
   int max_priority_total = 10;
-  /// Abort pattern enumeration beyond this many patterns.
-  int max_patterns = 20000;
   /// Fail the makespan guess when more than this many patterns reach the
   /// MILP (keeps the LP tractable for the dense simplex).
   int max_milp_patterns = 700;
 
-  /// Solve the makespan guesses with the paper's literal MILP over fully
-  /// enumerated patterns (eptas/enumerate.h) instead of column generation.
-  /// Falls back to column generation when the enumeration exceeds
-  /// max_patterns. Tractable only on small instances.
-  bool use_enumerated_milp = false;
-
   // --- Behaviour ----------------------------------------------------------
   /// When a repair step cannot find the swap the lemmas promise (possible
-  /// only under Practical caps), place the job on the least-loaded feasible
+  /// only under capped priority), place the job on the least-loaded feasible
   /// machine instead of failing the guess. The schedule stays feasible; the
   /// height excess is recorded in the stats.
   bool enable_rescue = true;

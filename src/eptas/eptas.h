@@ -13,7 +13,7 @@
 //   local-search pass then polishes the certified schedule.
 //
 // The returned schedule is always feasible. When every guess fails (possible
-// under the Practical constant caps, see DESIGN.md §3) the result falls back
+// under the priority caps, see DESIGN.md §3) the result falls back
 // to the best constructive heuristic and says so in the stats.
 #pragma once
 

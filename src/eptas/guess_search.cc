@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "eptas/classify.h"
-#include "eptas/enumerate.h"
 #include "eptas/milp_model.h"
 #include "eptas/pattern.h"
 #include "eptas/placement.h"
@@ -40,18 +39,7 @@ std::optional<Schedule> run_pipeline(const Instance& instance, double eps,
   const Transformed transformed = transform(instance, *cls);
   const PatternSpace space = build_pattern_space(transformed, *cls);
 
-  std::optional<MasterSolution> master;
-  if (config.use_enumerated_milp) {
-    // The paper's literal MILP; on enumeration blow-up fall back to the
-    // column-generated master (same program, restricted columns).
-    if (enumerate_all_patterns(space, config.max_patterns)) {
-      master = solve_enumerated_master(space, transformed, *cls, config);
-      if (!master) return std::nullopt;  // proven infeasible at this guess
-    }
-  }
-  if (!master) {
-    master = solve_master(space, transformed, *cls, config);
-  }
+  const auto master = solve_master(space, transformed, *cls, config);
   if (!master) return std::nullopt;
 
   auto placement = place_ml_jobs(transformed, space, *master, config);

@@ -1,4 +1,4 @@
-#include "eptas/enumerate.h"
+#include "oracle/enumerate.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,9 @@
 
 #include "milp/branch_and_bound.h"
 
-namespace bagsched::eptas {
+namespace bagsched::oracle {
+
+using eptas::JobClass;
 
 using model::BagId;
 using model::JobId;
@@ -92,13 +94,12 @@ std::optional<std::vector<Pattern>> enumerate_all_patterns(
 
 std::optional<MasterSolution> solve_enumerated_master(
     const PatternSpace& space, const Transformed& transformed,
-    const Classification& cls, const EptasConfig& config, bool integral_y,
-    EnumeratedStats* stats) {
+    const Classification& cls, const EptasConfig& config, int max_patterns,
+    bool integral_y, EnumeratedStats* stats) {
   const model::Instance& inst = transformed.instance;
   const int m = inst.num_machines();
 
-  const auto patterns =
-      enumerate_all_patterns(space, config.max_patterns);
+  const auto patterns = enumerate_all_patterns(space, max_patterns);
   if (!patterns) return std::nullopt;  // theory-sized blow-up
 
   // Small size-restricted bags: (bag, size) -> count.
@@ -268,4 +269,4 @@ std::optional<MasterSolution> solve_enumerated_master(
   return solution;
 }
 
-}  // namespace bagsched::eptas
+}  // namespace bagsched::oracle

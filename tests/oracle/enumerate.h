@@ -3,14 +3,16 @@
 // per-pattern small-job variables y^{B_l^s}_p.
 //
 // This is intractable beyond small instances — exactly as the paper's
-// constants predict — but it serves three purposes:
+// constants predict — so the served EPTAS solves the same program by
+// column generation (eptas/milp_model.h) and this file is a test oracle:
 //  * fidelity: the published program, runnable and testable;
 //  * cross-check: on instances where both run, the enumerated MILP and the
-//    column-generated master (milp_model.h) must agree on feasibility;
-//  * measurement: bench_enumerated quantifies the blow-up the practical
-//    profile avoids.
-//
-// Enable it end-to-end with EptasConfig::use_enumerated_milp.
+//    column-generated master must agree on feasibility (test_enumerate,
+//    and bench_enumerated exits 1 when they do not);
+//  * pricing: test_pattern checks that pricing finds the best enumerated
+//    pattern;
+//  * measurement: bench_enumerated quantifies the blow-up the priority
+//    caps avoid.
 #pragma once
 
 #include <optional>
@@ -22,12 +24,19 @@
 #include "eptas/pattern.h"
 #include "eptas/transform.h"
 
-namespace bagsched::eptas {
+namespace bagsched::oracle {
+
+using eptas::Classification;
+using eptas::EptasConfig;
+using eptas::MasterSolution;
+using eptas::Pattern;
+using eptas::PatternSpace;
+using eptas::Transformed;
 
 /// Depth-first enumeration of every valid pattern (Definition 3): at most
 /// one entry per priority bag, arbitrary B_x multiplicities, height <= T'.
 /// Returns nullopt when more than max_patterns exist (the theory-sized
-/// blow-up; callers fall back to column generation).
+/// blow-up).
 std::optional<std::vector<Pattern>> enumerate_all_patterns(
     const PatternSpace& space, int max_patterns);
 
@@ -38,7 +47,9 @@ struct EnumeratedStats {
   long long milp_nodes = 0;
 };
 
-/// Builds and solves the literal MILP (1)-(9) over all patterns.
+/// Builds and solves the literal MILP (1)-(9) over all patterns, enumerated
+/// with enumerate_all_patterns(space, max_patterns); config.milp budgets the
+/// MILP.
 /// Constraint mapping:
 ///  (1) sum x_p <= m
 ///  (2) coverage of every medium/large size-restricted bag (priority and
@@ -54,7 +65,7 @@ struct EnumeratedStats {
 /// Returns the chosen patterns, or nullopt when infeasible / over budget.
 std::optional<MasterSolution> solve_enumerated_master(
     const PatternSpace& space, const Transformed& transformed,
-    const Classification& cls, const EptasConfig& config,
+    const Classification& cls, const EptasConfig& config, int max_patterns,
     bool integral_y = false, EnumeratedStats* stats = nullptr);
 
-}  // namespace bagsched::eptas
+}  // namespace bagsched::oracle

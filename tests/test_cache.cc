@@ -10,10 +10,12 @@
 #include <limits>
 #include <numeric>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "api/api.h"
+#include "api/options_digest.h"
 
 namespace bagsched {
 namespace {
@@ -456,6 +458,61 @@ TEST(SolveCacheTest, ConcurrentHammeringKeepsInvariants) {
                 stats.insertions);
   EXPECT_LE(stats.bytes, cache.byte_budget());
   EXPECT_LE(stats.entries, kKeySpace);
+}
+
+// --- Options digest ---------------------------------------------------------
+
+TEST(OptionsDigestTest, EveryHashedFieldSeparatesKeys) {
+  // A result-relevant knob left out of the digest would give stale cache
+  // hits: perturb each hashed field in turn and require a new digest.
+  using Perturb = void (*)(api::SolveOptions&);
+  const std::vector<std::pair<const char*, Perturb>> hashed = {
+      {"eps", [](api::SolveOptions& o) { o.eps = 0.25; }},
+      {"time_limit_seconds",
+       [](api::SolveOptions& o) { o.time_limit_seconds = 7.0; }},
+      {"max_nodes", [](api::SolveOptions& o) { o.max_nodes = 1234; }},
+      {"max_moves", [](api::SolveOptions& o) { o.max_moves = 1234; }},
+      {"multifit_iterations",
+       [](api::SolveOptions& o) { o.multifit_iterations = 3; }},
+      {"seed", [](api::SolveOptions& o) { o.seed = 99; }},
+      {"stack_threshold",
+       [](api::SolveOptions& o) { o.stack_threshold = 0.75; }},
+      {"eptas.max_priority_per_size",
+       [](api::SolveOptions& o) { o.eptas.max_priority_per_size = 7; }},
+      {"eptas.max_priority_total",
+       [](api::SolveOptions& o) { o.eptas.max_priority_total = 7; }},
+      {"eptas.max_milp_patterns",
+       [](api::SolveOptions& o) { o.eptas.max_milp_patterns = 7; }},
+      {"eptas.enable_rescue",
+       [](api::SolveOptions& o) { o.eptas.enable_rescue = false; }},
+      {"eptas.guess_step_fraction",
+       [](api::SolveOptions& o) { o.eptas.guess_step_fraction = 0.25; }},
+      {"eptas.milp.max_nodes",
+       [](api::SolveOptions& o) { o.eptas.milp.max_nodes = 7; }},
+      {"eptas.milp.time_limit_seconds",
+       [](api::SolveOptions& o) { o.eptas.milp.time_limit_seconds = 7.0; }},
+  };
+  const std::uint64_t base = api::options_digest(api::SolveOptions{});
+  std::set<std::uint64_t> digests = {base};
+  for (const auto& [name, perturb] : hashed) {
+    api::SolveOptions options;
+    perturb(options);
+    const std::uint64_t digest = api::options_digest(options);
+    EXPECT_NE(digest, base) << name;
+    EXPECT_TRUE(digests.insert(digest).second) << name;
+  }
+
+  // Deliberately excluded: how a result is computed or stored, not what it
+  // is.
+  const util::CancellationToken token;
+  api::SolveOptions excluded;
+  excluded.num_threads = 3;
+  excluded.cache_mode = CacheMode::ReadWrite;
+  excluded.cancel = &token;
+  excluded.progress = [](const api::ProgressEvent&) {};
+  excluded.eptas.on_probe = [](const eptas::GuessProbeEvent&) {};
+  excluded.eptas.cancel = &token;
+  EXPECT_EQ(api::options_digest(excluded), base);
 }
 
 // --- Service integration ----------------------------------------------------

@@ -27,6 +27,7 @@
 
 #include "api/api.h"
 #include "api/serialize.h"
+#include "hog_request.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "util/fault.h"
@@ -46,17 +47,6 @@ api::SolveRequest quick_request(std::uint64_t seed = 1,
   api::SolveOptions options;
   options.seed = seed;
   return api::make_request(api::make_instance("uniform", 30, 4, options),
-                           options, {solver});
-}
-
-/// A request the worker cannot finish within any test budget (exact B&B on
-/// 60 jobs); resolves only via cancellation or its generous time limit.
-api::SolveRequest slow_request(const char* solver = "exact") {
-  api::SolveOptions options;
-  options.time_limit_seconds = 30.0;
-  options.seed = 3;
-  options.num_threads = 2;  // "exact-parallel" runs a pool even on one core
-  return api::make_request(api::make_instance("uniform", 60, 8, options),
                            options, {solver});
 }
 
@@ -236,7 +226,7 @@ TEST(ChaosClientTest, ReadTimeoutThrowsTimedOutDistinctly) {
   auto client = Client::connect("127.0.0.1", server.port());
   // The exact B&B cannot answer within 300ms, so the bounded read expires.
   try {
-    client.solve(slow_request(), "slow", false, {}, true,
+    client.solve(hog_request(), "slow", false, {}, true,
                  /*read_timeout_seconds=*/0.3);
     FAIL() << "expected TimedOut";
   } catch (const net::TimedOut&) {
@@ -328,7 +318,7 @@ TEST(ChaosServerTest, BudgetEscalatesStuckSolverToTimeoutError) {
     // goes unnoticed long past the escalation instant at 100ms.
     fault::configure("solver.stall.exact=e1", 11);
     auto client = Client::connect("127.0.0.1", server.port());
-    client.submit(slow_request(solver), "stuck");
+    client.submit(hog_request(solver, /*num_threads=*/2), "stuck");
     std::string terminal_code;
     for (;;) {
       auto frame = client.read_frame(/*timeout_seconds=*/30.0);
@@ -365,7 +355,7 @@ TEST(ChaosServerTest, BrownOutDegradesUnderQueuePressure) {
   auto client = Client::connect("127.0.0.1", server.port());
   // Occupy the single slot, park a second request in the queue for ~100ms,
   // then release: the queued request's wait raises the EWMA over 1ms.
-  client.submit(slow_request(), "blocker");
+  client.submit(hog_request(), "blocker");
   client.submit(quick_request(2), "queued");
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   client.cancel("blocker");

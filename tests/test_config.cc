@@ -1,8 +1,11 @@
-// Configuration-space tests: profile variants, cap ablations, failure
+// Configuration-space tests: the paper's constants, cap ablations, failure
 // injection. The EPTAS must stay feasible under every configuration —
 // degraded configs may only cost quality, never correctness.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "eptas/classify.h"
 #include "eptas/eptas.h"
 #include "gen/generators.h"
 #include "model/lower_bounds.h"
@@ -10,13 +13,14 @@
 namespace bagsched {
 namespace {
 
-using eptas::ConstantsProfile;
 using eptas::EptasConfig;
 using model::Instance;
 
-TEST(ConfigTest, PaperExactProfileOnTinyInstance) {
-  // With the paper's b' every bag is priority: the pipeline degenerates to
-  // the pure pattern MILP. Must still work on a tiny instance.
+TEST(ConfigTest, PaperConstantsOnTinyInstance) {
+  // Both priority caps at their maximum give the paper's constants: the
+  // per-size cut-off is b' itself and no priority bag is dropped. With the
+  // paper's b' every bag is priority: the pipeline degenerates to the pure
+  // pattern MILP. Must still work on a tiny instance.
   const auto planted = gen::planted({.num_machines = 3,
                                      .num_bags = 6,
                                      .min_jobs_per_machine = 2,
@@ -24,7 +28,11 @@ TEST(ConfigTest, PaperExactProfileOnTinyInstance) {
                                      .target = 1.0,
                                      .seed = 1});
   EptasConfig config;
-  config.profile = ConstantsProfile::PaperExact;
+  config.max_priority_per_size = std::numeric_limits<int>::max();
+  config.max_priority_total = std::numeric_limits<int>::max();
+  const auto cls = eptas::classify(planted.instance, 0.5, config);
+  ASSERT_TRUE(cls.has_value());
+  EXPECT_EQ(cls->priority_cutoff, cls->b_prime);
   const auto result = eptas::eptas_schedule(planted.instance, 0.5, config);
   EXPECT_TRUE(model::validate(planted.instance, result.schedule).ok());
   EXPECT_LE(result.makespan, 2.0 * planted.opt + 1e-9);

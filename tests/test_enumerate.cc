@@ -1,15 +1,14 @@
-// Tests for the literal (fully enumerated) MILP of paper section 3 and its
-// agreement with the column-generated master.
+// Tests for the literal (fully enumerated) MILP of paper section 3, the
+// tests/oracle library, and its agreement with the column-generated master.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "eptas/classify.h"
-#include "eptas/enumerate.h"
-#include "eptas/eptas.h"
 #include "eptas/milp_model.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
+#include "oracle/enumerate.h"
 
 namespace bagsched {
 namespace {
@@ -18,6 +17,8 @@ using eptas::EptasConfig;
 using eptas::Pattern;
 using eptas::PatternSpace;
 using model::Instance;
+
+constexpr int kMaxPatterns = 20000;
 
 struct Prepared {
   Instance scaled;
@@ -56,7 +57,7 @@ TEST(EnumerateTest, HandCraftedSpaceCountsMatch) {
   space.priority_bags.push_back(pbag);
   space.x_sizes = {0.5};
   space.x_avail = {3};
-  const auto patterns = eptas::enumerate_all_patterns(space, 1000);
+  const auto patterns = oracle::enumerate_all_patterns(space, 1000);
   ASSERT_TRUE(patterns.has_value());
   // none: x in 0..3 -> 4; s0 (0.9): x in 0..2 -> 3; s1 (0.6): x in 0..2
   // (0.6 + 3*0.5 = 2.1 > 2) -> 3. Total 10.
@@ -74,13 +75,13 @@ TEST(EnumerateTest, OverflowReturnsNullopt) {
   space.max_height = 10.0;
   space.x_sizes = {0.1};
   space.x_avail = {100};
-  EXPECT_FALSE(eptas::enumerate_all_patterns(space, 50).has_value());
+  EXPECT_FALSE(oracle::enumerate_all_patterns(space, 50).has_value());
 }
 
 TEST(EnumerateTest, EmptySpaceHasOnePattern) {
   PatternSpace space;
   space.max_height = 1.0;
-  const auto patterns = eptas::enumerate_all_patterns(space, 10);
+  const auto patterns = oracle::enumerate_all_patterns(space, 10);
   ASSERT_TRUE(patterns.has_value());
   EXPECT_EQ(patterns->size(), 1u);  // the empty pattern
 }
@@ -94,9 +95,9 @@ TEST(EnumerateTest, LiteralMilpFeasibleAtOpt) {
                                      .seed = 2});
   const auto prep = prepare(planted.instance, 0.5, 1.05);
   ASSERT_TRUE(prep.has_value());
-  eptas::EnumeratedStats stats;
-  const auto master = eptas::solve_enumerated_master(
-      prep->space, prep->transformed, prep->cls, EptasConfig{},
+  oracle::EnumeratedStats stats;
+  const auto master = oracle::solve_enumerated_master(
+      prep->space, prep->transformed, prep->cls, EptasConfig{}, kMaxPatterns,
       /*integral_y=*/false, &stats);
   ASSERT_TRUE(master.has_value());
   EXPECT_GT(stats.patterns, 0);
@@ -121,8 +122,9 @@ TEST(EnumerateTest, AgreesWithColumnGenerationOnFeasibility) {
     for (const double guess : {1.05, 1.3}) {
       const auto prep = prepare(planted.instance, 0.5, guess);
       if (!prep) continue;
-      const auto literal = eptas::solve_enumerated_master(
-          prep->space, prep->transformed, prep->cls, EptasConfig{});
+      const auto literal = oracle::solve_enumerated_master(
+          prep->space, prep->transformed, prep->cls, EptasConfig{},
+          kMaxPatterns);
       const auto colgen = eptas::solve_master(
           prep->space, prep->transformed, prep->cls, EptasConfig{});
       if (literal) {
@@ -145,41 +147,10 @@ TEST(EnumerateTest, IntegralYAlsoSolvable) {
   ASSERT_TRUE(prep.has_value());
   EptasConfig config;
   config.milp.max_nodes = 20000;
-  const auto master = eptas::solve_enumerated_master(
-      prep->space, prep->transformed, prep->cls, config,
+  const auto master = oracle::solve_enumerated_master(
+      prep->space, prep->transformed, prep->cls, config, kMaxPatterns,
       /*integral_y=*/true);
   EXPECT_TRUE(master.has_value());
-}
-
-TEST(EnumerateTest, EndToEndEnumeratedProfile) {
-  EptasConfig config;
-  config.use_enumerated_milp = true;
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const auto planted = gen::planted({.num_machines = 4,
-                                       .num_bags = 8,
-                                       .min_jobs_per_machine = 2,
-                                       .max_jobs_per_machine = 3,
-                                       .target = 1.0,
-                                       .seed = seed});
-    const auto result =
-        eptas::eptas_schedule(planted.instance, 0.5, config);
-    EXPECT_TRUE(model::validate(planted.instance, result.schedule).ok());
-    EXPECT_LE(result.makespan, 2.0 * planted.opt + 1e-9);
-  }
-}
-
-TEST(EnumerateTest, EnumeratedAndColgenSimilarQuality) {
-  const auto planted = gen::planted({.num_machines = 4,
-                                     .num_bags = 8,
-                                     .min_jobs_per_machine = 2,
-                                     .max_jobs_per_machine = 3,
-                                     .target = 1.0,
-                                     .seed = 7});
-  EptasConfig enumerated;
-  enumerated.use_enumerated_milp = true;
-  const auto a = eptas::eptas_schedule(planted.instance, 0.5, enumerated);
-  const auto b = eptas::eptas_schedule(planted.instance, 0.5);
-  EXPECT_NEAR(a.makespan, b.makespan, 0.5 * planted.opt);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "hog_request.h"
 #include "model/delta.h"
 #include "net/client.h"
 #include "net/framing.h"
@@ -40,16 +41,6 @@ api::SolveRequest quick_request(std::uint64_t seed = 1,
   options.seed = seed;
   return api::make_request(api::make_instance("uniform", 30, 4, options),
                            options, {solver});
-}
-
-/// A request the worker cannot finish within any test budget (exact B&B on
-/// 60 jobs); resolves only via cancellation or its generous time limit.
-api::SolveRequest slow_request() {
-  api::SolveOptions options;
-  options.time_limit_seconds = 30.0;
-  options.seed = 3;
-  return api::make_request(api::make_instance("uniform", 60, 8, options),
-                           options, {"exact"});
 }
 
 ServerConfig test_config() {
@@ -448,7 +439,7 @@ TEST(NetServerTest, DuplicateAndUnknownIdsAreStructuredErrors) {
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
 
-  client.submit(slow_request(), "dup");
+  client.submit(hog_request(), "dup");
   client.submit(quick_request(), "dup");
   bool saw_duplicate = false;
   while (!saw_duplicate) {
@@ -479,7 +470,7 @@ TEST(NetServerTest, CancelResolvesWithCancelledStatus) {
   SchedServer server(test_config());
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
-  client.submit(slow_request(), "slow", /*want_progress=*/true);
+  client.submit(hog_request(), "slow", /*want_progress=*/true);
   // Wait for Started so the cancel lands mid-solve, then cancel.
   for (;;) {
     auto frame = client.read_frame();
@@ -521,8 +512,8 @@ TEST(NetServerTest, LoadShedsWithStructuredRejectionFrames) {
 
   // One solve occupies the slot, one sits in the queue; the rest must come
   // back as structured rejection frames, not dropped connections.
-  client.submit(slow_request(), "hog");
-  client.submit(slow_request(), "queued");
+  client.submit(hog_request(), "hog");
+  client.submit(hog_request(), "queued");
   const int kOverflow = 4;
   int rejections = 0;
   for (int i = 0; i < kOverflow; ++i) {
@@ -694,7 +685,7 @@ TEST(NetServerTest, MidStreamDisconnectCancelsOrphanedSolves) {
   server.start();
   {
     auto client = Client::connect("127.0.0.1", server.port());
-    client.submit(slow_request(), "orphan", /*want_progress=*/true);
+    client.submit(hog_request(), "orphan", /*want_progress=*/true);
     for (;;) {
       auto frame = client.read_frame();
       ASSERT_TRUE(frame.has_value());
@@ -786,7 +777,7 @@ TEST(NetServerTest, DrainCancelsOverdueSolvesAfterTheGracePeriod) {
   SchedServer server(config);
   server.start();
   auto client = Client::connect("127.0.0.1", server.port());
-  client.submit(slow_request(), "stuck", /*want_progress=*/true);
+  client.submit(hog_request(), "stuck", /*want_progress=*/true);
   for (;;) {
     auto frame = client.read_frame();
     ASSERT_TRUE(frame.has_value());
@@ -910,7 +901,7 @@ TEST(NetServerTest, CancelTakesEffectOnAQueuedDelta) {
   // The hog holds the only slot, so the delta is still queued when the
   // cancel lands: once the slot frees, it resolves Cancelled without
   // running, and the session stays at revision 0.
-  client.submit(slow_request(), "hog");
+  client.submit(hog_request(), "hog");
   model::Delta delta;
   delta.arrivals.push_back(model::JobArrival{0.5, 0});
   Json frame = Json::object();
@@ -944,8 +935,8 @@ TEST(NetServerTest, QueueCapRejectsAnOverCapDelta) {
   const auto session = client.open_session(quick_request(3), "open");
   ASSERT_TRUE(session.initial.ok());
 
-  client.submit(slow_request(), "hog");
-  client.submit(slow_request(), "queued");
+  client.submit(hog_request(), "hog");
+  client.submit(hog_request(), "queued");
   model::Delta delta;
   delta.arrivals.push_back(model::JobArrival{0.5, 0});
   const auto over = client.delta(session.id, delta, "over", true, 5.0);
@@ -968,7 +959,7 @@ TEST(NetServerTest, RequestBudgetBoundsASlowSessionOpen) {
   auto client = Client::connect("127.0.0.1", server.port());
   const auto started = std::chrono::steady_clock::now();
   const auto session =
-      client.open_session(slow_request(), "open", -1.0, true, 10.0);
+      client.open_session(hog_request(), "open", -1.0, true, 10.0);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - started)
                              .count();

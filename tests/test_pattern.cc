@@ -7,10 +7,10 @@
 #include <limits>
 
 #include "eptas/classify.h"
-#include "eptas/enumerate.h"
 #include "eptas/pattern.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
+#include "oracle/enumerate.h"
 #include "sched/greedy_bags.h"
 #include "util/prng.h"
 
@@ -242,7 +242,7 @@ TEST(PricingTest, MatchesBruteForceOnRandomSpaces) {
     util::Xoshiro256 rng(static_cast<std::uint64_t>(seed));
     const PatternSpace space = random_space(rng);
     const PricingDuals duals = random_duals(rng, space);
-    const auto all = eptas::enumerate_all_patterns(space, 1 << 20);
+    const auto all = oracle::enumerate_all_patterns(space, 1 << 20);
     ASSERT_TRUE(all.has_value()) << "seed " << seed;
     double best = -std::numeric_limits<double>::infinity();
     for (const Pattern& pattern : *all) {

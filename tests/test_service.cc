@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/api.h"
+#include "hog_request.h"
 
 namespace bagsched {
 namespace {
@@ -21,17 +22,6 @@ using api::SchedulingService;
 using api::SolveHandle;
 using api::SolveRequest;
 using api::SolveStatus;
-
-/// A request the pool cannot finish quickly: exact branch-and-bound on a
-/// 60-job instance explores far beyond any test budget, so it runs until
-/// its token (deadline / cancel / certificate) or time limit fires.
-SolveRequest slow_exact_request(double time_limit_seconds = 30.0) {
-  api::SolveOptions options;
-  options.time_limit_seconds = time_limit_seconds;
-  options.seed = 3;
-  return api::make_request(api::make_instance("uniform", 60, 8, options),
-                           options, {"exact"});
-}
 
 SolveRequest quick_request(std::uint64_t seed, const char* solver) {
   api::SolveOptions options;
@@ -62,7 +52,7 @@ TEST(ServiceTest, SubmitWaitMatchesSynchronousSolve) {
 
 TEST(ServiceTest, TryGetIsNonBlocking) {
   SchedulingService service({.num_threads = 1, .max_concurrent = 1});
-  auto blocker = service.submit(slow_exact_request());
+  auto blocker = service.submit(hog_request());
   auto queued = service.submit(quick_request(1, "greedy-bags"));
   // The blocker owns the only slot, so the queued request cannot be done.
   EXPECT_FALSE(queued.done());
@@ -77,7 +67,7 @@ TEST(ServiceTest, TryGetIsNonBlocking) {
 
 TEST(ServiceTest, WaitForTimesOutThenSucceeds) {
   SchedulingService service({.num_threads = 1, .max_concurrent = 1});
-  auto blocker = service.submit(slow_exact_request());
+  auto blocker = service.submit(hog_request());
   auto queued = service.submit(quick_request(2, "greedy-bags"));
   EXPECT_FALSE(queued.wait_for(0.05));
   blocker.cancel();
@@ -133,7 +123,7 @@ TEST(ServiceTest, PriorityOrdersDispatchUnderSaturation) {
   };
 
   // Saturate the single slot first, then queue mixed priorities.
-  auto blocker = service.submit(slow_exact_request());
+  auto blocker = service.submit(hog_request());
   std::vector<SolveHandle> handles;
   const int priorities[] = {0, 5, 1, 9, 3};
   for (const int priority : priorities) {
@@ -156,7 +146,7 @@ TEST(ServiceTest, PriorityOrdersDispatchUnderSaturation) {
 
 TEST(ServiceTest, DeadlineExpiryReturnsCancelledWithBestIncumbent) {
   SchedulingService service({.num_threads = 2});
-  auto request = slow_exact_request(/*time_limit_seconds=*/30.0);
+  auto request = hog_request();
   request.deadline = api::deadline_in(0.05);
   auto handle = service.submit(std::move(request));
   const auto& result = handle.wait();
@@ -174,7 +164,7 @@ TEST(ServiceTest, DeadlineExpiryReturnsCancelledWithBestIncumbent) {
 
 TEST(ServiceTest, DeadlineExpiryWhileQueuedResolvesAtTheDeadline) {
   SchedulingService service({.num_threads = 1, .max_concurrent = 1});
-  auto blocker = service.submit(slow_exact_request());
+  auto blocker = service.submit(hog_request());
   auto doomed = quick_request(4, "greedy-bags");
   doomed.deadline = api::deadline_in(0.03);
   auto handle = service.submit(std::move(doomed));
@@ -195,7 +185,7 @@ TEST(ServiceTest, DeadlineExpiryWhileQueuedResolvesAtTheDeadline) {
 
 TEST(ServiceTest, HandleCancelResolvesWithIncumbent) {
   SchedulingService service({.num_threads = 2});
-  auto handle = service.submit(slow_exact_request());
+  auto handle = service.submit(hog_request());
   // Give the exact search a moment to install its first incumbent.
   handle.wait_for(0.05);
   handle.cancel();
@@ -254,7 +244,7 @@ TEST(ServiceTest, ProgressStreamsLifecycleAndIncumbents) {
 TEST(ServiceTest, QueueDepthCapRejectsOverflow) {
   SchedulingService service(
       {.num_threads = 1, .max_concurrent = 1, .max_queue_depth = 1});
-  auto blocker = service.submit(slow_exact_request());
+  auto blocker = service.submit(hog_request());
   auto queued = service.submit(quick_request(1, "greedy-bags"));
   auto bounced = service.submit(quick_request(2, "greedy-bags"));
   // The rejected handle resolves immediately, without running.
@@ -415,7 +405,7 @@ TEST(ServiceTest, DestructorResolvesQueuedRequestsAsCancelled) {
   std::vector<SolveHandle> handles;
   {
     SchedulingService service({.num_threads = 1, .max_concurrent = 1});
-    handles.push_back(service.submit(slow_exact_request()));
+    handles.push_back(service.submit(hog_request()));
     for (int i = 0; i < 3; ++i) {
       handles.push_back(
           service.submit(quick_request(static_cast<std::uint64_t>(i + 1),
@@ -442,7 +432,7 @@ TEST(ServiceTest, ShutdownCountsQueuedSessionOpsAsSubmittedBeforeFinished) {
     auto opening =
         service.open_session(quick_request(4, "greedy-bags"));
     ASSERT_TRUE(opening.initial.wait().ok());
-    auto blocker = service.submit(slow_exact_request());
+    auto blocker = service.submit(hog_request());
     for (int i = 0; i < 3; ++i) {
       model::Delta delta;
       delta.arrivals.push_back({0.5, 0});
