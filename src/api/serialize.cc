@@ -1,6 +1,7 @@
 #include "api/serialize.h"
 
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -88,11 +89,41 @@ int delta_int(long long raw, const char* field) {
   return static_cast<int>(raw);
 }
 
+/// A budget (max_nodes, max_moves) is a JSON number while a double holds
+/// it exactly, and past 2^53 a decimal string, as a seed is: LLONG_MAX,
+/// "no budget", must survive the wire and the journal.
+util::Json budget_to_json(long long budget) {
+  constexpr long long kExact = 1LL << 53;
+  if (budget >= -kExact && budget <= kExact) return budget;
+  return std::to_string(budget);
+}
+
+/// The string form of a budget, read strictly by both decoders: an
+/// optional '-' and digits, nothing else, within the range of long long.
+long long budget_from_string(std::string_view text) {
+  long long parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size()) {
+    throw std::runtime_error("json: expected a decimal integer string, "
+                             "found \"" + std::string(text) + "\"");
+  }
+  return parsed;
+}
+
 // --- Typed codec -------------------------------------------------------------
 // Each read_* mirrors its *_from_json twin: members are listed in the order
 // the twin looks them up, so read_members raises the same error first.
 
 using util::JsonReader;
+
+/// int_or, plus the string form of a budget.
+long long read_budget(JsonReader& reader, long long fallback) {
+  if (reader.peek_kind() != util::Json::Kind::String) {
+    return reader.int_or(fallback);
+  }
+  return budget_from_string(reader.read_string());
+}
 
 SolveOptions read_options(JsonReader& reader) {
   const SolveOptions defaults;
@@ -113,8 +144,12 @@ SolveOptions read_options(JsonReader& reader) {
         options.time_limit_seconds =
             reader.number_or(defaults.time_limit_seconds);
         break;
-      case 2: options.max_nodes = reader.int_or(defaults.max_nodes); break;
-      case 3: options.max_moves = reader.int_or(defaults.max_moves); break;
+      case 2:
+        options.max_nodes = read_budget(reader, defaults.max_nodes);
+        break;
+      case 3:
+        options.max_moves = read_budget(reader, defaults.max_moves);
+        break;
       case 4:
         options.multifit_iterations =
             static_cast<int>(reader.int_or(defaults.multifit_iterations));
@@ -291,8 +326,8 @@ util::Json options_to_json(const SolveOptions& options) {
   util::Json json = util::Json::object();
   json.set("eps", options.eps);
   json.set("time_limit_seconds", options.time_limit_seconds);
-  json.set("max_nodes", options.max_nodes);
-  json.set("max_moves", options.max_moves);
+  json.set("max_nodes", budget_to_json(options.max_nodes));
+  json.set("max_moves", budget_to_json(options.max_moves));
   json.set("multifit_iterations", options.multifit_iterations);
   // A decimal string: uint64 seeds above 2^53 don't survive a double.
   json.set("seed", std::to_string(options.seed));
@@ -304,12 +339,19 @@ util::Json options_to_json(const SolveOptions& options) {
 }
 
 SolveOptions options_from_json(const util::Json& json) {
+  // The tree twin of read_budget.
+  const auto budget_or = [&json](const char* key, long long fallback) {
+    const util::Json* value = json.find(key);
+    return value != nullptr && value->is_string()
+               ? budget_from_string(value->as_string())
+               : json.int_or(key, fallback);
+  };
   SolveOptions options;
   options.eps = json.number_or("eps", options.eps);
   options.time_limit_seconds =
       json.number_or("time_limit_seconds", options.time_limit_seconds);
-  options.max_nodes = json.int_or("max_nodes", options.max_nodes);
-  options.max_moves = json.int_or("max_moves", options.max_moves);
+  options.max_nodes = budget_or("max_nodes", options.max_nodes);
+  options.max_moves = budget_or("max_moves", options.max_moves);
   options.multifit_iterations = static_cast<int>(
       json.int_or("multifit_iterations", options.multifit_iterations));
   if (const util::Json* seed = json.find("seed")) {

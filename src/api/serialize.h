@@ -12,9 +12,10 @@
 //   * Telemetry round-trips exactly (type tags distinguish int/real/bool/
 //     string values; integers beyond 2^53 — like uint64 seeds — are
 //     written as decimal strings so no precision is lost in a double).
-//   * SolveOptions round-trips its scalar fields; the cancellation token,
-//     progress callback and the advanced EptasConfig are process-local and
-//     are not serialized.
+//   * SolveOptions round-trips its scalar fields (the seed, and budgets
+//     past 2^53 such as a max_nodes of LLONG_MAX, as decimal strings); the
+//     cancellation token, progress callback and the advanced EptasConfig
+//     are process-local and are not serialized.
 //   * A request's absolute deadline is serialized as "deadline_seconds"
 //     (seconds remaining at serialization time) and re-anchored to now()
 //     when parsed — steady-clock time points don't cross processes.

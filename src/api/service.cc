@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -56,11 +57,6 @@ struct RequestState {
   /// Submit-time cache hit, resolved without queueing (set in pass 1 of
   /// submit_batch, consumed under the service lock).
   std::optional<SolveResult> submit_hit;
-  /// Single-flight followers attached to this leader; guarded by the
-  /// service mutex. Followers are never queued or run — they resolve from
-  /// the leader's result (or re-enter the queue if the leader's outcome is
-  /// not shareable).
-  std::vector<std::shared_ptr<RequestState>> followers;
   /// Per-request token chained onto the caller's options.cancel; fired by
   /// the deadline watchdog, SolveHandle::cancel() and service shutdown.
   util::CancellationToken cancel;
@@ -265,11 +261,24 @@ SolveResult rejected(std::size_t max_queue_depth) {
                       std::to_string(max_queue_depth) + ")");
 }
 
-/// Whether a queued op may take a slot now: a solve always, a session op
-/// only at the front of its session's FIFO (a running op stays in front).
-bool dispatchable(const RequestState& state) {
-  return !state.session.has_value() ||
-         state.session->state->pending.front().get() == &state;
+/// Single-flight twins: cache-enabled solves with the same exact key. Only
+/// solves prepare a cache key, so session ops are never twins.
+bool twins(const RequestState& a, const RequestState& b) {
+  return a.cache_enabled && b.cache_enabled && a.key == b.key;
+}
+
+/// Whether a queued op may take a slot now. A session op only at the front
+/// of its session's FIFO (a running op stays in front); a cache-enabled
+/// solve only while no twin runs, so it waits to share that twin's result.
+bool dispatchable(const RequestState& state,
+                  const std::vector<std::shared_ptr<RequestState>>& running) {
+  if (state.session.has_value()) {
+    return state.session->state->pending.front().get() == &state;
+  }
+  for (const auto& other : running) {
+    if (twins(state, *other)) return false;
+  }
+  return true;
 }
 
 /// Settles how the service's stop (deadline, handle or shutdown) shows in
@@ -346,17 +355,6 @@ SchedulingService::~SchedulingService() {
     stopping_ = true;
     pending = std::move(queue_);
     queue_.clear();
-    // Single-flight followers are parked on their leaders, not in the
-    // queue; drain them here so their handles resolve too. Running
-    // leaders find their follower lists empty afterwards — fine, the
-    // share-out is a no-op.
-    for (const auto& [key, leader] : inflight_) {
-      for (auto& follower : leader->followers) {
-        pending.push_back(std::move(follower));
-      }
-      leader->followers.clear();
-    }
-    inflight_.clear();
     // Running ops stop cooperatively; a session op still commits the best
     // feasible schedule it holds.
     for (const auto& state : running_) {
@@ -425,16 +423,6 @@ std::vector<SolveHandle> SchedulingService::submit_batch(
         hits.push_back(std::move(state));
         continue;
       }
-      // Single-flight followers ride along on an in-flight leader: they
-      // hold no queue slot either, so they are exempt from backpressure.
-      if (state->cache_enabled) {
-        const auto leader = inflight_.find(state->key);
-        if (leader != inflight_.end()) {
-          accept_locked(*state);
-          leader->second->followers.push_back(std::move(state));
-          continue;
-        }
-      }
       if (!admit_locked(state)) bounced.push_back(state);
     }
     // One dispatch pass after the whole batch is queued, so the batch is
@@ -484,7 +472,6 @@ bool SchedulingService::admit_locked(
   if (state->session.has_value()) {
     state->session->state->pending.push_back(state);
   }
-  if (state->cache_enabled) inflight_.emplace(state->key, state);
   queue_.push_back(state);
   return true;
 }
@@ -821,9 +808,9 @@ SchedulingService::Stats SchedulingService::stats() const {
 void SchedulingService::prepare_cache(RequestState& state) {
   const SolveRequest& request = state.request;
   if (request.options.cache_mode == CacheMode::Off) return;
-  // Malformed instances stay out of the cache and the single-flight
-  // registry: their fingerprints could collide with valid twins, and their
-  // error messages describe this request's instance specifically.
+  // Malformed instances stay out of the cache and single-flight: their
+  // fingerprints could collide with valid twins, and their error messages
+  // describe this request's instance specifically.
   try {
     request.instance->validate();
   } catch (const std::exception&) {
@@ -893,24 +880,11 @@ std::optional<SolveResult> SchedulingService::cache_lookup(
   return std::nullopt;
 }
 
-void SchedulingService::lead_or_follow_locked(
-    std::shared_ptr<RequestState> state) {
-  if (state->cache_enabled) {
-    const auto leader = inflight_.find(state->key);
-    if (leader != inflight_.end()) {
-      leader->second->followers.push_back(std::move(state));
-      return;
-    }
-    inflight_.emplace(state->key, state);
-  }
-  queue_.push_back(std::move(state));
-}
-
 void SchedulingService::dispatch_locked() {
   while (running_.size() < max_concurrent_) {
     auto next = queue_.end();
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (dispatchable(**it) &&
+      if (dispatchable(**it, running_) &&
           (next == queue_.end() || dispatches_before(**it, **next))) {
         next = it;
       }
@@ -986,9 +960,9 @@ SolveResult SchedulingService::execute(RequestState& state) {
 
 SolveResult SchedulingService::run_solve(RequestState& state) {
   // Second-chance probe: the first lookup ran at submit time, but anything
-  // cached since then — by an earlier queue entry this request could not
-  // single-flight onto (rounded-key twins dedup only through the cache) —
-  // serves now without running a solver.
+  // cached since then — by a rounded-key twin, which dedups only through
+  // the cache, or by an exact twin whose outcome this request did not
+  // share — serves now without running a solver.
   if (state.cache_enabled &&
       !state.service_cancel.load(std::memory_order_relaxed)) {
     if (auto hit = cache_lookup(state)) return std::move(*hit);
@@ -1061,34 +1035,27 @@ SchedulingService::settle_solve_locked(
       ++stats_.cache_rounded_hits;
     }
   }
-  // Single-flight settlement: detach this leader from the in-flight
-  // registry and claim its followers. A shareable outcome fans out to all
-  // of them in share_solve; a cancelled/error outcome must not (the
+  // Single-flight settlement: the twins queued behind this solve (the
+  // dispatch gate held them while it ran) take a shareable outcome in
+  // share_solve. A cancelled/error outcome must not spread (the
   // cancellation or failure may be specific to this request), so those
-  // followers re-enter the queue and the first of them leads the retry.
+  // twins stay queued and the next dispatch pass picks one to lead. A
+  // clamped-budget Feasible result only blocks sharing when it is neither
+  // proven (Optimal is budget-independent) nor structural (Infeasible does
+  // not depend on the budget at all).
   std::vector<std::shared_ptr<RequestState>> shared;
-  if (state->cache_enabled) {
-    const auto it = inflight_.find(state->key);
-    if (it != inflight_.end() && it->second == state) inflight_.erase(it);
-    shared = std::move(state->followers);
-    state->followers.clear();
-    // A clamped-budget Feasible result only blocks sharing when it is
-    // neither proven (Optimal is budget-independent) nor structural
-    // (Infeasible does not depend on the budget at all).
-    const bool shareable =
-        !result.cancelled && result.status != SolveStatus::Error &&
-        !(state->budget_clamped.load(std::memory_order_relaxed) &&
-          result.status == SolveStatus::Feasible);
-    if (!shared.empty() && !shareable && !stopping_) {
-      for (auto& follower : shared) {
-        lead_or_follow_locked(std::move(follower));
-      }
-      shared.clear();
-      dispatch_locked();
-    }
-    // When stopping, unshareable followers stay in `shared` and resolve
-    // with the leader's (cancelled) result — the destructor has already
-    // drained the ones it saw, this catches late attachments.
+  const bool shareable =
+      !result.cancelled && result.status != SolveStatus::Error &&
+      !(state->budget_clamped.load(std::memory_order_relaxed) &&
+        result.status == SolveStatus::Feasible);
+  if (state->cache_enabled && shareable) {
+    const auto twin = [&state](const std::shared_ptr<RequestState>& queued) {
+      return twins(*state, *queued);
+    };
+    std::copy_if(queue_.begin(), queue_.end(), std::back_inserter(shared),
+                 twin);
+    queue_.erase(std::remove_if(queue_.begin(), queue_.end(), twin),
+                 queue_.end());
   }
   stats_.finished += shared.size();
   stats_.dedup_shared += shared.size();
@@ -1101,13 +1068,12 @@ void SchedulingService::share_solve(
   // Store before sharing/resolving: any request submitted from a Finished
   // callback already finds the entry. The cached copy keeps its schedule
   // in canonical order and drops the per-request bookkeeping.
-  // Store under the leader's ReadWrite — or a shared follower's: the
-  // followers asked the identical question, so any of them opting into
-  // writes is enough to persist the answer.
+  // Store under the leader's ReadWrite — or a shared twin's: the twins
+  // asked the identical question, so any of them opting into writes is
+  // enough to persist the answer.
   bool store = state.request.options.cache_mode == CacheMode::ReadWrite;
-  for (const auto& follower : shared) {
-    store = store ||
-            follower->request.options.cache_mode == CacheMode::ReadWrite;
+  for (const auto& twin : shared) {
+    store = store || twin->request.options.cache_mode == CacheMode::ReadWrite;
   }
   if (!stat_bool(result.stats, "cache_hit") && state.cache_enabled &&
       store && is_cacheable(result) &&
@@ -1127,23 +1093,23 @@ void SchedulingService::share_solve(
     result.stats["cache_stored"] = true;
   }
 
-  // Fan the result out to the followers (exact-key twins: the remapped
-  // schedule, makespan and status transfer verbatim), honouring each
-  // follower's own deadline/cancel state. The leader is still in running_,
-  // so wait_idle() cannot fire while followers are unresolved.
-  for (const auto& follower : shared) {
+  // Fan the result out to the twins (exact keys: the remapped schedule,
+  // makespan and status transfer verbatim), honouring each twin's own
+  // deadline/cancel state. The leader is still in running_, so
+  // wait_idle() cannot fire while twins are unresolved.
+  for (const auto& twin : shared) {
     SolveResult out = result;
     out.stats.erase("cache_stored");
     if (out.schedule.num_jobs() > 0 &&
-        out.schedule.num_jobs() == follower->request.instance->num_jobs()) {
+        out.schedule.num_jobs() == twin->request.instance->num_jobs()) {
       out.schedule = model::remap_jobs(result.schedule, state.form.job_at,
-                                       follower->form.job_at);
+                                       twin->form.job_at);
     }
     out.stats["single_flight"] = true;
-    out.stats["request_id"] = static_cast<long long>(follower->id);
-    out.stats["queue_seconds"] = follower->since_submit.seconds();
-    attribute_stop(*follower, out);
-    resolve(*follower, std::move(out));
+    out.stats["request_id"] = static_cast<long long>(twin->id);
+    out.stats["queue_seconds"] = twin->since_submit.seconds();
+    attribute_stop(*twin, out);
+    resolve(*twin, std::move(out));
   }
 }
 
@@ -1160,11 +1126,6 @@ void SchedulingService::watchdog_loop() {
     };
     for (const auto& state : queue_) consider(state);
     for (const auto& state : running_) consider(state);
-    // Single-flight followers are parked on their leaders (which are in
-    // the queue or running), not in either list — scan them too.
-    for (const auto& [key, leader] : inflight_) {
-      for (const auto& follower : leader->followers) consider(follower);
-    }
 
     if (!earliest.has_value()) {
       watchdog_cv_.wait(lock);
@@ -1187,7 +1148,8 @@ void SchedulingService::watchdog_loop() {
       for (const auto& state : running_) fire(state);
       // Queued requests whose deadline passed resolve right here — the
       // deadline is a latency bound, so the handle must not keep waiting
-      // behind a busy slot (nor burn one later just to report Cancelled).
+      // behind a busy slot or a running twin (nor burn a slot later just to
+      // report Cancelled).
       std::vector<std::shared_ptr<RequestState>> expired;
       for (auto it = queue_.begin(); it != queue_.end();) {
         if (fire(*it)) {
@@ -1197,38 +1159,10 @@ void SchedulingService::watchdog_loop() {
           ++it;
         }
       }
-      // An expired session op leaves its session's FIFO. An expired queue
-      // entry may have been a single-flight leader: drop its registry
-      // entry and re-admit its followers (the first becomes the new
-      // leader), or they would wait on a request that never runs.
-      for (const auto& state : expired) {
-        drop_locked(*state);
-        if (!state->cache_enabled) continue;
-        const auto it = inflight_.find(state->key);
-        if (it == inflight_.end() || it->second != state) continue;
-        inflight_.erase(it);
-        auto followers = std::move(state->followers);
-        state->followers.clear();
-        for (auto& follower : followers) {
-          lead_or_follow_locked(std::move(follower));
-        }
-      }
+      // An expired session op leaves its session's FIFO, which may let
+      // the next one dispatch.
+      for (const auto& state : expired) drop_locked(*state);
       if (!expired.empty()) dispatch_locked();
-      // Expired followers resolve here too: the deadline is a latency
-      // bound and must not depend on when their leader finishes. A
-      // leader's own expiry does NOT expire its followers — they re-enter
-      // the queue when the cancelled leader fails to share.
-      for (const auto& [key, leader] : inflight_) {
-        auto& followers = leader->followers;
-        for (auto it = followers.begin(); it != followers.end();) {
-          if (fire(*it)) {
-            expired.push_back(std::move(*it));
-            it = followers.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
       // Resolved while the lock is held (like Queued emission), so there
       // is no window where wait_idle()/stats() see the queue drained while
       // an expired handle is still unresolved.

@@ -31,7 +31,8 @@
 // request — even job-permuted, bag-relabeled, or (for approximation
 // solvers) eps-rounded-equal — resolves from the cache without running a
 // solver, and concurrent identical requests single-flight onto one
-// underlying solve.
+// underlying solve: a twin of a running solve waits in the same queue,
+// counted against max_queue_depth, and resolves from that solve's result.
 #pragma once
 
 #include <atomic>
@@ -125,7 +126,9 @@ struct ServiceStats {
   std::uint64_t submitted = 0;  ///< accepted ops — solves, session opens
                                 ///< and deltas (excludes rejected)
   std::uint64_t rejected = 0;   ///< bounced off the max_queue_depth cap
-  std::size_t queue_depth = 0;  ///< gauge: waiting for a slot right now
+  std::size_t queue_depth = 0;  ///< gauge: waiting to dispatch right now
+                                ///< (for a slot, a session's FIFO front
+                                ///< or a running single-flight twin)
   std::size_t active = 0;       ///< gauge: in flight right now
   std::uint64_t finished = 0;   ///< accepted requests that resolved —
                                 ///< submitted == finished once drained;
@@ -135,8 +138,8 @@ struct ServiceStats {
                                  ///< (without running a solver)
   std::uint64_t cache_rounded_hits = 0;  ///< subset of cache_hits that came
                                          ///< through the eps-rounded key
-  std::uint64_t dedup_shared = 0;  ///< single-flight followers resolved
-                                   ///< from another request's solve
+  std::uint64_t dedup_shared = 0;  ///< single-flight twins resolved from
+                                   ///< another request's solve
   /// Exponential moving average of queue wait (seconds), updated at every
   /// dispatch. The overload signal for net::SchedServer's brown-out mode:
   /// it rises when requests sit in the queue and decays as dispatch
@@ -262,15 +265,14 @@ class SchedulingService {
   void dispatch_locked();
   void prepare_cache(detail::RequestState& state);
   std::optional<SolveResult> cache_lookup(detail::RequestState& state);
-  /// Single-flight admission: attach to an in-flight leader with the same
-  /// key as a follower, or become the leader and enter the queue.
-  void lead_or_follow_locked(std::shared_ptr<detail::RequestState> state);
   /// Every op runs here: its kind's body computes the result, then one
   /// settle / count / resolve / slot-release / dispatch tail.
   void run_op(std::shared_ptr<detail::RequestState> state);
   SolveResult run_solve(detail::RequestState& state);
   SolveResult execute(detail::RequestState& state);
   SolveResult run_session(detail::RequestState& state);
+  /// Counts a settled solve and takes the queued single-flight twins that
+  /// share its result out of queue_ (none when the outcome is unshareable).
   std::vector<std::shared_ptr<detail::RequestState>> settle_solve_locked(
       const std::shared_ptr<detail::RequestState>& state,
       const SolveResult& result);
@@ -294,12 +296,6 @@ class SchedulingService {
   std::condition_variable watchdog_cv_;
   std::vector<std::shared_ptr<detail::RequestState>> queue_;
   std::vector<std::shared_ptr<detail::RequestState>> running_;
-  /// Single-flight registry: exact cache key -> the leader request
-  /// currently queued or solving it. Guarded by mutex_ (as are the
-  /// leaders' follower lists).
-  std::unordered_map<cache::CacheKey, std::shared_ptr<detail::RequestState>,
-                     cache::CacheKeyHash>
-      inflight_;
   bool stopping_ = false;
   /// Every counter, guarded by mutex_ so stats() is one coherent cut; the
   /// cache counters are bumped where the owning request settles under the

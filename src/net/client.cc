@@ -526,40 +526,55 @@ void RetryingClient::backoff(int attempt, const std::string& id) {
   }
 }
 
+template <typename Send>
+auto RetryingClient::retry(const std::string& id, Call call, Send&& send) {
+  const bool counted = call != Call::Close;
+  for (int attempt = 1;; ++attempt) {
+    if (counted) ++stats_.attempts;
+    bool sent = false;
+    // Mid-frame state is unknown after a transport failure: start clean on
+    // a new connection, which has claimed no session yet.
+    const auto try_again = [&] {
+      client_.close();
+      session_claimed_ = false;
+      return attempt < policy_.max_attempts &&
+             (call == Call::Close || policy_.resubmit ||
+              (call == Call::Request && !sent));
+    };
+    try {
+      if (call != Call::Request) {
+        ensure_session(id);
+      } else if (!client_.connected()) {
+        client_ = Client::connect(host_, port_,
+                                  policy_.connect_timeout_seconds);
+        if (attempt > 1) ++stats_.reconnects;
+      }
+      if (counted && attempt > 1) ++stats_.resubmits;
+      sent = true;
+      auto result = send();
+      if (counted && attempt > 1) ++stats_.recovered;
+      return result;
+    } catch (const TimedOut&) {
+      ++stats_.timeouts;
+      if (!try_again()) throw;
+    } catch (const ConnectionError&) {
+      if (!try_again()) throw;
+    }
+    // Never counted a first submit.
+    if (counted && attempt == 1) --stats_.resubmits;
+    backoff(attempt, id);
+  }
+}
+
 api::SolveResult RetryingClient::solve(const api::SolveRequest& request,
                                        const std::string& id,
                                        bool want_progress,
                                        const api::ProgressFn& on_progress,
                                        bool want_schedule) {
-  for (int attempt = 1;; ++attempt) {
-    ++stats_.attempts;
-    bool submitted = false;
-    try {
-      if (!client_.connected()) {
-        client_ = Client::connect(host_, port_,
-                                  policy_.connect_timeout_seconds);
-        if (attempt > 1) ++stats_.reconnects;
-      }
-      if (attempt > 1) ++stats_.resubmits;
-      submitted = true;  // submit is the first thing solve() does
-      api::SolveResult result =
-          client_.solve(request, id, want_progress, on_progress,
-                        want_schedule, policy_.read_timeout_seconds);
-      if (attempt > 1) ++stats_.recovered;
-      return result;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();  // mid-frame state is unknown; start clean
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    } catch (const ConnectionError&) {
-      client_.close();
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    }
-    if (attempt == 1) --stats_.resubmits;  // never counted a first submit
-    backoff(attempt, id);
-  }
+  return retry(id, Call::Request, [&] {
+    return client_.solve(request, id, want_progress, on_progress,
+                         want_schedule, policy_.read_timeout_seconds);
+  });
 }
 
 void RetryingClient::ensure_session(const std::string& id) {
@@ -595,44 +610,18 @@ Client::Session RetryingClient::open_session(const api::SolveRequest& request,
                                              const std::string& id,
                                              double regret_bound,
                                              bool want_schedule) {
-  for (int attempt = 1;; ++attempt) {
-    ++stats_.attempts;
-    bool submitted = false;
-    try {
-      if (!client_.connected()) {
-        client_ =
-            Client::connect(host_, port_, policy_.connect_timeout_seconds);
-        if (attempt > 1) ++stats_.reconnects;
-      }
-      if (attempt > 1) ++stats_.resubmits;
-      submitted = true;
-      Client::Session opened =
-          client_.open_session(request, id, regret_bound, want_schedule,
-                               policy_.read_timeout_seconds);
-      // A previous attempt may have opened a session whose ok was lost;
-      // that orphan expires via the server's linger window. Track the one
-      // whose acknowledgement we actually hold.
-      session_ = opened.id;
-      epoch_ = opened.epoch;
-      revision_ = 0;
-      session_claimed_ = true;
-      if (attempt > 1) ++stats_.recovered;
-      return opened;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (submitted && !policy_.resubmit) throw;
-    }
-    if (attempt == 1) --stats_.resubmits;  // never counted a first submit
-    backoff(attempt, id);
-  }
+  Client::Session opened = retry(id, Call::Request, [&] {
+    return client_.open_session(request, id, regret_bound, want_schedule,
+                                policy_.read_timeout_seconds);
+  });
+  // A previous attempt may have opened a session whose ok was lost; that
+  // orphan expires via the server's linger window. Track the one whose
+  // acknowledgement we actually hold.
+  session_ = opened.id;
+  epoch_ = opened.epoch;
+  revision_ = 0;
+  session_claimed_ = true;
+  return opened;
 }
 
 api::SolveResult RetryingClient::delta(const model::Delta& delta,
@@ -647,59 +636,30 @@ api::SolveResult RetryingClient::delta(const model::Delta& delta,
   // actually committed — resending with the pinned token then hits the
   // server's commit cache instead of applying twice.
   const std::uint64_t expect = revision_;
-  for (int attempt = 1;; ++attempt) {
-    ++stats_.attempts;
-    try {
-      ensure_session(id);
-      if (attempt > 1) ++stats_.resubmits;
-      api::SolveResult result =
-          client_.delta(session_, delta, id, want_schedule,
-                        policy_.read_timeout_seconds, expect);
-      if (api::stat_bool(result.stats, "online.duplicate")) {
-        ++stats_.duplicate_acks;
-      }
-      revision_ = static_cast<std::uint64_t>(
-          api::stat_int(result.stats, "online.revision",
-                        static_cast<long long>(revision_)));
-      if (attempt > 1) ++stats_.recovered;
-      return result;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (!policy_.resubmit) throw;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) throw;
-      if (!policy_.resubmit) throw;
-    }
-    if (attempt == 1) --stats_.resubmits;
-    backoff(attempt, id);
+  api::SolveResult result = retry(id, Call::Delta, [&] {
+    return client_.delta(session_, delta, id, want_schedule,
+                         policy_.read_timeout_seconds, expect);
+  });
+  if (api::stat_bool(result.stats, "online.duplicate")) {
+    ++stats_.duplicate_acks;
   }
+  const auto seen = static_cast<long long>(revision_);
+  revision_ = static_cast<std::uint64_t>(
+      api::stat_int(result.stats, "online.revision", seen));
+  return result;
 }
 
 void RetryingClient::close_session(const std::string& id) {
   if (session_ == 0) return;
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    try {
-      ensure_session(id);
+  try {
+    retry(id, Call::Close, [&] {
       client_.close_session(session_, id, policy_.read_timeout_seconds);
-      break;
-    } catch (const TimedOut&) {
-      ++stats_.timeouts;
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) break;
-    } catch (const ConnectionError&) {
-      client_.close();
-      session_claimed_ = false;
-      if (attempt >= policy_.max_attempts) break;
-    } catch (const std::runtime_error&) {
-      break;  // already gone server-side — that IS closed
-    }
-    backoff(attempt, id);
+      return true;
+    });
+  } catch (const std::runtime_error&) {
+    // Still unreachable after the last attempt (the server reaps the
+    // session via its linger window), or already gone server-side: either
+    // way the session is closed.
   }
   session_ = 0;
   epoch_ = 0;

@@ -269,10 +269,27 @@ class RetryingClient {
   void close() { client_.close(); }
 
  private:
+  /// The kind of a retried call: how retry() connects, and whether it may
+  /// try again after a transport failure that left attempts to spare.
+  enum class Call {
+    /// solve / open_session: connects. Retries a request that never went
+    /// out; one that did only under policy_.resubmit.
+    Request,
+    /// delta: resumes the tracked session. Retries under policy_.resubmit.
+    Delta,
+    /// close_session: resumes the tracked session. Always retries, and
+    /// counts no attempts, resubmits or recoveries (best effort).
+    Close,
+  };
+  /// The one retry loop: each attempt connects and runs `send`; a
+  /// transport failure (TimedOut, ConnectionError) closes the connection,
+  /// backs off and tries again while `call` and max_attempts allow, else
+  /// rethrows. Other exceptions propagate at once.
+  template <typename Send>
+  auto retry(const std::string& id, Call call, Send&& send);
   void backoff(int attempt, const std::string& id);
   /// Ensure client_ is connected and, when a session is tracked but this
-  /// connection has not claimed it yet, resume it. Returns false when the
-  /// reconnect/resume failed on a retryable transport error.
+  /// connection has not claimed it yet, resume it.
   void ensure_session(const std::string& id);
 
   std::string host_;

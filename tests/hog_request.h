@@ -9,6 +9,8 @@
 // slot for 30 s.
 #pragma once
 
+#include <limits>
+
 #include "api/api.h"
 
 namespace bagsched {
@@ -19,10 +21,7 @@ inline api::SolveRequest hog_request(const char* solver = "exact",
                                      int num_threads = 0) {
   api::SolveOptions options;
   options.time_limit_seconds = 30.0;
-  // A node budget no run reaches. The type's maximum would not do: JSON
-  // numbers are doubles, which carry integers exactly only up to 2^53, so
-  // LLONG_MAX does not survive the wire and the server rejects the request.
-  options.max_nodes = 1LL << 53;
+  options.max_nodes = std::numeric_limits<long long>::max();
   options.seed = 3;
   options.num_threads = num_threads;
   return api::make_request(api::make_instance("uniform", 60, 8, options),

@@ -16,6 +16,7 @@
 
 #include "api/api.h"
 #include "api/options_digest.h"
+#include "hog_request.h"
 
 namespace bagsched {
 namespace {
@@ -684,6 +685,58 @@ TEST(ServiceCacheTest, SingleFlightSharesOneSolveAcrossABatch) {
   EXPECT_EQ(stats.finished, 8u);
   // Only the leader ran a solver; one store per key space (exact+rounded).
   EXPECT_EQ(service.cache_stats().insertions, 2u);
+}
+
+TEST(ServiceCacheTest, SingleFlightHoldsWithFreeSlots) {
+  // Four slots, one batch of 8 identical requests: the dispatch gate, not a
+  // lack of slots, keeps the twins from solving side by side. One solves
+  // and 7 share its result.
+  SchedulingService service({.num_threads = 4, .max_concurrent = 4});
+  const auto instance =
+      std::make_shared<const model::Instance>(base_instance(80, 8, 41));
+  std::vector<SolveRequest> batch;
+  for (int i = 0; i < 8; ++i) {
+    api::SolveOptions options;
+    options.cache_mode = CacheMode::ReadWrite;
+    batch.push_back(api::make_request(instance, options, {"local-search"}));
+  }
+  int shared_count = 0;
+  for (auto& handle : service.submit_batch(std::move(batch))) {
+    const auto& result = handle.wait();
+    ASSERT_TRUE(result.ok());
+    if (api::stat_bool(result.stats, "single_flight")) ++shared_count;
+  }
+  EXPECT_EQ(shared_count, 7);
+  service.wait_idle();
+  EXPECT_EQ(service.stats().dedup_shared, 7u);
+  EXPECT_EQ(service.cache_stats().insertions, 2u);
+}
+
+TEST(ServiceCacheTest, WaitingTwinCountsAgainstTheQueueCap) {
+  // A twin of a running solve waits in the queue like any other op: it
+  // shows in queue_depth and fills max_queue_depth, so the next twin is
+  // rejected.
+  SchedulingService service(
+      {.num_threads = 1, .max_concurrent = 1, .max_queue_depth = 1});
+  SolveRequest hog = hog_request();
+  hog.options.cache_mode = CacheMode::ReadWrite;
+  api::SolveHandle leader = service.submit(hog);
+  api::SolveHandle waiting = service.submit(hog);
+  EXPECT_EQ(service.stats().active, 1u);
+  EXPECT_EQ(service.stats().queue_depth, 1u);
+  api::SolveHandle rejected = service.submit(hog);
+  const auto& bounced = rejected.wait();
+  EXPECT_EQ(bounced.status, SolveStatus::Cancelled);
+  EXPECT_EQ(bounced.error.rfind("rejected", 0), 0u) << bounced.error;
+  EXPECT_EQ(service.stats().rejected, 1u);
+  // A cancelled leader shares nothing, so the waiting twin runs next;
+  // cancelled too, it stops as soon as it starts.
+  waiting.cancel();
+  leader.cancel();
+  EXPECT_EQ(leader.wait().status, SolveStatus::Cancelled);
+  EXPECT_EQ(waiting.wait().status, SolveStatus::Cancelled);
+  service.wait_idle();
+  EXPECT_EQ(service.stats().dedup_shared, 0u);
 }
 
 TEST(ServiceCacheTest, FollowerDeadlineFiresWhileParkedOnALeader) {

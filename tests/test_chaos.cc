@@ -260,6 +260,34 @@ TEST(ChaosClientTest, RetryRecoversFromInjectedSendFailure) {
   server.wait();
 }
 
+TEST(ChaosClientTest, SolveRetryLeavesTheTrackedSessionResumable) {
+  // A solve that reconnects lands on a connection that has not claimed the
+  // tracked session, so the next delta resumes it before sending.
+  FaultGuard guard;
+  ServerConfig config = test_config();
+  config.session_linger_seconds = 60.0;  // a dropped connection's sessions
+                                         // wait to be resumed
+  SchedServer server(config);
+  server.start();
+  RetryPolicy policy;
+  policy.initial_backoff_seconds = 0.005;
+  policy.max_backoff_seconds = 0.02;
+  RetryingClient client("127.0.0.1", server.port(), policy);
+  client.open_session(quick_request(), "open-1");
+  fault::configure("net.client.send=n1", 7);  // the solve's first send
+  EXPECT_TRUE(client.solve(quick_request(2), "solve-1").ok());
+  fault::disable();
+  model::Delta delta;
+  delta.departures.push_back(0);
+  const api::SolveResult result = client.delta(delta, "delta-1");
+  EXPECT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(client.stats().resumes, 1u);
+  client.close_session();
+  client.close();
+  server.stop();
+  server.wait();
+}
+
 TEST(ChaosClientTest, RetryGivesUpAfterMaxAttempts) {
   FaultGuard guard;
   SchedServer server(test_config());

@@ -881,6 +881,49 @@ TEST(CodecDiffTest, U64FieldsRejectSignsAndWhitespaceAlike) {
   }
 }
 
+TEST(CodecDiffTest, BudgetsBeyondTwoToThe53RoundTripAlike) {
+  // A budget past a double's exact range, LLONG_MAX ("no budget") among
+  // them, is written as a decimal string and read back unchanged by both
+  // decoders.
+  constexpr long long kExact = 1LL << 53;
+  for (const long long budget :
+       {std::numeric_limits<long long>::max(), kExact + 1, kExact,
+        -(kExact + 1), std::numeric_limits<long long>::min()}) {
+    api::SolveOptions options;
+    options.max_nodes = budget;
+    options.max_moves = budget;
+    const std::string text =
+        api::to_json(api::make_request(gen::by_name("uniform", 4, 2, 1),
+                                       options, {"lpt"}))
+            .dump();
+    const api::SolveRequest typed = api::decode_solve_request(text);
+    const api::SolveRequest tree =
+        api::solve_request_from_json(Json::parse(text));
+    EXPECT_EQ(typed.options.max_nodes, budget) << text;
+    EXPECT_EQ(typed.options.max_moves, budget) << text;
+    EXPECT_EQ(tree.options.max_nodes, budget) << text;
+    EXPECT_EQ(tree.options.max_moves, budget) << text;
+  }
+  // The string form is strict: an optional '-' and digits, in range.
+  const std::string instance =
+      R"({"machines":2,"bags":1,"jobs":[{"size":1,"bag":0}]})";
+  for (const char* value :
+       {R"(" 12")", R"("12x")", R"("")", R"("+5")", R"("1e3")",
+        R"("9223372036854775808")"}) {
+    for (const char* key : {"max_nodes", "max_moves"}) {
+      const std::string text = R"({"instance":)" + instance +
+                               R"(,"options":{")" + key + "\":" + value +
+                               "}}";
+      expect_same_solve_request(text);
+      EXPECT_EQ(outcome([&] {
+                  return describe(api::decode_solve_request(text));
+                }).rfind("error", 0),
+                0u)
+          << text;
+    }
+  }
+}
+
 api::SolveResult hostile_result() {
   api::SolveResult result;
   result.solver = std::string("bag\x01\"quoted\"\\\n");

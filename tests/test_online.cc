@@ -537,6 +537,10 @@ TEST(ServiceSessionTest, QueuedDeltaPastItsDeadlineLeavesTheSessionAlone) {
   auto opening = service.open_session(
       api::make_request(trace.initial, {.seed = 5}, {"greedy-bags"}));
   ASSERT_TRUE(opening.initial.wait().ok());
+  // The open op holds the slot until just after its handle resolves; a
+  // blocker queued behind it would lose the slot to the delta, which has a
+  // deadline and so dispatches first.
+  service.wait_idle();
 
   // The only slot is busy, so the delta waits in the queue past its
   // deadline: it resolves Cancelled there, without touching the session.
