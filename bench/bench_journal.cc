@@ -31,9 +31,11 @@
 #include <iostream>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "api/portfolio.h"
+#include "api/serialize.h"
 #include "gen/churn.h"
 #include "harness.h"
 #include "model/delta.h"
@@ -123,8 +125,7 @@ int main(int argc, char** argv) {
   const online::SessionOptions options = session_options();
   const api::Portfolio portfolio(options.solvers);
 
-  // A small instance whose solved schedule stands in for the per-commit
-  // payload: delta_commit records carry the full committed assignment.
+  // A small instance whose solved schedule every commit below re-commits.
   gen::ChurnParams small;
   small.num_jobs = 48;
   small.num_machines = 6;
@@ -139,8 +140,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Payload-identical commits: an empty delta leaves the journal's shadow
-  // instance untouched, so revisions can advance indefinitely while every
-  // record still carries a real schedule + digest.
+  // instance and schedule untouched, so revisions can advance indefinitely
+  // and every record carries the delta, no moves and the digest.
   const model::Delta noop_delta;
 
   // --- journal/append/{off,interval,always} -------------------------------
@@ -272,10 +273,15 @@ int main(int argc, char** argv) {
           std::exit(1);
         }
         if (journal != nullptr) {
-          // As the service journals: schedule + the post-delta instance
-          // the session already holds (no re-derivation on the ack path).
+          // As the service journals: the delta encoded and the schedule
+          // digested once, and the post-delta instance the session already
+          // holds shared, not copied.
+          std::string delta_json;
+          api::append_delta(delta_json, delta);
           journal->record_commit(session_id, ++revision, delta,
-                                 result.schedule, &session.instance());
+                                 std::move(delta_json), session.schedule(),
+                                 persist::schedule_digest(session.schedule()),
+                                 session.shared_instance());
         }
       }
     };

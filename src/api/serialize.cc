@@ -548,6 +548,55 @@ model::Delta delta_from_json(const util::Json& json) {
   return delta;
 }
 
+void append_delta(std::string& out, const model::Delta& delta) {
+  // Integers go through the double writer, as the tree stores them.
+  const auto number = [&out](double value) {
+    util::append_json_number(out, value);
+  };
+  const char* sep = "";
+  const auto field = [&](const char* key) {
+    out += sep;
+    out += '"';
+    out += key;
+    out += "\":";
+    sep = ",";
+  };
+  // Empty lists are omitted, as to_json omits them.
+  const auto list = [&](const char* key, const auto& items,
+                        const auto& write) {
+    if (items.empty()) return;
+    field(key);
+    out += '[';
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) out += ',';
+      write(items[i]);
+    }
+    out += ']';
+  };
+  out += '{';
+  list("arrivals", delta.arrivals, [&](const model::JobArrival& arrival) {
+    out += "{\"size\":";
+    number(arrival.size);
+    out += ",\"bag\":";
+    number(arrival.bag);
+    out += '}';
+  });
+  list("departures", delta.departures, number);
+  list("resizes", delta.resizes, [&](const model::JobResize& resize) {
+    out += "{\"job\":";
+    number(resize.job);
+    out += ",\"size\":";
+    number(resize.size);
+    out += '}';
+  });
+  if (delta.machines_added != 0) {
+    field("machines_added");
+    number(delta.machines_added);
+  }
+  list("failed_machines", delta.failed_machines, number);
+  out += '}';
+}
+
 SolveRequest decode_solve_request(std::string_view text) {
   SolveRequest request;
   util::read_document(text, [&](util::JsonReader& reader) {

@@ -21,10 +21,10 @@
 //     when parsed — steady-clock time points don't cross processes.
 //
 // Two codecs share these shapes. The Json-tree one (to_json/*_from_json)
-// serves the journal, tools and tests. The typed one (decode_*/
-// append_result) is the server's wire path: it goes straight between text
-// and structs, and is held byte-for-byte / error-for-error to the tree one
-// by differential tests.
+// serves the journal's reads, tools and tests. The typed one (decode_*/
+// append_result/append_delta) is the server's wire and commit path: it
+// goes straight between text and structs, and is held byte-for-byte /
+// error-for-error to the tree one by differential tests.
 #pragma once
 
 #include <string>
@@ -59,6 +59,9 @@ SolveRequest solve_request_from_json(const util::Json& json);
 /// default on the way in, so "{}" parses as the noop delta.
 util::Json to_json(const model::Delta& delta);
 model::Delta delta_from_json(const util::Json& json);
+/// Appends exactly to_json(delta).dump(): the service's resend dedupe
+/// compares these bytes with the journaled ones.
+void append_delta(std::string& out, const model::Delta& delta);
 
 /// DeltaRequest carries {"session": id, "delta": {...}} plus the shared
 /// base fields (priority, deadline_seconds).

@@ -311,7 +311,7 @@ void attribute_stop(RequestState& state, SolveResult& result) {
 
 /// The delta's JSON, encoded on first use and kept on the op.
 const std::string& delta_json(detail::SessionOp& op) {
-  if (op.delta_json.empty()) op.delta_json = to_json(op.delta).dump();
+  if (op.delta_json.empty()) append_delta(op.delta_json, op.delta);
   return op.delta_json;
 }
 

@@ -48,8 +48,8 @@ std::string describe(const Delta& delta) {
 
 namespace {
 
-void check_job_id(const Instance& instance, JobId job, const char* what) {
-  if (job < 0 || job >= instance.num_jobs()) {
+void check_job_id(int num_jobs, JobId job, const char* what) {
+  if (job < 0 || job >= num_jobs) {
     throw std::invalid_argument(std::string("delta: ") + what + " names " +
                                 "unknown job " + std::to_string(job));
   }
@@ -57,24 +57,22 @@ void check_job_id(const Instance& instance, JobId job, const char* what) {
 
 }  // namespace
 
-Instance apply_delta(const Instance& instance, const Delta& delta,
-                     DeltaMap* map) {
-  const int old_jobs = instance.num_jobs();
-  const int old_machines = instance.num_machines();
-
-  // --- Validate the delta against the pre-delta instance -------------------
-  std::vector<char> departs(static_cast<std::size_t>(old_jobs), 0);
+DeltaMap map_delta(int num_jobs, int num_machines, const Delta& delta) {
+  DeltaMap map;
+  // Departures are marked kRemovedJob first; survivors are numbered after
+  // every check has passed.
+  map.new_job_of.assign(static_cast<std::size_t>(num_jobs), 0);
   for (const JobId job : delta.departures) {
-    check_job_id(instance, job, "departure");
-    if (departs[static_cast<std::size_t>(job)]) {
+    check_job_id(num_jobs, job, "departure");
+    if (map.new_job_of[static_cast<std::size_t>(job)] == kRemovedJob) {
       throw std::invalid_argument("delta: job " + std::to_string(job) +
                                   " departs twice");
     }
-    departs[static_cast<std::size_t>(job)] = 1;
+    map.new_job_of[static_cast<std::size_t>(job)] = kRemovedJob;
   }
   for (const JobResize& resize : delta.resizes) {
-    check_job_id(instance, resize.job, "resize");
-    if (departs[static_cast<std::size_t>(resize.job)]) {
+    check_job_id(num_jobs, resize.job, "resize");
+    if (map.new_job_of[static_cast<std::size_t>(resize.job)] == kRemovedJob) {
       throw std::invalid_argument("delta: job " +
                                   std::to_string(resize.job) +
                                   " both resizes and departs");
@@ -88,21 +86,22 @@ Instance apply_delta(const Instance& instance, const Delta& delta,
   if (delta.machines_added < 0) {
     throw std::invalid_argument("delta: machines_added must be >= 0");
   }
-  std::vector<char> failed(static_cast<std::size_t>(old_machines), 0);
+  map.new_machine_of.assign(static_cast<std::size_t>(num_machines), 0);
   for (const MachineId machine : delta.failed_machines) {
-    if (machine < 0 || machine >= old_machines) {
+    if (machine < 0 || machine >= num_machines) {
       throw std::invalid_argument("delta: unknown machine " +
                                   std::to_string(machine) + " fails");
     }
-    if (failed[static_cast<std::size_t>(machine)]) {
+    if (map.new_machine_of[static_cast<std::size_t>(machine)] ==
+        kUnassigned) {
       throw std::invalid_argument("delta: machine " +
                                   std::to_string(machine) + " fails twice");
     }
-    failed[static_cast<std::size_t>(machine)] = 1;
+    map.new_machine_of[static_cast<std::size_t>(machine)] = kUnassigned;
   }
   // 64-bit: machines_added may be anything up to INT_MAX.
   const long long new_machines =
-      static_cast<long long>(old_machines) + delta.machines_added -
+      static_cast<long long>(num_machines) + delta.machines_added -
       static_cast<long long>(delta.failed_machines.size());
   if (new_machines <= 0) {
     throw std::invalid_argument("delta: no machines left after failures");
@@ -111,31 +110,56 @@ Instance apply_delta(const Instance& instance, const Delta& delta,
     throw std::invalid_argument("delta: machine count overflows");
   }
 
-  // --- Build the post-delta job list (survivors first, then arrivals) -----
+  // Survivors keep their relative order, arrivals follow; surviving
+  // machines are renumbered compactly in id order.
+  JobId next_job = 0;
+  for (JobId& new_job : map.new_job_of) {
+    if (new_job != kRemovedJob) new_job = next_job++;
+  }
+  map.arrival_jobs.reserve(delta.arrivals.size());
+  for (std::size_t k = 0; k < delta.arrivals.size(); ++k) {
+    map.arrival_jobs.push_back(next_job++);
+  }
+  MachineId next_machine = 0;
+  for (MachineId& new_machine : map.new_machine_of) {
+    if (new_machine != kUnassigned) new_machine = next_machine++;
+  }
+  map.num_jobs = next_job;
+  map.num_machines = static_cast<int>(new_machines);
+  return map;
+}
+
+Schedule carry_schedule(const Schedule& schedule, const DeltaMap& map) {
+  Schedule carried(map.num_jobs, map.num_machines);
+  for (JobId old_job = 0;
+       old_job < static_cast<JobId>(map.new_job_of.size()); ++old_job) {
+    const JobId new_job = map.new_job_of[static_cast<std::size_t>(old_job)];
+    if (new_job == kRemovedJob) continue;
+    const MachineId old_machine = schedule.machine_of(old_job);
+    if (old_machine == kUnassigned) continue;
+    carried.assign(new_job,
+                   map.new_machine_of[static_cast<std::size_t>(old_machine)]);
+  }
+  return carried;
+}
+
+namespace {
+
+/// An instance before its bag index is built: what a chain of deltas folds
+/// over. Job ids are assigned when the Instance is built.
+struct InstanceParts {
   std::vector<Job> jobs;
-  jobs.reserve(static_cast<std::size_t>(old_jobs) -
-               delta.departures.size() + delta.arrivals.size());
-  std::vector<JobId> new_job_of(static_cast<std::size_t>(old_jobs),
-                                kRemovedJob);
-  std::vector<double> resized(static_cast<std::size_t>(old_jobs), 0.0);
-  std::vector<char> has_resize(static_cast<std::size_t>(old_jobs), 0);
-  for (const JobResize& resize : delta.resizes) {
-    resized[static_cast<std::size_t>(resize.job)] = resize.size;
-    has_resize[static_cast<std::size_t>(resize.job)] = 1;
-  }
-  BagId num_bags = static_cast<BagId>(instance.num_bags());
-  for (JobId job = 0; job < old_jobs; ++job) {
-    if (departs[static_cast<std::size_t>(job)]) continue;
-    Job copy = instance.job(job);
-    if (has_resize[static_cast<std::size_t>(job)]) {
-      copy.size = resized[static_cast<std::size_t>(job)];
-    }
-    new_job_of[static_cast<std::size_t>(job)] =
-        static_cast<JobId>(jobs.size());
-    jobs.push_back(copy);
-  }
-  std::vector<JobId> arrival_jobs;
-  arrival_jobs.reserve(delta.arrivals.size());
+  int num_machines = 0;
+  int num_bags = 0;
+};
+
+/// The core of apply_delta: applies the delta to `parts` in place, with the
+/// same checks. On a throw `parts` is unchanged.
+void fold_delta(InstanceParts& parts, const Delta& delta, DeltaMap* map) {
+  DeltaMap local = map_delta(static_cast<int>(parts.jobs.size()),
+                             parts.num_machines, delta);
+  // Arrivals are checked before anything changes.
+  BagId num_bags = static_cast<BagId>(parts.num_bags);
   for (const JobArrival& arrival : delta.arrivals) {
     if (arrival.size <= 0.0) {
       throw std::invalid_argument("delta: arrival with non-positive size");
@@ -147,23 +171,47 @@ Instance apply_delta(const Instance& instance, const Delta& delta,
           ")");
     }
     if (arrival.bag == num_bags) ++num_bags;  // opening a new bag
-    arrival_jobs.push_back(static_cast<JobId>(jobs.size()));
-    jobs.push_back(Job{0, arrival.size, arrival.bag});
   }
 
-  if (map != nullptr) {
-    map->new_job_of = std::move(new_job_of);
-    map->arrival_jobs = std::move(arrival_jobs);
-    map->new_machine_of.assign(static_cast<std::size_t>(old_machines),
-                               kUnassigned);
-    MachineId next = 0;
-    for (MachineId machine = 0; machine < old_machines; ++machine) {
-      if (!failed[static_cast<std::size_t>(machine)]) {
-        map->new_machine_of[static_cast<std::size_t>(machine)] = next++;
-      }
+  // Survivors move down over the departed in place (a survivor's new id is
+  // never above its old one), then take their new sizes; arrivals follow.
+  for (std::size_t job = 0; job < local.new_job_of.size(); ++job) {
+    const JobId new_job = local.new_job_of[job];
+    if (new_job != kRemovedJob) {
+      parts.jobs[static_cast<std::size_t>(new_job)] = parts.jobs[job];
     }
   }
-  return Instance(std::move(jobs), static_cast<int>(new_machines), num_bags);
+  for (const JobResize& resize : delta.resizes) {
+    parts.jobs[static_cast<std::size_t>(
+                   local.new_job_of[static_cast<std::size_t>(resize.job)])]
+        .size = resize.size;
+  }
+  parts.jobs.resize(static_cast<std::size_t>(local.num_jobs) -
+                    delta.arrivals.size());
+  for (const JobArrival& arrival : delta.arrivals) {
+    parts.jobs.push_back(Job{0, arrival.size, arrival.bag});
+  }
+  parts.num_machines = local.num_machines;
+  parts.num_bags = num_bags;
+  if (map != nullptr) *map = std::move(local);
+}
+
+}  // namespace
+
+Instance apply_delta(const Instance& instance, const Delta& delta,
+                     DeltaMap* map) {
+  InstanceParts parts{instance.jobs(), instance.num_machines(),
+                      instance.num_bags()};
+  fold_delta(parts, delta, map);
+  return Instance(std::move(parts.jobs), parts.num_machines, parts.num_bags);
+}
+
+Instance apply_deltas(const Instance& instance,
+                      const std::vector<Delta>& deltas) {
+  InstanceParts parts{instance.jobs(), instance.num_machines(),
+                      instance.num_bags()};
+  for (const Delta& delta : deltas) fold_delta(parts, delta, nullptr);
+  return Instance(std::move(parts.jobs), parts.num_machines, parts.num_bags);
 }
 
 Delta inverse_delta(const Instance& instance, const Delta& delta,

@@ -21,6 +21,7 @@
 
 #include "model/instance.h"
 #include "model/job.h"
+#include "model/schedule.h"
 
 namespace bagsched::model {
 
@@ -65,9 +66,26 @@ struct DeltaMap {
   /// new_machine_of[old_id] = post-delta machine id, or kUnassigned for
   /// failed machines.
   std::vector<MachineId> new_machine_of;
+  int num_jobs = 0;      ///< post-delta job count
+  int num_machines = 0;  ///< post-delta machine count
 };
 
 constexpr JobId kRemovedJob = -1;
+
+/// The delta's renumbering from the pre-delta job and machine counts alone,
+/// so a consumer that tracks only a schedule (the session journal) can
+/// carry it across the delta without the instance. Throws
+/// std::invalid_argument on what the counts can tell is malformed: unknown
+/// or duplicate departures, a resize of an unknown or departing job or to
+/// a non-positive size, machines_added < 0, unknown or duplicate failed
+/// machines, no machines left. Arrivals are checked by apply_delta, which
+/// knows the bag count.
+DeltaMap map_delta(int num_jobs, int num_machines, const Delta& delta);
+
+/// `schedule` (of the pre-delta instance) carried across the delta: every
+/// surviving job keeps its machine under the new numbering; arrivals and
+/// the jobs of failed machines are unassigned.
+Schedule carry_schedule(const Schedule& schedule, const DeltaMap& map);
 
 /// Applies the delta, renumbering jobs/machines per the conventions above.
 /// Throws std::invalid_argument when the delta is malformed (unknown job or
@@ -76,6 +94,13 @@ constexpr JobId kRemovedJob = -1;
 /// a legitimate online state the caller must detect via is_feasible().
 Instance apply_delta(const Instance& instance, const Delta& delta,
                      DeltaMap* map = nullptr);
+
+/// apply_delta over `deltas` in order: the deltas fold into one job list
+/// with apply_delta's own core, and the Instance (with its bag index) is
+/// built once instead of once per delta. Throws what the first failing
+/// apply_delta throws.
+Instance apply_deltas(const Instance& instance,
+                      const std::vector<Delta>& deltas);
 
 /// The delta that undoes `delta`: applying it to apply_delta(instance,
 /// delta) yields an instance equal to `instance` up to job renumbering —

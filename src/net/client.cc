@@ -560,8 +560,6 @@ auto RetryingClient::retry(const std::string& id, Call call, Send&& send) {
     } catch (const ConnectionError&) {
       if (!try_again()) throw;
     }
-    // Never counted a first submit.
-    if (counted && attempt == 1) --stats_.resubmits;
     backoff(attempt, id);
   }
 }

@@ -44,7 +44,8 @@ std::vector<StatField> stat_fields(const api::ServiceStats& stats) {
       {"rejected", kCounter, "Requests shed at the max_queue_depth cap",
        stats.rejected},
       {"queue_depth", kGauge,
-       "Ops (solves and session ops) waiting for a slot right now",
+       "Ops waiting to dispatch right now: for a slot, their session's FIFO "
+       "turn or a running single-flight twin",
        std::uint64_t{stats.queue_depth}},
       {"active", kGauge, "Ops (solves and session ops) running right now",
        std::uint64_t{stats.active}},
@@ -55,7 +56,7 @@ std::vector<StatField> stat_fields(const api::ServiceStats& stats) {
       {"cache_rounded_hits", kCounter,
        "Cache hits through the eps-rounded key", stats.cache_rounded_hits},
       {"dedup_shared", kCounter,
-       "Single-flight followers resolved from another request's solve",
+       "Single-flight twins resolved from another request's solve",
        stats.dedup_shared},
       {"queue_wait_ewma_seconds", kGauge,
        "EWMA of request queue wait in seconds (brown-out signal)",

@@ -25,19 +25,13 @@ const char* to_string(RepairPath path) {
 
 int migration_cost(const model::Schedule& prev, const model::Schedule& next,
                    const model::DeltaMap& map) {
+  // A job whose machine failed has no choice but to move; a job whose
+  // machine merely got a new id only counts when it ended up elsewhere.
+  const model::Schedule carried = model::carry_schedule(prev, map);
   int moved = 0;
-  const int old_jobs = static_cast<int>(map.new_job_of.size());
-  for (model::JobId job = 0; job < old_jobs; ++job) {
-    const model::JobId new_job =
-        map.new_job_of[static_cast<std::size_t>(job)];
+  for (const model::JobId new_job : map.new_job_of) {
     if (new_job == model::kRemovedJob) continue;  // departed: not a move
-    const model::MachineId old_machine = prev.machine_of(job);
-    // A job whose machine failed has no choice but to move; a job whose
-    // machine merely got a new id only counts when it ended up elsewhere.
-    const model::MachineId renamed =
-        old_machine == model::kUnassigned
-            ? model::kUnassigned
-            : map.new_machine_of[static_cast<std::size_t>(old_machine)];
+    const model::MachineId renamed = carried.machine_of(new_job);
     if (renamed == model::kUnassigned ||
         next.machine_of(new_job) != renamed) {
       ++moved;
@@ -216,18 +210,7 @@ api::SolveResult ScheduleSession::apply(
   RepairPath path = RepairPath::Repair;
 
   // --- 1. repair: inherit, greedy-place, polish ----------------------------
-  model::Schedule repaired(next.num_jobs(), next.num_machines());
-  for (model::JobId old_job = 0;
-       old_job < static_cast<model::JobId>(map.new_job_of.size());
-       ++old_job) {
-    const model::JobId new_job =
-        map.new_job_of[static_cast<std::size_t>(old_job)];
-    if (new_job == model::kRemovedJob) continue;
-    const model::MachineId old_machine = schedule_.machine_of(old_job);
-    if (old_machine == model::kUnassigned) continue;
-    repaired.assign(
-        new_job, map.new_machine_of[static_cast<std::size_t>(old_machine)]);
-  }
+  model::Schedule repaired = model::carry_schedule(schedule_, map);
   // The delta's footprint: arrivals, displaced jobs (failed machines) and
   // resizes — the candidates for the region re-solve.
   std::vector<model::JobId> region;

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "api/serialize.h"
@@ -76,16 +78,42 @@ std::string hex16(std::uint64_t value) {
 
 /// Committed deltas a shadow may buffer before they are folded into its
 /// instance — the backstop for commits journaled WITHOUT a caller-supplied
-/// post-delta instance (replay, bare record_commit callers). Folding costs
-/// a full apply_delta per buffered delta whenever it happens, so it is
-/// deferred to the readers (snapshot, replay); this limit only bounds the
-/// buffer's memory.
+/// post-delta instance (replay, bare record_commit callers). Folding builds
+/// the instance once per batch, so it is deferred to the readers
+/// (snapshot, replay); this limit only bounds the buffer's memory.
 constexpr std::size_t kPendingBatchLimit = 1024;
 
 void append_int(std::string& out, long long value) {
   char buffer[24];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
   out.append(buffer, result.ptr);
+}
+
+std::string commit_name(std::uint64_t session, std::uint64_t revision) {
+  return "session " + std::to_string(session) + " revision " +
+         std::to_string(revision);
+}
+
+/// `schedule` carried across `delta` (model::carry_schedule): what a
+/// commit's moves are taken against, live and on replay alike.
+model::Schedule carry_commit(const model::Schedule& schedule,
+                             const model::Delta& delta, std::uint64_t session,
+                             std::uint64_t revision) {
+  try {
+    return model::carry_schedule(
+        schedule, model::map_delta(schedule.num_jobs(),
+                                   schedule.num_machines(), delta));
+  } catch (const std::invalid_argument& error) {
+    throw PersistError("journal: the delta of " +
+                       commit_name(session, revision) +
+                       " does not apply: " + error.what());
+  }
+}
+
+std::string encode_delta(const std::optional<model::Delta>& delta) {
+  std::string out;
+  if (delta.has_value()) api::append_delta(out, *delta);
+  return out;
 }
 
 }  // namespace
@@ -236,7 +264,14 @@ RecoveredState SessionJournal::replay() {
       throw PersistError("journal: record " + std::to_string(index) +
                          " is CRC-valid but unparseable: " + error.what());
     }
-    ingest_locked(record);
+    try {
+      ingest_locked(record);
+    } catch (const PersistError&) {
+      throw;
+    } catch (const std::exception& error) {
+      throw PersistError("journal: record " + std::to_string(index) +
+                         " is malformed: " + error.what());
+    }
     ++stats_.records_replayed;
     ++index;
   }
@@ -257,7 +292,7 @@ RecoveredState SessionJournal::replay() {
     recovered.instance = *shadow.instance;
     recovered.schedule = shadow.schedule;
     recovered.tuning = tuning_from_json(shadow.tuning);
-    recovered.last_delta_json = shadow.last_delta_json;
+    recovered.last_delta_json = encode_delta(shadow.last_delta);
     recovered.digest = shadow.digest;
     state.sessions.push_back(std::move(recovered));
   }
@@ -287,15 +322,35 @@ void SessionJournal::ingest_locked(const util::Json& record) {
     const std::uint64_t revision = record_u64(record.at("revision"));
     Shadow& shadow = checked_commit_shadow_locked(session, revision);
     const model::Delta delta = api::delta_from_json(record.at("delta"));
-    model::Schedule schedule = model::schedule_from_json(record.at("schedule"));
+    model::Schedule schedule;
+    if (const util::Json* full = record.find("schedule")) {
+      // Written before commits carried moves: the whole schedule.
+      schedule = model::schedule_from_json(*full);
+    } else {
+      schedule = carry_commit(shadow.schedule, delta, session, revision);
+      for (const util::Json& move : record.at("moves").as_array()) {
+        const long long job = move.size() == 2 ? move.at(0).as_int() : -1;
+        const long long machine = move.size() == 2 ? move.at(1).as_int() : -1;
+        if (job < 0 || job >= schedule.num_jobs() || machine < 0 ||
+            machine >= schedule.num_machines()) {
+          throw PersistError("journal: " + commit_name(session, revision) +
+                             " moves " + move.dump() + ", out of range for " +
+                             std::to_string(schedule.num_jobs()) +
+                             " jobs on " +
+                             std::to_string(schedule.num_machines()) +
+                             " machines");
+        }
+        schedule.assign(static_cast<model::JobId>(job),
+                        static_cast<model::MachineId>(machine));
+      }
+    }
     std::string digest = record.at("digest").as_string();
     if (schedule_digest(schedule) != digest) {
-      throw PersistError("journal: delta_commit digest mismatch for session " +
-                         std::to_string(session) + " revision " +
-                         std::to_string(revision));
+      throw PersistError("journal: delta_commit digest mismatch for " +
+                         commit_name(session, revision));
     }
-    apply_commit_locked(session, shadow, delta, record.at("delta").dump(),
-                        schedule, std::move(digest), nullptr);
+    apply_commit_locked(session, shadow, delta, std::move(schedule),
+                        std::move(digest), nullptr);
   } else if (type == "session_close") {
     sessions_.erase(record_u64(record.at("session")));
   } else if (type == "snapshot") {
@@ -315,7 +370,11 @@ void SessionJournal::ingest_locked(const util::Json& record) {
         throw PersistError("journal: snapshot digest mismatch for session " +
                            std::to_string(session));
       }
-      shadow.last_delta_json = entry.string_or("last_delta", "");
+      const std::string last_delta = entry.string_or("last_delta", "");
+      if (!last_delta.empty()) {
+        shadow.last_delta =
+            api::delta_from_json(util::Json::parse(last_delta));
+      }
       open_shadow_locked(session, std::move(shadow));
     }
   } else {
@@ -347,8 +406,7 @@ SessionJournal::Shadow& SessionJournal::checked_commit_shadow_locked(
 
 void SessionJournal::apply_commit_locked(
     std::uint64_t session, Shadow& shadow, const model::Delta& delta,
-    std::string delta_json, const model::Schedule& schedule,
-    std::string digest,
+    model::Schedule schedule, std::string digest,
     std::shared_ptr<const model::Instance> post_instance) {
   if (post_instance != nullptr) {
     // The caller's instance already includes every commit so far — any
@@ -361,23 +419,22 @@ void SessionJournal::apply_commit_locked(
       materialize_locked(session, shadow);
     }
   }
-  shadow.schedule = schedule;
+  shadow.schedule = std::move(schedule);
   shadow.digest = std::move(digest);
   ++shadow.revision;
-  shadow.last_delta_json = std::move(delta_json);
+  shadow.last_delta = delta;
 }
 
 void SessionJournal::materialize_locked(std::uint64_t session,
                                         Shadow& shadow) {
-  for (const model::Delta& delta : shadow.pending) {
-    try {
-      shadow.instance = std::make_shared<const model::Instance>(
-          model::apply_delta(*shadow.instance, delta));
-    } catch (const std::exception& error) {
-      throw PersistError("journal: committed delta for session " +
-                         std::to_string(session) +
-                         " does not apply: " + error.what());
-    }
+  if (shadow.pending.empty()) return;
+  try {
+    shadow.instance = std::make_shared<const model::Instance>(
+        model::apply_deltas(*shadow.instance, shadow.pending));
+  } catch (const std::exception& error) {
+    throw PersistError("journal: committed delta for session " +
+                       std::to_string(session) +
+                       " does not apply: " + error.what());
   }
   shadow.pending.clear();
 }
@@ -425,26 +482,53 @@ void SessionJournal::record_commit(
     std::string digest,
     std::shared_ptr<const model::Instance> post_instance) {
   // The hot record — one per acked delta, serialized straight into the
-  // payload buffer (see model::append_schedule_json).
+  // payload buffer. It carries only the placements this commit changed.
   std::string payload;
-  payload.reserve(delta_json.size() + digest.size() +
-                  static_cast<std::size_t>(schedule.num_jobs()) * 4 + 96);
+  payload.reserve(delta_json.size() + digest.size() + 128);
   payload += "{\"type\":\"delta_commit\",\"session\":";
   append_int(payload, static_cast<long long>(session));
   payload += ",\"revision\":";
   append_int(payload, static_cast<long long>(revision));
   payload += ",\"delta\":";
   payload += delta_json;
-  payload += ",\"schedule\":";
-  model::append_schedule_json(payload, schedule);
-  payload += ",\"digest\":\"";
-  payload += digest;
-  payload += "\"}";
+  payload += ",\"moves\":[";
   std::lock_guard<std::mutex> guard(mutex_);
   Shadow& shadow = checked_commit_shadow_locked(session, revision);
+  const model::Schedule carried =
+      carry_commit(shadow.schedule, delta, session, revision);
+  if (schedule.num_jobs() != carried.num_jobs() ||
+      schedule.num_machines() != carried.num_machines()) {
+    throw PersistError("journal: " + commit_name(session, revision) +
+                       " commits a schedule of " +
+                       std::to_string(schedule.num_jobs()) + " jobs on " +
+                       std::to_string(schedule.num_machines()) +
+                       " machines, but its delta leaves " +
+                       std::to_string(carried.num_jobs()) + " on " +
+                       std::to_string(carried.num_machines()));
+  }
+  const char* sep = "";
+  for (model::JobId job = 0; job < schedule.num_jobs(); ++job) {
+    const model::MachineId machine = schedule.machine_of(job);
+    if (machine == carried.machine_of(job)) continue;
+    if (machine < 0 || machine >= schedule.num_machines()) {
+      throw PersistError("journal: " + commit_name(session, revision) +
+                         " leaves job " + std::to_string(job) +
+                         " unassigned");
+    }
+    payload += sep;
+    payload += '[';
+    append_int(payload, job);
+    payload += ',';
+    append_int(payload, machine);
+    payload += ']';
+    sep = ",";
+  }
+  payload += "],\"digest\":\"";
+  payload += digest;
+  payload += "\"}";
   wal_.append(payload);
-  apply_commit_locked(session, shadow, delta, std::move(delta_json),
-                      schedule, std::move(digest), std::move(post_instance));
+  apply_commit_locked(session, shadow, delta, schedule, std::move(digest),
+                      std::move(post_instance));
   appended_locked(payload.size());
 }
 
@@ -453,8 +537,10 @@ void SessionJournal::record_commit(std::uint64_t session,
                                    const model::Delta& delta,
                                    const model::Schedule& schedule,
                                    const model::Instance* post_instance) {
-  record_commit(session, revision, delta, api::to_json(delta).dump(),
-                schedule, schedule_digest(schedule),
+  std::string delta_json;
+  api::append_delta(delta_json, delta);
+  record_commit(session, revision, delta, std::move(delta_json), schedule,
+                schedule_digest(schedule),
                 post_instance != nullptr
                     ? std::make_shared<const model::Instance>(*post_instance)
                     : nullptr);
@@ -489,8 +575,8 @@ util::Json SessionJournal::snapshot_record_locked() {
     entry.set("tuning", shadow.tuning);
     entry.set("schedule", model::schedule_to_json(shadow.schedule));
     entry.set("digest", shadow.digest);
-    if (!shadow.last_delta_json.empty()) {
-      entry.set("last_delta", shadow.last_delta_json);
+    if (shadow.last_delta.has_value()) {
+      entry.set("last_delta", encode_delta(shadow.last_delta));
     }
     entries.push_back(std::move(entry));
   }

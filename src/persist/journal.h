@@ -6,10 +6,18 @@
 // records (persist/wal.h) with JSON payloads:
 //
 //   session_open   {session, epoch, instance, tuning, schedule, digest}
-//   delta_commit   {session, revision, delta, schedule, digest}
+//   delta_commit   {session, revision, delta, moves, digest}
 //   session_close  {session}
 //   snapshot       {max_session_id, sessions:[...]} — the whole live state
 //                  in one record, written by compaction
+//
+// A delta_commit grows with the delta, not with the session: `moves` lists
+// the [job, machine] pairs, in post-delta numbering, whose machine differs
+// from the previous commit's schedule carried across the delta
+// (model::carry_schedule) — the arrivals, the migrated jobs and the jobs of
+// failed machines. Replay carries the schedule the same way, applies the
+// moves and checks the digest. Records that hold the whole `schedule`
+// instead of `moves` (the format before moves) still replay.
 //
 // The ordering contract with the service is append-before-ack: a commit
 // is journaled before its result is resolved to the client, so after a
@@ -31,6 +39,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,16 +139,19 @@ class SessionJournal {
 
   /// Journals one committed delta; `revision` is the session's revision
   /// AFTER the commit and must advance by exactly 1. `delta_json` must be
-  /// api::to_json(delta).dump() and `digest` schedule_digest(schedule):
-  /// the live service computes both once per commit for its own resume
-  /// shadow. `post_instance`, when the caller holds the committed
-  /// post-delta instance (the live service does — its session just
-  /// applied the delta), is shared into the shadow instead of re-deriving
-  /// it through apply_delta, keeping the append-before-ack path free of
-  /// per-commit instance rebuilds and copies; when null the delta is
-  /// buffered and folded in lazily. Replay re-derives from the journaled
-  /// deltas either way, and the recovery tests pin both paths to
-  /// fingerprint-identical results.
+  /// api::append_delta's encoding of `delta` and `digest`
+  /// schedule_digest(schedule): the live service computes both once per
+  /// commit for its own resume shadow. The record's moves are derived here
+  /// from the journal's shadow schedule; a `schedule` that is not a
+  /// complete schedule of the post-delta job and machine counts throws
+  /// PersistError before anything is written. `post_instance`, when the
+  /// caller holds the committed post-delta instance (the live service
+  /// does — its session just applied the delta), is shared into the shadow
+  /// instead of re-deriving it through apply_delta, keeping the
+  /// append-before-ack path free of per-commit instance rebuilds and
+  /// copies; when null the delta is buffered and folded in lazily.
+  /// Replay re-derives from the journaled deltas either way, and the
+  /// recovery tests pin both paths to fingerprint-identical results.
   void record_commit(std::uint64_t session, std::uint64_t revision,
                      const model::Delta& delta, std::string delta_json,
                      const model::Schedule& schedule, std::string digest,
@@ -175,16 +187,19 @@ class SessionJournal {
     std::uint64_t epoch = 0;
     std::uint64_t revision = 0;
     /// As of the last materialization; `pending` holds the committed
-    /// deltas not yet folded in. apply_delta() rebuilds the whole
-    /// instance, so folding eagerly would tax every ack with work only
-    /// snapshots and recovery actually consume — deltas are batched and
-    /// applied in order when (and only when) the instance is read. Live
-    /// commits share the session's own immutable instance here.
+    /// deltas not yet folded in. Building an Instance indexes every bag,
+    /// so folding eagerly would tax every ack with work only snapshots and
+    /// recovery actually consume — deltas are buffered and folded in one
+    /// pass (model::apply_deltas, one Instance build) when (and only when)
+    /// the instance is read. Live commits share the session's own
+    /// immutable instance here.
     std::shared_ptr<const model::Instance> instance;
     std::vector<model::Delta> pending;
     model::Schedule schedule;
     util::Json tuning;
-    std::string last_delta_json;
+    /// The last committed delta (none at revision 0), encoded only when
+    /// read: into a snapshot, or once per session at the end of replay.
+    std::optional<model::Delta> last_delta;
     std::string digest;
   };
 
@@ -200,8 +215,7 @@ class SessionJournal {
                                        std::uint64_t revision);
   void apply_commit_locked(
       std::uint64_t session, Shadow& shadow, const model::Delta& delta,
-      std::string delta_json, const model::Schedule& schedule,
-      std::string digest,
+      model::Schedule schedule, std::string digest,
       std::shared_ptr<const model::Instance> post_instance);
   /// Folds `pending` into the shadow instance (PersistError on a delta
   /// that does not apply — a corrupt journal, not a torn tail).

@@ -260,6 +260,27 @@ TEST(ChaosClientTest, RetryRecoversFromInjectedSendFailure) {
   server.wait();
 }
 
+TEST(ChaosClientTest, OneResendCountsOneResubmit) {
+  // The first send fails and the second lands: two attempts, the second a
+  // resubmit that recovered the call.
+  FaultGuard guard;
+  SchedServer server(test_config());
+  server.start();
+  fault::configure("net.client.send=n1", 7);
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.initial_backoff_seconds = 0.005;
+  policy.max_backoff_seconds = 0.02;
+  RetryingClient client("127.0.0.1", server.port(), policy);
+  EXPECT_TRUE(client.solve(quick_request(), "resend-1").ok());
+  EXPECT_EQ(client.stats().attempts, 2u);
+  EXPECT_EQ(client.stats().resubmits, 1u);
+  EXPECT_EQ(client.stats().recovered, 1u);
+  client.close();
+  server.stop();
+  server.wait();
+}
+
 TEST(ChaosClientTest, SolveRetryLeavesTheTrackedSessionResumable) {
   // A solve that reconnects lands on a connection that has not claimed the
   // tracked session, so the next delta resumes it before sending.

@@ -820,36 +820,81 @@ TEST(CodecDiffTest, HandWrittenRequestsDecodeAlike) {
   }
 }
 
+std::vector<std::string> hand_written_delta_requests() {
+  return {
+      R"({"session":3})",
+      R"({"session":3,"delta":{}})",
+      R"({"session":3,"delta":7})",
+      R"({"\u0073ession":3,"delta":{"arrivals":[{"bag":1,"size":0.5}]}})",
+      R"({"session":3,"session":4,"expect_revision":0})",
+      R"({"session":3,"delta":{"machines_added":"two"}})",
+      R"({"session":3,"delta":{"machines_added":-1}})",
+      R"({"session":3,"delta":{"machines_added":1.5}})",
+      R"({"session":3,"delta":{"departures":[1,-2]}})",
+      R"({"session":3,"delta":{"departures":"all"}})",
+      R"({"session":3,"delta":{"arrivals":[{"size":1}]}})",
+      R"({"session":3,"delta":{"arrivals":[{"bag":1}]}})",
+      R"({"session":3,"delta":{"arrivals":[{"bag":4294967296,"size":1}]}})",
+      R"({"session":3,"delta":{"resizes":[{"size":2,"job":"x"}]}})",
+      R"({"session":3,"delta":{"failed_machines":[0,1.5]}})",
+      R"({"session":3,"delta":{"arrivals":[],"arrivals":[{"size":1,"bag":0}]}})",
+      R"({"session":"3"})",
+      R"({"delta":{}})",
+      R"({"delta":{"departures":[-1]}})",
+      R"({"session":3,"expect_revision":"x"})",
+      R"({"session":3,"priority":"x","deadline_seconds":2})",
+      R"({"session":3,"deadline_seconds":null})",
+      R"({"session":3,"delta":{"departures":[-1]},"expect_revision":"x"})",
+      R"({"session":3,"delta":{"departures":[1,]}})",
+      R"([])",
+  };
+}
+
 TEST(CodecDiffTest, HandWrittenDeltasDecodeAlike) {
-  for (const std::string& text : std::vector<std::string>{
-           R"({"session":3})",
-           R"({"session":3,"delta":{}})",
-           R"({"session":3,"delta":7})",
-           R"({"\u0073ession":3,"delta":{"arrivals":[{"bag":1,"size":0.5}]}})",
-           R"({"session":3,"session":4,"expect_revision":0})",
-           R"({"session":3,"delta":{"machines_added":"two"}})",
-           R"({"session":3,"delta":{"machines_added":-1}})",
-           R"({"session":3,"delta":{"machines_added":1.5}})",
-           R"({"session":3,"delta":{"departures":[1,-2]}})",
-           R"({"session":3,"delta":{"departures":"all"}})",
-           R"({"session":3,"delta":{"arrivals":[{"size":1}]}})",
-           R"({"session":3,"delta":{"arrivals":[{"bag":1}]}})",
-           R"({"session":3,"delta":{"arrivals":[{"bag":4294967296,"size":1}]}})",
-           R"({"session":3,"delta":{"resizes":[{"size":2,"job":"x"}]}})",
-           R"({"session":3,"delta":{"failed_machines":[0,1.5]}})",
-           R"({"session":3,"delta":{"arrivals":[],"arrivals":[{"size":1,"bag":0}]}})",
-           R"({"session":"3"})",
-           R"({"delta":{}})",
-           R"({"delta":{"departures":[-1]}})",
-           R"({"session":3,"expect_revision":"x"})",
-           R"({"session":3,"priority":"x","deadline_seconds":2})",
-           R"({"session":3,"deadline_seconds":null})",
-           R"({"session":3,"delta":{"departures":[-1]},"expect_revision":"x"})",
-           R"({"session":3,"delta":{"departures":[1,]}})",
-           R"([])",
-       }) {
+  for (const std::string& text : hand_written_delta_requests()) {
     expect_same_delta_request(text);
   }
+}
+
+void expect_same_delta_encoding(const model::Delta& delta) {
+  std::string typed;
+  api::append_delta(typed, delta);
+  EXPECT_EQ(typed, api::to_json(delta).dump());
+}
+
+TEST(CodecDiffTest, AppendDeltaMatchesTheTreeEncoderByteForByte) {
+  // The service's resend dedupe compares a delta's encoding with the
+  // journaled one, so the typed writer must match the tree byte for byte.
+  int encoded = 0;
+  for (std::uint64_t seed = 1; seed <= 1500; ++seed) {
+    util::Xoshiro256 rng(seed * 7919);
+    const api::DeltaRequest request = random_delta_request(rng);
+    expect_same_delta_encoding(request.delta);
+    const std::string text =
+        Perturber(seed, seed % 3 == 0 ? 0.0 : 0.1).write(api::to_json(request));
+    try {
+      expect_same_delta_encoding(api::decode_delta_request(text).delta);
+      ++encoded;
+    } catch (const std::exception&) {
+      // A perturbation that does not decode has no delta to encode.
+    }
+  }
+  EXPECT_GT(encoded, 500);
+  for (const std::string& text : hand_written_delta_requests()) {
+    try {
+      expect_same_delta_encoding(api::decode_delta_request(text).delta);
+      ++encoded;
+    } catch (const std::exception&) {
+    }
+  }
+  model::Delta edges;
+  edges.arrivals = {{1e-300, 0}, {0.1 + 0.2, 2147483647}, {3.0, 0}};
+  edges.departures = {0, 2147483647};
+  edges.resizes = {{-2147483647 - 1, 1e300}, {7, 0.5}};
+  edges.machines_added = -3;
+  edges.failed_machines = {-1, 0};
+  expect_same_delta_encoding(edges);
+  expect_same_delta_encoding(model::Delta{});
 }
 
 TEST(CodecDiffTest, U64FieldsRejectSignsAndWhitespaceAlike) {

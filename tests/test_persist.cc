@@ -9,15 +9,21 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/serialize.h"
 #include "cache/canonicalize.h"
 #include "gen/churn.h"
 #include "model/delta.h"
+#include "model/io.h"
 #include "online/session.h"
 #include "persist/journal.h"
 #include "persist/wal.h"
@@ -96,6 +102,100 @@ online::SessionOptions cheap_tuning() {
   tuning.solve.seed = 5;
   tuning.regret_bound = 0.35;
   return tuning;
+}
+
+/// The payloads of the WAL at `path`, in order.
+std::vector<std::string> wal_records(const std::string& path) {
+  WalReplay found;
+  { Wal::open(path, FsyncPolicy::Off, &found); }
+  return found.records;
+}
+
+/// Replaces the WAL at `path`, if there is one, with `records`.
+void rewrite_wal(const std::string& path,
+                 const std::vector<std::string>& records) {
+  if (::access(path.c_str(), F_OK) == 0) {
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+  }
+  Wal wal = Wal::open(path, FsyncPolicy::Off);
+  for (const std::string& record : records) wal.append(record);
+  wal.sync();
+}
+
+persist::JournalConfig raw_config(const std::string& dir) {
+  persist::JournalConfig config;
+  config.dir = dir;
+  config.fsync = FsyncPolicy::Off;
+  config.snapshot_every = 0;  // keep the raw record stream
+  return config;
+}
+
+/// One replay's fields, side by side with another's.
+void expect_same_state(const persist::RecoveredState& a,
+                       const persist::RecoveredState& b) {
+  EXPECT_EQ(a.max_session_id, b.max_session_id);
+  EXPECT_EQ(a.records_replayed, b.records_replayed);
+  EXPECT_EQ(a.truncated_bytes, b.truncated_bytes);
+  ASSERT_EQ(a.sessions.size(), b.sessions.size());
+  for (std::size_t i = 0; i < a.sessions.size(); ++i) {
+    const persist::RecoveredSession& x = a.sessions[i];
+    const persist::RecoveredSession& y = b.sessions[i];
+    SCOPED_TRACE(x.session);
+    EXPECT_EQ(x.session, y.session);
+    EXPECT_EQ(x.epoch, y.epoch);
+    EXPECT_EQ(x.revision, y.revision);
+    EXPECT_EQ(model::instance_to_json(x.instance).dump(),
+              model::instance_to_json(y.instance).dump());
+    EXPECT_EQ(x.schedule.num_machines(), y.schedule.num_machines());
+    EXPECT_EQ(x.schedule.assignment(), y.schedule.assignment());
+    EXPECT_EQ(api::options_to_json(x.tuning.solve).dump(),
+              api::options_to_json(y.tuning.solve).dump());
+    EXPECT_EQ(x.tuning.solvers, y.tuning.solvers);
+    EXPECT_EQ(x.tuning.regret_bound, y.tuning.regret_bound);
+    EXPECT_EQ(x.last_delta_json, y.last_delta_json);
+    EXPECT_EQ(x.digest, y.digest);
+  }
+}
+
+/// A journal of two sessions' interleaved churn commits, written through
+/// SessionJournal (moves format) into `dir`. Returns the same commits in
+/// the format before moves, whole schedule and all, in journal order.
+std::vector<std::string> write_two_session_journal(
+    const std::string& dir,
+    std::vector<std::unique_ptr<online::ScheduleSession>>& live) {
+  const online::SessionOptions tuning = cheap_tuning();
+  std::vector<gen::ChurnTrace> traces;
+  SessionJournal journal(raw_config(dir));
+  journal.replay();
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    traces.push_back(gen::churn_trace(tiny_churn(23 + id)));
+    live.push_back(std::make_unique<online::ScheduleSession>(
+        traces.back().initial, tuning));
+    journal.record_open(id + 4, 70 + id, traces.back().initial, tuning,
+                        live.back()->schedule());
+  }
+  std::vector<std::string> full;
+  for (std::size_t step = 0; step < traces[0].deltas.size(); ++step) {
+    for (std::uint64_t id = 0; id < 2; ++id) {
+      online::ScheduleSession& session = *live[id];
+      const model::Delta& delta = traces[id].deltas.at(step);
+      const std::uint64_t before = session.revision();
+      EXPECT_NE(session.apply(delta).status, api::SolveStatus::Infeasible);
+      if (session.revision() == before) continue;
+      journal.record_commit(id + 4, session.revision(), delta,
+                            session.schedule());
+      util::Json record = util::Json::object();
+      record.set("type", "delta_commit");
+      record.set("session", static_cast<long long>(id + 4));
+      record.set("revision", static_cast<long long>(session.revision()));
+      record.set("delta", api::to_json(delta));
+      record.set("schedule", model::schedule_to_json(session.schedule()));
+      record.set("digest", persist::schedule_digest(session.schedule()));
+      full.push_back(record.dump());
+    }
+  }
+  journal.sync();
+  return full;
 }
 
 // --- CRC + framing ---------------------------------------------------------
@@ -442,6 +542,196 @@ TEST(JournalTest, ReplayRejectsAnEpochThatIsNotPlainDigits) {
     SessionJournal reopened(config);
     EXPECT_THROW(reopened.replay(), PersistError);
   }
+}
+
+TEST(JournalTest, CommitsCarryMovesAndFullScheduleCommitsStillReplay) {
+  // A commit record holds the placements it changed, not the schedule. A
+  // journal whose commits hold the whole schedule (the format before
+  // moves) replays to the identical state.
+  TempDir moves_dir;
+  TempDir full_dir;
+  std::vector<std::unique_ptr<online::ScheduleSession>> live;
+  const std::vector<std::string> full =
+      write_two_session_journal(moves_dir.path(), live);
+  ASSERT_GE(full.size(), 8u);
+
+  std::vector<std::string> records =
+      wal_records(moves_dir.file("journal.wal"));
+  std::size_t next_full = 0;
+  std::size_t moved = 0;
+  for (std::string& record : records) {
+    const util::Json parsed = util::Json::parse(record);
+    if (parsed.at("type").as_string() != "delta_commit") continue;
+    EXPECT_EQ(parsed.find("schedule"), nullptr);
+    moved += parsed.at("moves").size();
+    ASSERT_LT(next_full, full.size());
+    EXPECT_LT(record.size(), full[next_full].size());
+    record = full[next_full++];
+  }
+  EXPECT_EQ(next_full, full.size());
+  EXPECT_GT(moved, 0u);
+  rewrite_wal(full_dir.file("journal.wal"), records);
+
+  SessionJournal moves_journal(raw_config(moves_dir.path()));
+  SessionJournal full_journal(raw_config(full_dir.path()));
+  const persist::RecoveredState from_moves = moves_journal.replay();
+  const persist::RecoveredState from_full = full_journal.replay();
+  expect_same_state(from_moves, from_full);
+  ASSERT_EQ(from_moves.sessions.size(), 2u);
+  for (std::size_t id = 0; id < 2; ++id) {
+    const persist::RecoveredSession& recovered = from_moves.sessions[id];
+    EXPECT_EQ(recovered.revision, live[id]->revision());
+    EXPECT_EQ(recovered.schedule.assignment(),
+              live[id]->schedule().assignment());
+    EXPECT_EQ(cache::Canonicalizer::exact(recovered.instance).fingerprint,
+              cache::Canonicalizer::exact(live[id]->instance()).fingerprint);
+  }
+}
+
+/// Rewrites the first delta_commit record of the journal in `dir` that
+/// `edit` accepts (returns true for) and expects replay to throw
+/// PersistError naming `reason`.
+void expect_edited_commit_fails(const TempDir& dir,
+                                const std::function<bool(util::Json&)>& edit,
+                                const std::string& reason) {
+  std::vector<std::string> records = wal_records(dir.file("journal.wal"));
+  for (std::string& record : records) {
+    util::Json parsed = util::Json::parse(record);
+    if (parsed.at("type").as_string() != "delta_commit") continue;
+    if (!edit(parsed)) continue;
+    record = parsed.dump();
+    break;
+  }
+  rewrite_wal(dir.file("journal.wal"), records);
+  SessionJournal reopened(raw_config(dir.path()));
+  try {
+    reopened.replay();
+    ADD_FAILURE() << "replay accepted a commit that should fail: " << reason;
+  } catch (const PersistError& error) {
+    EXPECT_NE(std::string(error.what()).find(reason), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(JournalTest, CommitWithAWrongDigestFailsReplay) {
+  TempDir dir;
+  std::vector<std::unique_ptr<online::ScheduleSession>> live;
+  write_two_session_journal(dir.path(), live);
+  expect_edited_commit_fails(
+      dir,
+      [](util::Json& commit) {
+        std::string digest = commit.at("digest").as_string();
+        digest[0] = digest[0] == '0' ? '1' : '0';
+        commit.set("digest", digest);
+        return true;
+      },
+      "digest mismatch");
+  // Dropping the moves leaves the schedule carried across the delta, with
+  // its arrivals unassigned: not the schedule the digest names.
+  TempDir other;
+  live.clear();
+  write_two_session_journal(other.path(), live);
+  expect_edited_commit_fails(
+      other,
+      [](util::Json& commit) {
+        if (commit.at("moves").size() == 0) return false;
+        commit.set("moves", util::Json::array());
+        return true;
+      },
+      "digest mismatch");
+}
+
+TEST(JournalTest, MoveOutOfRangeFailsReplay) {
+  // The first commit is session 4's revision 1; its post-delta job and
+  // machine counts bound every move.
+  const auto trace = gen::churn_trace(tiny_churn(23));
+  const model::Instance after =
+      model::apply_delta(trace.initial, trace.deltas.at(0));
+  const std::string jobs = std::to_string(after.num_jobs());
+  const std::string machines = std::to_string(after.num_machines());
+  for (const std::string& move :
+       {"[" + jobs + ",0]", "[0," + machines + "]", std::string("[-1,0]"),
+        std::string("[0,-1]"), std::string("[0]"), std::string("[0,1,2]")}) {
+    SCOPED_TRACE(move);
+    TempDir dir;
+    std::vector<std::unique_ptr<online::ScheduleSession>> live;
+    write_two_session_journal(dir.path(), live);
+    expect_edited_commit_fails(
+        dir,
+        [&](util::Json& commit) {
+          util::Json moves = util::Json::array();
+          moves.push_back(util::Json::parse(move));
+          commit.set("moves", std::move(moves));
+          return true;
+        },
+        "out of range");
+  }
+}
+
+TEST(JournalTest, FoldingDeltasMatchesApplyingThemOneAtATime) {
+  gen::ChurnParams params = tiny_churn(31);
+  params.num_jobs = 60;
+  params.num_machines = 8;
+  params.num_bags = 12;
+  params.steps = 1000;
+  const auto trace = gen::churn_trace(params);
+  ASSERT_EQ(trace.deltas.size(), 1000u);
+  model::Instance stepped = trace.initial;
+  for (const model::Delta& delta : trace.deltas) {
+    stepped = model::apply_delta(stepped, delta);
+  }
+  const model::Instance folded =
+      model::apply_deltas(trace.initial, trace.deltas);
+  ASSERT_EQ(folded.num_jobs(), stepped.num_jobs());
+  for (model::JobId job = 0; job < folded.num_jobs(); ++job) {
+    EXPECT_EQ(folded.job(job).id, stepped.job(job).id);
+    EXPECT_EQ(folded.job(job).size, stepped.job(job).size);
+    EXPECT_EQ(folded.job(job).bag, stepped.job(job).bag);
+  }
+  EXPECT_EQ(folded.num_bags(), stepped.num_bags());
+  EXPECT_EQ(folded.num_machines(), stepped.num_machines());
+  EXPECT_EQ(cache::Canonicalizer::exact(folded).fingerprint,
+            cache::Canonicalizer::exact(stepped).fingerprint);
+}
+
+TEST(JournalTest, IntervalFlusherRunsBesideLiveCommits) {
+  // Under --fsync interval a flusher thread syncs the WAL while commits
+  // diff their moves against the shadow schedule; the replayed state is the
+  // live one.
+  TempDir dir;
+  persist::JournalConfig config = raw_config(dir.path());
+  config.fsync = FsyncPolicy::Interval;
+  config.fsync_interval_seconds = 0.001;
+  gen::ChurnParams params = tiny_churn(41);
+  params.steps = 60;
+  const auto trace = gen::churn_trace(params);
+  const online::SessionOptions tuning = cheap_tuning();
+  online::ScheduleSession live(trace.initial, tuning);
+  {
+    SessionJournal journal(config);
+    journal.replay();
+    journal.record_open(1, 1, trace.initial, tuning, live.schedule());
+    for (const model::Delta& delta : trace.deltas) {
+      const std::uint64_t before = live.revision();
+      ASSERT_NE(live.apply(delta).status, api::SolveStatus::Infeasible);
+      if (live.revision() == before) continue;
+      journal.record_commit(1, live.revision(), delta, live.schedule());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (journal.stats().fsyncs == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(journal.stats().fsyncs, 0u);
+  }
+  SessionJournal reopened(raw_config(dir.path()));
+  const persist::RecoveredState state = reopened.replay();
+  ASSERT_EQ(state.sessions.size(), 1u);
+  EXPECT_EQ(state.sessions[0].revision, live.revision());
+  EXPECT_EQ(state.sessions[0].schedule.assignment(),
+            live.schedule().assignment());
 }
 
 TEST(JournalTest, FsyncCountSurvivesSnapshotRotation) {
