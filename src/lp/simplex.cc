@@ -428,39 +428,40 @@ class Tableau {
 
   /// Eliminates column `col` into +e_row (matrix + reduced costs). The RHS
   /// column is left alone: bounded_pivot updates it explicitly.
+  ///
+  /// Each eliminated row is one contiguous pass over [0, num_cols): the
+  /// pivot row is dense enough on these masters (about 60% nonzero) that a
+  /// vectorised sweep beats an indexed scatter over its support, and since
+  /// x - f * 0 == x the result is bit-identical to skipping the zeros.
   void pivot(int row, int col) {
-    const double pivot_value = at(row, col);
-    // The elimination only ever reads the pivot row's nonzeros; indexing
-    // them once cuts the O(rows * cols) update to its support.
-    pivot_cols_.clear();
-    for (int c = 0; c < num_cols_; ++c) {
-      double& value = at(row, c);
-      if (value == 0.0) continue;
-      value /= pivot_value;
-      pivot_cols_.push_back(c);
-    }
-    const double* prow = row_ptr(row);
+    const int cols = num_cols_;
+    double* prow = row_ptr(row);
+    const double pivot_value = prow[col];
+    for (int c = 0; c < cols; ++c) prow[c] /= pivot_value;
     for (int r = 0; r < num_rows_; ++r) {
       if (r == row) continue;
-      const double factor = at(r, col);
-      if (factor == 0.0) continue;
       double* target = row_ptr(r);
-      for (const int c : pivot_cols_) {
-        target[c] -= factor * prow[c];
-      }
+      const double factor = target[col];
+      if (factor == 0.0) continue;
+      eliminate(target, prow, factor, cols);
       target[col] = 0.0;  // exact by construction; keep it sparse
     }
     const double reduced_factor = reduced_[static_cast<std::size_t>(col)];
     if (reduced_factor != 0.0) {
-      for (const int c : pivot_cols_) {
-        reduced_[static_cast<std::size_t>(c)] -= reduced_factor * prow[c];
-      }
+      eliminate(reduced_.data(), prow, reduced_factor, cols);
       reduced_[static_cast<std::size_t>(col)] = 0.0;
     }
     in_basis_[static_cast<std::size_t>(
         basis_[static_cast<std::size_t>(row)])] = 0;
     in_basis_[static_cast<std::size_t>(col)] = 1;
     basis_[static_cast<std::size_t>(row)] = col;
+  }
+
+  /// target[c] -= factor * source[c] over [0, cols); the rows never alias.
+  static void eliminate(double* __restrict target,
+                        const double* __restrict source, double factor,
+                        int cols) {
+    for (int c = 0; c < cols; ++c) target[c] -= factor * source[c];
   }
 
   /// Makes `col` basic in `row` with the entering variable moving by
@@ -606,7 +607,6 @@ class Tableau {
   std::vector<double> dual_sign_;  ///< per row: sign applied to that rc
   std::vector<double> scratch_;    ///< update_rhs workspace
   std::vector<double> effective_;  ///< update_rhs workspace
-  std::vector<int> pivot_cols_;    ///< pivot-row support workspace
   std::vector<double> column_;     ///< append_column workspace
 };
 
