@@ -13,7 +13,10 @@
 //    guess (1.05 * OPT);
 //  * master/*: the column-generated master on the served EPTAS workload
 //    (eps 0.5, the five request families at each instance's final guess),
-//    with per-master columns, pricing and MILP node counts.
+//    with per-master columns, pricing and MILP node counts, the pivots of
+//    column generation and of branch-and-bound, and cold simplex setups.
+//    The bench exits 1 when a served master sets its simplex up cold more
+//    than once.
 #include <iostream>
 #include <optional>
 #include <string>
@@ -21,7 +24,6 @@
 
 #include "api/api.h"
 #include "eptas/classify.h"
-#include "eptas/eptas.h"
 #include "eptas/milp_model.h"
 #include "eptas/transform.h"
 #include "gen/generators.h"
@@ -29,8 +31,8 @@
 #include "lp/simplex.h"
 #include "milp/branch_and_bound.h"
 #include "model/lower_bounds.h"
+#include "oracle/master.h"
 #include "util/csv.h"
-#include "util/grid.h"
 #include "util/prng.h"
 #include "util/stopwatch.h"
 
@@ -209,58 +211,46 @@ void run_assignment_cases(bagsched::bench::Harness& harness) {
 /// The column-generated master at the final guess of eps-0.5 EPTAS solves
 /// of the five served request families (24 jobs on 4 machines; replica 40
 /// on 6), eight seeded instances per family. Each timed repetition runs
-/// the eight masters; the metrics are per master solve.
-void run_master_cases(bagsched::bench::Harness& harness) {
-  constexpr double kEps = 0.5;
+/// the eight masters; the metrics are per master solve. Returns the number
+/// of masters whose simplex was set up cold more than once (or never):
+/// one live tableau must carry each from its seed columns to the integral
+/// answer.
+int run_master_cases(bagsched::bench::Harness& harness) {
   constexpr int kInstances = 8;
-  struct Prepared {
-    eptas::Classification cls;
-    eptas::Transformed transformed;
-    eptas::PatternSpace space;
-  };
   const eptas::EptasConfig config;
   const int reps = harness.reps(5);
-  for (const char* family :
-       {"uniform", "planted", "bagheavy", "smallbags", "replica"}) {
-    const bool replica = std::string(family) == "replica";
-    std::vector<Prepared> masters;
-    for (int seed = 1; seed <= kInstances; ++seed) {
-      const Instance instance = gen::by_name(
-          family, replica ? 40 : 24, replica ? 6 : 4,
-          static_cast<std::uint64_t>(seed));
-      const auto solved = eptas::eptas_schedule(instance, kEps, config);
-      if (!solved.stats.pipeline_succeeded) continue;
-      const bagsched::util::EpsGrid grid(kEps);
-      std::vector<double> rounded;
-      for (const auto& job : instance.jobs()) {
-        rounded.push_back(grid.value(
-            grid.index_above(job.size / solved.stats.final_guess)));
-      }
-      auto cls = eptas::classify(instance, kEps, config, &rounded);
-      if (!cls) continue;
-      auto transformed = eptas::transform(instance, *cls);
-      auto space = eptas::build_pattern_space(transformed, *cls);
-      masters.push_back(
-          Prepared{std::move(*cls), std::move(transformed), std::move(space)});
-    }
+  int rebuilt = 0;
+  for (const char* family : bagsched::oracle::kServedFamilies) {
+    const auto masters = bagsched::oracle::served_masters(family, kInstances);
     eptas::MasterStats total;
     int solved = 0;
+    int family_rebuilt = 0;
     auto& entry = harness.run_case(
         std::string("master/") + family, reps, [&] {
           total = {};
           solved = 0;
-          for (const Prepared& prep : masters) {
+          family_rebuilt = 0;
+          for (const auto& served : masters) {
             const auto master = eptas::solve_master(
-                prep.space, prep.transformed, prep.cls, config);
+                served.space, served.transformed, served.cls, config);
             if (!master) continue;
             ++solved;
+            if (master->stats.lp_cold_starts != 1) {
+              ++family_rebuilt;
+              std::cerr << "master/" << family << ": " << served.replay
+                        << " set its simplex up cold "
+                        << master->stats.lp_cold_starts << " times\n";
+            }
             total.columns += master->stats.columns;
             total.pricing_rounds += master->stats.pricing_rounds;
             total.lp_iterations += master->stats.lp_iterations;
             total.pricing_nodes += master->stats.pricing_nodes;
             total.milp_nodes += master->stats.milp_nodes;
+            total.milp_lp_iterations += master->stats.milp_lp_iterations;
+            total.lp_cold_starts += master->stats.lp_cold_starts;
           }
         });
+    rebuilt += family_rebuilt;
     const double per = solved > 0 ? 1.0 / solved : 0.0;
     entry.metrics.set("masters", solved);
     entry.metrics.set("columns", total.columns * per);
@@ -271,7 +261,12 @@ void run_master_cases(bagsched::bench::Harness& harness) {
                       static_cast<double>(total.pricing_nodes) * per);
     entry.metrics.set("milp_nodes",
                       static_cast<double>(total.milp_nodes) * per);
+    entry.metrics.set("milp_lp_iterations",
+                      static_cast<double>(total.milp_lp_iterations) * per);
+    entry.metrics.set("lp_cold_starts",
+                      static_cast<double>(total.lp_cold_starts) * per);
   }
+  return rebuilt;
 }
 
 }  // namespace
@@ -282,6 +277,11 @@ int main(int argc, char** argv) {
   run_simplex_cases(harness);
   run_assignment_cases(harness);
   run_planted_master_cases(harness);
-  run_master_cases(harness);
-  return harness.finish(std::cout) ? 0 : 1;
+  const int rebuilt = run_master_cases(harness);
+  const bool finished = harness.finish(std::cout);
+  if (rebuilt > 0) {
+    std::cerr << "bench_milp: " << rebuilt
+              << " served master solves rebuilt their simplex cold\n";
+  }
+  return finished && rebuilt == 0 ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "lp/simplex.h"
@@ -59,20 +60,8 @@ MasterShape compute_shape(const PatternSpace& space,
   return shape;
 }
 
-/// The master model plus the row ids needed to add pattern columns and to
-/// extract duals.
-struct BuiltMaster {
-  lp::Model model;
-  std::vector<int> penalty_vars;
-  int row_machine = 0;
-  std::vector<std::vector<int>> rows_priority;  ///< per (pbag, size)
-  std::vector<int> rows_x;
-  int row_area = 0;
-  std::vector<int> rows_small;  ///< -1 when the bag has no small jobs
-};
-
 /// Adds one pattern as a master column (rows R1-R5); returns its variable.
-int add_pattern_column(BuiltMaster& built, const PatternSpace& space,
+int add_pattern_column(MasterModel& built, const PatternSpace& space,
                        const Pattern& pattern) {
   std::vector<std::pair<int, double>> terms;
   terms.emplace_back(built.row_machine, 1.0);
@@ -97,9 +86,9 @@ int add_pattern_column(BuiltMaster& built, const PatternSpace& space,
 
 /// Builds the master model for the given pattern pool: pattern variables
 /// first (variable p is pool[p]), then one penalty per coverage row.
-BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
+MasterModel build_master(const PatternSpace& space, const MasterShape& shape,
                          const std::vector<Pattern>& pool) {
-  BuiltMaster built;
+  MasterModel built;
   lp::Model& model = built.model;
   model.set_objective(lp::Objective::Minimize);
 
@@ -151,30 +140,6 @@ BuiltMaster build_master(const PatternSpace& space, const MasterShape& shape,
   return built;
 }
 
-PricingDuals extract_duals(const PatternSpace& space,
-                           const BuiltMaster& built,
-                           const lp::LpResult& lp_result) {
-  PricingDuals duals;
-  auto dual_of = [&](int row) {
-    return row >= 0 ? lp_result.duals[static_cast<std::size_t>(row)] : 0.0;
-  };
-  duals.machine = dual_of(built.row_machine);
-  duals.priority.resize(static_cast<std::size_t>(space.num_priority()));
-  for (int i = 0; i < space.num_priority(); ++i) {
-    for (int row : built.rows_priority[static_cast<std::size_t>(i)]) {
-      duals.priority[static_cast<std::size_t>(i)].push_back(dual_of(row));
-    }
-  }
-  for (int row : built.rows_x) duals.x_size.push_back(dual_of(row));
-  duals.area = dual_of(built.row_area);
-  duals.small_block.resize(static_cast<std::size_t>(space.num_priority()));
-  for (int i = 0; i < space.num_priority(); ++i) {
-    duals.small_block[static_cast<std::size_t>(i)] =
-        dual_of(built.rows_small[static_cast<std::size_t>(i)]);
-  }
-  return duals;
-}
-
 /// Seed columns: the empty pattern, one singleton per entry, and the ml
 /// content of every machine of a greedy schedule of I' (when within T').
 std::vector<Pattern> seed_pool(const PatternSpace& space,
@@ -223,21 +188,41 @@ std::vector<Pattern> seed_pool(const PatternSpace& space,
 
 }  // namespace
 
-std::optional<MasterLp> solve_master_lp(const PatternSpace& space,
-                                        const Transformed& transformed,
-                                        const Classification& cls,
-                                        const std::vector<Pattern>& pool) {
-  const MasterShape shape = compute_shape(space, transformed, cls);
-  const BuiltMaster built = build_master(space, shape, pool);
-  const lp::LpResult result = lp::solve(built.model);
-  if (result.status != lp::SolveStatus::Optimal) return std::nullopt;
-  return MasterLp{result.objective, extract_duals(space, built, result)};
+PricingDuals master_duals(const PatternSpace& space, const MasterModel& built,
+                          const std::vector<double>& row_duals) {
+  PricingDuals duals;
+  auto dual_of = [&](int row) {
+    return row >= 0 ? row_duals[static_cast<std::size_t>(row)] : 0.0;
+  };
+  duals.machine = dual_of(built.row_machine);
+  duals.priority.resize(static_cast<std::size_t>(space.num_priority()));
+  for (int i = 0; i < space.num_priority(); ++i) {
+    for (int row : built.rows_priority[static_cast<std::size_t>(i)]) {
+      duals.priority[static_cast<std::size_t>(i)].push_back(dual_of(row));
+    }
+  }
+  for (int row : built.rows_x) duals.x_size.push_back(dual_of(row));
+  duals.area = dual_of(built.row_area);
+  duals.small_block.resize(static_cast<std::size_t>(space.num_priority()));
+  for (int i = 0; i < space.num_priority(); ++i) {
+    duals.small_block[static_cast<std::size_t>(i)] =
+        dual_of(built.rows_small[static_cast<std::size_t>(i)]);
+  }
+  return duals;
+}
+
+MasterModel build_master_model(const PatternSpace& space,
+                               const Transformed& transformed,
+                               const Classification& cls,
+                               const std::vector<Pattern>& pool) {
+  return build_master(space, compute_shape(space, transformed, cls), pool);
 }
 
 std::optional<MasterSolution> solve_master(const PatternSpace& space,
                                            const Transformed& transformed,
                                            const Classification& cls,
-                                           const EptasConfig& config) {
+                                           const EptasConfig& config,
+                                           std::vector<Pattern>* final_pool) {
   const MasterShape shape = compute_shape(space, transformed, cls);
   if (shape.free_area_rhs < -1e-9) return std::nullopt;  // area alone fails
   for (int i = 0; i < space.num_priority(); ++i) {
@@ -253,55 +238,55 @@ std::optional<MasterSolution> solve_master(const PatternSpace& space,
   for (const Pattern& pattern : pool) signatures.insert(pattern.signature());
 
   // --- Column generation at the root ---------------------------------------
-  // One live tableau: the seed master is cold-solved once, then each priced
-  // pattern joins it as a column and the re-solve runs primal pivots only.
-  {
-    BuiltMaster live = build_master(space, shape, pool);
-    lp::IncrementalSimplex simplex(live.model);
-    const int max_rounds = 80;
-    for (int round = 0; round < max_rounds; ++round) {
-      if (util::stop_requested(config.milp.cancel)) break;
-      if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
-      const lp::LpResult lp_result = simplex.resolve(live.model);
-      stats.lp_iterations += lp_result.iterations;
-      if (lp_result.status != lp::SolveStatus::Optimal) break;
-      ++stats.pricing_rounds;
-      stats.lp_objective = lp_result.objective;
+  // One live tableau from the seed columns to the integral answer: the seed
+  // master is cold-solved once, each priced pattern joins it as a column
+  // (the re-solve runs primal pivots only), and branch-and-bound then
+  // branches on the same model and tableau. Generated patterns follow the
+  // penalty columns, so pattern_var maps pool index -> model variable.
+  MasterModel live = build_master(space, shape, pool);
+  std::vector<int> pattern_var(pool.size());
+  std::iota(pattern_var.begin(), pattern_var.end(), 0);
+  lp::IncrementalSimplex simplex(live.model, config.milp.lp_options);
+  const int max_rounds = 80;
+  for (int round = 0; round < max_rounds; ++round) {
+    if (util::stop_requested(config.milp.cancel)) break;
+    if (static_cast<int>(pool.size()) >= config.max_milp_patterns) break;
+    const lp::LpResult lp_result = simplex.resolve(live.model);
+    stats.lp_iterations += lp_result.iterations;
+    if (lp_result.status != lp::SolveStatus::Optimal) break;
+    ++stats.pricing_rounds;
+    stats.lp_objective = lp_result.objective;
 
-      const PricingDuals duals = extract_duals(space, live, lp_result);
-      PricingStats pricing;
-      const auto column = price_pattern(space, duals, {}, &pricing);
-      stats.pricing_nodes += pricing.nodes;
-      if (pricing.truncated) ++stats.pricing_truncations;
-      if (!column) {
-        // Only an exhaustive search proves the LP optimal over all
-        // patterns; a truncated one just ran out of budget.
-        stats.lp_optimal = !pricing.truncated;
-        break;
-      }
-      if (!signatures.insert(column->signature()).second) break;  // repeat
-      pool.push_back(*column);
-      add_pattern_column(live, space, *column);
+    const PricingDuals duals = master_duals(space, live, lp_result.duals);
+    PricingStats pricing;
+    const auto column = price_pattern(space, duals, {}, &pricing);
+    stats.pricing_nodes += pricing.nodes;
+    if (pricing.truncated) ++stats.pricing_truncations;
+    if (!column) {
+      // Only an exhaustive search proves the LP optimal over all
+      // patterns; a truncated one just ran out of budget.
+      stats.lp_optimal = !pricing.truncated;
+      break;
     }
+    if (!signatures.insert(column->signature()).second) break;  // repeat
+    pool.push_back(*column);
+    pattern_var.push_back(add_pattern_column(live, space, *column));
   }
   stats.columns = static_cast<int>(pool.size());
 
   // --- Integral solve over the generated pool ------------------------------
-  BuiltMaster built = build_master(space, shape, pool);
-  std::vector<int> integer_vars;
-  integer_vars.reserve(pool.size());
-  for (std::size_t p = 0; p < pool.size(); ++p) {
-    integer_vars.push_back(static_cast<int>(p));
-  }
   const milp::MilpResult milp_result =
-      milp::solve(built.model, integer_vars, config.milp);
+      milp::solve(live.model, simplex, pattern_var, config.milp);
   stats.milp_nodes = milp_result.nodes_explored;
+  stats.milp_lp_iterations = milp_result.lp_iterations;
+  stats.lp_cold_starts = simplex.cold_starts();
+  if (final_pool != nullptr) *final_pool = pool;
   if (milp_result.status != milp::MilpStatus::Optimal &&
       milp_result.status != milp::MilpStatus::Feasible) {
     return std::nullopt;
   }
   // Any active penalty means some coverage row could not be met.
-  for (int penalty : built.penalty_vars) {
+  for (int penalty : live.penalty_vars) {
     if (milp_result.x[static_cast<std::size_t>(penalty)] > 1e-6) {
       return std::nullopt;
     }
@@ -309,8 +294,8 @@ std::optional<MasterSolution> solve_master(const PatternSpace& space,
 
   MasterSolution solution;
   for (std::size_t p = 0; p < pool.size(); ++p) {
-    const int count = static_cast<int>(
-        std::llround(milp_result.x[static_cast<std::size_t>(p)]));
+    const int count = static_cast<int>(std::llround(
+        milp_result.x[static_cast<std::size_t>(pattern_var[p])]));
     if (count > 0) {
       solution.patterns.push_back(pool[p]);
       solution.multiplicity.push_back(count);

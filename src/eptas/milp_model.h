@@ -29,6 +29,7 @@
 #include "eptas/config.h"
 #include "eptas/pattern.h"
 #include "eptas/transform.h"
+#include "lp/model.h"
 
 namespace bagsched::eptas {
 
@@ -38,6 +39,10 @@ struct MasterStats {
   long long lp_iterations = 0;  ///< column-generation LP pivots
   long long pricing_nodes = 0;
   long long milp_nodes = 0;
+  long long milp_lp_iterations = 0;  ///< branch-and-bound LP pivots
+  /// Cold setups (phase 1 from scratch) of the master's one simplex: 1
+  /// for the seed master, more only when a re-solve had to rebuild.
+  long long lp_cold_starts = 0;
   /// Objective of the last column-generation LP solved.
   double lp_objective = 0.0;
   /// Column generation ended because pricing proved that no pattern
@@ -59,25 +64,37 @@ struct MasterSolution {
 /// Runs column generation + branch-and-bound. Returns nullopt when the
 /// guessed makespan T (implicit in space.max_height) admits no solution.
 ///
-/// Column generation keeps one lp::IncrementalSimplex across its rounds:
-/// the master is built and cold-solved once, and each priced pattern is
-/// appended to the live tableau (DESIGN.md §2).
-std::optional<MasterSolution> solve_master(const PatternSpace& space,
-                                           const Transformed& transformed,
-                                           const Classification& cls,
-                                           const EptasConfig& config);
+/// One lp::IncrementalSimplex carries the master from its seed columns to
+/// the integral answer: the seed master is built and cold-solved once,
+/// each priced pattern is appended to the live tableau, and
+/// branch-and-bound branches on that same model and tableau (DESIGN.md
+/// §2). `final_pool`, when given, receives the generated pool — the
+/// patterns the integral solve chose from — unless the guess failed
+/// before column generation.
+std::optional<MasterSolution> solve_master(
+    const PatternSpace& space, const Transformed& transformed,
+    const Classification& cls, const EptasConfig& config,
+    std::vector<Pattern>* final_pool = nullptr);
 
-/// The master LP relaxation over exactly `pool`, solved cold by lp::solve:
-/// its optimum and the duals pricing reads. Column generation from scratch
-/// on top of it is the reference the warm loop in solve_master must agree
-/// with. nullopt when the LP is not solved to optimality.
-struct MasterLp {
-  double objective = 0.0;
-  PricingDuals duals;
+/// The master LP over exactly `pool`: pattern variable p is pool[p], then
+/// one penalty column per coverage row (rows R1-R5 above). The row ids
+/// are where pricing reads its duals.
+struct MasterModel {
+  lp::Model model;
+  std::vector<int> penalty_vars;
+  int row_machine = 0;
+  std::vector<std::vector<int>> rows_priority;  ///< per (pbag, size)
+  std::vector<int> rows_x;
+  int row_area = 0;
+  std::vector<int> rows_small;  ///< -1 when the bag has no small jobs
 };
-std::optional<MasterLp> solve_master_lp(const PatternSpace& space,
-                                        const Transformed& transformed,
-                                        const Classification& cls,
-                                        const std::vector<Pattern>& pool);
+MasterModel build_master_model(const PatternSpace& space,
+                               const Transformed& transformed,
+                               const Classification& cls,
+                               const std::vector<Pattern>& pool);
+
+/// Pricing duals from the per-row duals of an optimal master LP.
+PricingDuals master_duals(const PatternSpace& space, const MasterModel& built,
+                          const std::vector<double>& row_duals);
 
 }  // namespace bagsched::eptas

@@ -57,6 +57,7 @@ class Tableau {
     basis_.assign(static_cast<std::size_t>(num_rows_), -1);
     upper_.assign(static_cast<std::size_t>(num_cols_), kInf);
     at_upper_.assign(static_cast<std::size_t>(num_cols_), 0);
+    temporary_.assign(static_cast<std::size_t>(num_cols_), 0);
     in_basis_.assign(static_cast<std::size_t>(num_cols_), 0);
 
     int next_extra = num_structural_;
@@ -97,15 +98,47 @@ class Tableau {
 
   /// Installs the structural upper bounds (in shifted space, i.e.
   /// upper - lower per variable; kInf for unbounded). Must be called
-  /// before solving and again whenever the model's bounds change. A
-  /// nonbasic column resting at an upper bound that became infinite drops
-  /// to its lower bound.
+  /// before solving and again whenever the model's bounds change.
+  ///
+  /// A nonbasic column resting at an upper bound that became infinite does
+  /// not drop to its lower bound: with a reduced cost <= 0 that would leave
+  /// the basis neither primal nor dual feasible. It keeps its current value
+  /// as a temporary finite bound instead, which leaves the basis dual
+  /// feasible; settle_temporary_bounds() lifts that bound again.
   void set_structural_uppers(const std::vector<double>& uppers) {
     for (int c = 0; c < num_structural_; ++c) {
-      const double u = uppers[static_cast<std::size_t>(c)];
-      upper_[static_cast<std::size_t>(c)] = u;
-      if (!std::isfinite(u)) at_upper_[static_cast<std::size_t>(c)] = 0;
+      const auto k = static_cast<std::size_t>(c);
+      const bool hold = !std::isfinite(uppers[k]) && at_upper_[k];
+      temporary_[k] = hold ? 1 : 0;
+      if (!hold) upper_[k] = uppers[k];
     }
+  }
+
+  bool has_temporaries() const {
+    return std::find(temporary_.begin(), temporary_.end(), 1) !=
+           temporary_.end();
+  }
+
+  /// After an optimal re-solve: a temporarily bounded column that left its
+  /// bound (basic, or at its lower bound) gets its infinite bound back,
+  /// and one still held there with a negative reduced cost (the bound is
+  /// binding) has the bound doubled. Returns true when a bound was
+  /// doubled; the caller then recomputes the basic values and repairs
+  /// them, which the dual simplex does from the still dual feasible basis.
+  bool settle_temporary_bounds() {
+    bool widened = false;
+    for (int c = 0; c < num_structural_; ++c) {
+      const auto k = static_cast<std::size_t>(c);
+      if (!temporary_[k]) continue;
+      if (!at_upper_[k]) {
+        upper_[k] = kInf;
+        temporary_[k] = 0;
+      } else if (reduced_[k] < -options_.tolerance) {
+        upper_[k] = std::max(2.0 * upper_[k], 1.0);
+        widened = true;
+      }
+    }
+    return widened;
   }
 
   /// Dual value of standardized row r (valid after an optimal phase 2).
@@ -365,6 +398,7 @@ class Tableau {
     };
     upper_.insert(at_slot(upper_), upper);
     at_upper_.insert(at_slot(at_upper_), 0);
+    temporary_.insert(at_slot(temporary_), 0);
     in_basis_.insert(at_slot(in_basis_), 0);
     cost_.insert(at_slot(cost_), cost);
     reduced_.insert(at_slot(reduced_), 0.0);
@@ -602,6 +636,8 @@ class Tableau {
   std::vector<int> basis_;
   std::vector<double> upper_;          ///< box size per column (shifted)
   std::vector<unsigned char> at_upper_;  ///< nonbasic-at-upper flags
+  /// Per column: upper_ is a temporary bound standing in for +inf.
+  std::vector<unsigned char> temporary_;
   std::vector<unsigned char> in_basis_;  ///< membership flag per column
   std::vector<int> dual_column_;   ///< per row: column whose rc encodes y_r
   std::vector<double> dual_sign_;  ///< per row: sign applied to that rc
@@ -677,6 +713,11 @@ void fill_result(const Tableau& tableau, const Model& model,
 }  // namespace
 
 struct IncrementalSimplex::Impl {
+  /// Doublings of a released column's temporary bound before resolve()
+  /// gives up and rebuilds cold (the column's LP is then unbounded, or
+  /// nearly so).
+  static constexpr int kMaxWidenings = 64;
+
   SimplexOptions options;
   int n = 0;
   std::vector<StdRow> rows;        ///< standardized at setup; flips fixed
@@ -689,6 +730,7 @@ struct IncrementalSimplex::Impl {
   std::vector<double> std_rhs;     ///< workspace
   std::vector<double> uppers;      ///< workspace (shifted uppers)
   bool ready = false;  ///< tableau carries a reusable (dual-feasible) basis
+  long long cold_starts = 0;  ///< setup() + phase 1 runs so far
 
   /// (Re-)standardizes against the model's current bounds. Fixes the flip
   /// pattern — and with it the matrix — until the next rebuild.
@@ -800,6 +842,7 @@ struct IncrementalSimplex::Impl {
       // Cold start: standardize fresh (RHS >= 0 under the current bounds
       // by construction), full phase 1 + phase 2.
       setup(model);
+      ++cold_starts;
       tableau->set_structural_uppers(shifted_uppers(model));
       SolveStatus status = tableau->phase1(iterations);
       if (status == SolveStatus::Optimal) {
@@ -814,13 +857,32 @@ struct IncrementalSimplex::Impl {
     uppers = shifted_uppers(model);
     tableau->set_structural_uppers(uppers);
     compute_rhs(model);
-    tableau->update_rhs(std_rhs, structural_cols);
-    const std::optional<SolveStatus> status = tableau->resume(iterations);
+    std::optional<SolveStatus> status;
+    for (int widenings = 0;; ++widenings) {
+      tableau->update_rhs(std_rhs, structural_cols);
+      status = tableau->resume(iterations);
+      if (!status) break;
+      if (*status == SolveStatus::Infeasible && tableau->has_temporaries()) {
+        // A temporary bound may be what made the repair fail, so this is
+        // no proof of infeasibility.
+        status.reset();
+        break;
+      }
+      if (*status != SolveStatus::Optimal) break;
+      if (!tableau->settle_temporary_bounds()) break;
+      if (widenings == kMaxWidenings) {  // a released column runs away
+        status.reset();
+        break;
+      }
+    }
     if (!status) {
       // Neither dual nor primal feasible (e.g. bound changes on top of an
-      // abandoned primal iteration): rebuild once from scratch.
+      // abandoned primal iteration), or the temporary bounds did not
+      // settle: rebuild once from scratch.
       ready = false;
-      return resolve(model);
+      LpResult result = resolve(model);
+      result.iterations += iterations;
+      return result;
     }
     return extract(model, *status, iterations);
   }
@@ -841,6 +903,10 @@ IncrementalSimplex& IncrementalSimplex::operator=(
 
 LpResult IncrementalSimplex::resolve(const Model& model) {
   return impl_->resolve(model);
+}
+
+long long IncrementalSimplex::cold_starts() const {
+  return impl_->cold_starts;
 }
 
 LpResult solve(const Model& model, const SimplexOptions& options) {

@@ -13,7 +13,12 @@
 //    change the tableau shape — the property the persistent
 //    IncrementalSimplex builds on;
 //  * dual-simplex repair pivots for re-solves: an optimal basis stays dual
-//    feasible under pure bound/RHS changes.
+//    feasible under pure bound/RHS changes, including an upper bound
+//    released to +inf (the column keeps a temporary finite bound until
+//    it is slack);
+//  * a dense pivot kernel: each eliminated row is one contiguous,
+//    vectorisable pass over all columns, not a scatter over the pivot
+//    row's support.
 #pragma once
 
 #include <memory>
@@ -55,10 +60,14 @@ LpResult solve(const Model& model, const SimplexOptions& options = {});
 /// solution through the implicit inverse basis (O(rows^2)) and repairs
 /// primal feasibility with a handful of dual-simplex pivots — no model
 /// copy, no re-standardization and no phase 1. Any bound may change,
-/// including an upper bound going from +inf to finite and back (a
-/// nonbasic column resting at an upper bound that becomes infinite moves
-/// to its lower bound). When the changes leave the basis neither primal
-/// nor dual feasible, resolve() rebuilds cold.
+/// including an upper bound going from +inf to finite and back. A
+/// nonbasic column resting at an upper bound that becomes infinite stays
+/// at its value under a temporary bound, which keeps the basis dual
+/// feasible; while that bound is binding (negative reduced cost) it is
+/// doubled and the dual simplex repairs again, and once it is slack it is
+/// dropped. When the changes leave the basis neither primal nor dual
+/// feasible, or a temporary bound does not settle, resolve() rebuilds
+/// cold.
 ///
 /// Variables appended to the model since the last resolve() (through
 /// Model::add_column; the constraint set must stay fixed) join the live
@@ -79,6 +88,10 @@ class IncrementalSimplex {
   /// and appended columns). The first call performs the one full
   /// cold solve.
   LpResult resolve(const Model& model);
+
+  /// Cold setups (standardization + phase 1) so far: 1 after the first
+  /// resolve(), more only when a re-solve had to rebuild.
+  long long cold_starts() const;
 
  private:
   struct Impl;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -85,31 +86,14 @@ int pick_branch_variable(const std::vector<double>& x,
   return best;
 }
 
-}  // namespace
-
-MilpResult solve(const lp::Model& root_model,
-                 const std::vector<int>& integer_variables,
-                 const MilpOptions& options) {
+/// The search: best-bound branch-and-bound over the minimisation model
+/// `work`, every node LP re-solving `simplex`. `sign` maps objective
+/// values back to the caller's orientation.
+MilpResult search(lp::Model& work, lp::IncrementalSimplex& simplex,
+                  const std::vector<int>& integer_variables,
+                  const MilpOptions& options, double sign) {
   util::Stopwatch timer;
   MilpResult result;
-
-  const bool maximize = root_model.objective() == lp::Objective::Maximize;
-  // Internally minimize: flip the sense and objective once at the root
-  // instead of copying + flipping at every node; `sign` maps objective
-  // values back to the model's orientation.
-  const double sign = maximize ? -1.0 : 1.0;
-  lp::Model work = root_model;  // the only model copy of the whole search
-  if (maximize) {
-    work.set_objective(lp::Objective::Minimize);
-    for (int v = 0; v < work.num_variables(); ++v) {
-      work.mutable_variable(v).objective = -work.variable(v).objective;
-    }
-  }
-
-  // One persistent tableau for the whole search: each node LP re-solves
-  // the previous node's basis under the new bounds, usually with a few
-  // dual-simplex repair pivots.
-  lp::IncrementalSimplex simplex(work, options.lp_options);
 
   double incumbent_value = std::numeric_limits<double>::infinity();
   std::vector<double> incumbent;
@@ -253,6 +237,36 @@ MilpResult solve(const lp::Model& root_model,
     if (gap <= options.relative_gap) result.status = MilpStatus::Optimal;
   }
   return result;
+}
+
+}  // namespace
+
+MilpResult solve(lp::Model& model, lp::IncrementalSimplex& simplex,
+                 const std::vector<int>& integer_variables,
+                 const MilpOptions& options) {
+  if (model.objective() != lp::Objective::Minimize) {
+    throw std::invalid_argument(
+        "milp::solve: a live relaxation must be a minimisation model");
+  }
+  return search(model, simplex, integer_variables, options, 1.0);
+}
+
+MilpResult solve(const lp::Model& root_model,
+                 const std::vector<int>& integer_variables,
+                 const MilpOptions& options) {
+  // Internally minimize: flip the sense and objective once at the root
+  // instead of copying + flipping at every node.
+  const bool maximize = root_model.objective() == lp::Objective::Maximize;
+  lp::Model work = root_model;  // the only model copy of the whole search
+  if (maximize) {
+    work.set_objective(lp::Objective::Minimize);
+    for (int v = 0; v < work.num_variables(); ++v) {
+      work.mutable_variable(v).objective = -work.variable(v).objective;
+    }
+  }
+  lp::IncrementalSimplex simplex(work, options.lp_options);
+  return search(work, simplex, integer_variables, options,
+                maximize ? -1.0 : 1.0);
 }
 
 const char* to_string(MilpStatus status) {

@@ -9,7 +9,8 @@
 // lp::IncrementalSimplex tableau under the node's bounds via dual-simplex
 // repair pivots — integer variables with or without a finite upper bound
 // alike. Best-bound node order with plunging dives keeps consecutive LPs
-// one bound apart.
+// one bound apart. The tableau may be the caller's: the EPTAS master
+// branches on its column generation LP without rebuilding it.
 #pragma once
 
 #include <functional>
@@ -60,9 +61,20 @@ struct MilpResult {
   bool cancelled = false;
 };
 
+/// Branch-and-bound on a live relaxation: `model` is a minimisation model
+/// and `simplex` an lp::IncrementalSimplex over it, possibly already
+/// solved — a column generation loop hands its tableau over this way, so
+/// the root LP costs no pivots. Node bounds are applied to `model` in
+/// place and restored before returning; columns must not be added
+/// meanwhile. options.lp_options is not read: the simplex has its own.
+/// Throws std::invalid_argument on a maximisation model.
+MilpResult solve(lp::Model& model, lp::IncrementalSimplex& simplex,
+                 const std::vector<int>& integer_variables,
+                 const MilpOptions& options = {});
+
 /// Solves model with the given variables required integral.
-/// The model's objective sense is respected; internally everything is
-/// minimized.
+/// The model's objective sense is respected: the search runs on a
+/// minimisation copy with its own simplex (options.lp_options).
 MilpResult solve(const lp::Model& model,
                  const std::vector<int>& integer_variables,
                  const MilpOptions& options = {});

@@ -291,6 +291,75 @@ TEST(IncrementalSimplexTest, RecoversAfterInfeasibleNode) {
   EXPECT_NEAR(result.objective, 1.0, 1e-9);  // x = 1, y = 0
 }
 
+TEST(IncrementalSimplexTest, ReleasedUpperBoundResolvesWarm) {
+  // Branch-and-bound jumps on a covering master: minimise cost with rows
+  // a.x >= b met by unbounded columns or a cost-100 penalty each, and at
+  // most 30 columns' worth in all. A down branch x <= floor(x) rests a
+  // column at its finite upper bound; the jump releases that bound to +inf
+  // together with another column's lower bound change. The released
+  // column keeps a temporary bound until it is slack, so no re-solve
+  // rebuilds cold, and every objective matches a cold solve.
+  int released_at_upper = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    util::Xoshiro256 rng(seed);
+    Model model;
+    constexpr int kRows = 6;
+    constexpr int kCols = 12;
+    for (int c = 0; c < kCols; ++c) {
+      model.add_variable(rng.uniform_real(1.0, 3.0));
+    }
+    std::vector<std::pair<int, double>> machine;
+    for (int c = 0; c < kCols; ++c) machine.emplace_back(c, 1.0);
+    for (int r = 0; r < kRows; ++r) {
+      std::vector<std::pair<int, double>> terms;
+      for (int c = 0; c < kCols; ++c) {
+        terms.emplace_back(c, static_cast<double>(rng.uniform_int(0, 2)));
+      }
+      model.add_constraint(std::move(terms), Sense::GreaterEqual,
+                           static_cast<double>(rng.uniform_int(2, 6)));
+    }
+    model.add_constraint(std::move(machine), Sense::LessEqual, 30.0);
+    for (int r = 0; r < kRows; ++r) model.add_column(100.0, {{r, 1.0}});
+
+    lp::IncrementalSimplex incremental(model);
+    lp::LpResult last = incremental.resolve(model);
+    ASSERT_EQ(last.status, SolveStatus::Optimal);
+    for (int step = 0; step < 80; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const auto pick = [&] {
+        return static_cast<int>(rng.uniform_int(0, kCols - 1));
+      };
+      const int v = pick();
+      lp::Variable& var = model.mutable_variable(v);
+      const double x = last.x[static_cast<std::size_t>(v)];
+      if (std::isfinite(var.upper)) {
+        if (std::abs(x - var.upper) < 1e-9) ++released_at_upper;
+        var.upper = lp::kInfinity;
+        lp::Variable& other = model.mutable_variable(pick());
+        if (!std::isfinite(other.upper)) {
+          other.lower = other.lower > 0.0
+                            ? 0.0
+                            : static_cast<double>(rng.uniform_int(1, 2));
+        }
+      } else {
+        var.upper = std::max(var.lower, std::floor(x));
+      }
+      const auto warm = incremental.resolve(model);
+      const auto cold = lp::solve(model);
+      ASSERT_EQ(warm.status, SolveStatus::Optimal) << where;
+      ASSERT_EQ(cold.status, SolveStatus::Optimal) << where;
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-9 * std::max(1.0, std::abs(cold.objective)))
+          << where;
+      EXPECT_LE(model.max_violation(warm.x), 1e-6) << where;
+      last = warm;
+    }
+    EXPECT_EQ(incremental.cold_starts(), 1) << "seed " << seed;
+  }
+  EXPECT_GE(released_at_upper, 30);
+}
+
 /// Random LP for the column-append test: every row carries a high-cost
 /// penalty column (two for equality rows), so the model is feasible and,
 /// with nonnegative minimization costs or fully boxed maximization, bounded.
@@ -465,6 +534,7 @@ TEST(IncrementalSimplexTest, AppendThroughARedundantRowRebuildsCold) {
   ASSERT_EQ(cold.status, SolveStatus::Optimal);
   EXPECT_NEAR(appended.objective, cold.objective, 1e-9);
   EXPECT_LE(model.max_violation(appended.x), 1e-9);
+  EXPECT_EQ(incremental.cold_starts(), 2);
   EXPECT_THROW(model.add_column(1.0, {{2, 1.0}}), std::invalid_argument);
 }
 

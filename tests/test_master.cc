@@ -14,7 +14,7 @@
 #include "eptas/transform.h"
 #include "gen/generators.h"
 #include "model/lower_bounds.h"
-#include "util/grid.h"
+#include "oracle/master.h"
 
 namespace bagsched {
 namespace {
@@ -170,36 +170,19 @@ TEST(MasterTest, EmptyMlInstanceTriviallySolvable) {
 
 TEST(MasterTest, WarmColumnGenerationMatchesColdReference) {
   // Path independence of the live-tableau column generation: on the served
-  // request families (eps 0.5, 24 jobs on 4 machines; replica 40 on 6) at
-  // each instance's final guess, a master whose column generation ended by
-  // pricing reports the LP optimum over ALL patterns. A from-scratch column
-  // generation that cold-solves every round (lp::solve), starting from the
-  // empty pattern alone, must reach the same value: the optimum is unique
-  // even where degenerate duals steer the two runs to different columns.
-  constexpr double kEps = 0.5;
+  // request families at each instance's final guess, a master whose column
+  // generation ended by pricing reports the LP optimum over ALL patterns.
+  // A from-scratch column generation that cold-solves every round
+  // (lp::solve), starting from the empty pattern alone, must reach the
+  // same value: the optimum is unique even where degenerate duals steer
+  // the two runs to different columns.
   const EptasConfig config;
-  const util::EpsGrid grid(kEps);
   int compared = 0;
-  for (const std::string family :
-       {"uniform", "planted", "bagheavy", "smallbags", "replica"}) {
-    const bool replica = family == "replica";
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const std::string replay = family + " seed " + std::to_string(seed);
-      const Instance instance = gen::by_name(family, replica ? 40 : 24,
-                                             replica ? 6 : 4, seed);
-      const auto solved = eptas::eptas_schedule(instance, kEps, config);
-      if (!solved.stats.pipeline_succeeded) continue;
-      std::vector<double> rounded;
-      for (const auto& job : instance.jobs()) {
-        rounded.push_back(grid.value(
-            grid.index_above(job.size / solved.stats.final_guess)));
-      }
-      const auto cls = eptas::classify(instance, kEps, config, &rounded);
-      ASSERT_TRUE(cls.has_value()) << replay;
-      const auto transformed = eptas::transform(instance, *cls);
-      const auto space = eptas::build_pattern_space(transformed, *cls);
-      const auto warm =
-          eptas::solve_master(space, transformed, *cls, config);
+  for (const char* family : oracle::kServedFamilies) {
+    for (const auto& served : oracle::served_masters(family, 6)) {
+      const std::string& replay = served.replay;
+      const auto& [_, cls, transformed, space] = served;
+      const auto warm = eptas::solve_master(space, transformed, cls, config);
       if (!warm || !warm->stats.lp_optimal) continue;  // ended by a cap
       EXPECT_EQ(warm->stats.pricing_truncations, 0) << replay;
 
@@ -207,7 +190,7 @@ TEST(MasterTest, WarmColumnGenerationMatchesColdReference) {
       std::set<std::vector<int>> seen{pool.front().signature()};
       std::optional<double> cold;
       for (int round = 0; round < 2000 && !cold; ++round) {
-        const auto lp = eptas::solve_master_lp(space, transformed, *cls, pool);
+        const auto lp = oracle::solve_master_lp(space, transformed, cls, pool);
         ASSERT_TRUE(lp.has_value()) << replay << " round " << round;
         eptas::PricingStats pricing;
         const auto column =
@@ -229,6 +212,43 @@ TEST(MasterTest, WarmColumnGenerationMatchesColdReference) {
     }
   }
   EXPECT_GE(compared, 25);
+}
+
+TEST(MasterTest, IntegralSolveOnTheGenerationTableauMatchesARebuild) {
+  // solve_master branches on its column generation tableau. Over the same
+  // final pool, a rebuilt master solved cold by milp::solve must reach the
+  // same integral optimum and the same verdict on the coverage penalties;
+  // only ties between equal-cost optima may differ. Every master also
+  // sets up its simplex cold exactly once: branch-and-bound never
+  // rebuilds it.
+  const EptasConfig config;
+  int compared = 0;
+  for (const char* family : oracle::kServedFamilies) {
+    for (const auto& served : oracle::served_masters(family, 8)) {
+      const std::string& replay = served.replay;
+      const auto& [_, cls, transformed, space] = served;
+      std::vector<eptas::Pattern> pool;
+      const auto warm =
+          eptas::solve_master(space, transformed, cls, config, &pool);
+      ASSERT_FALSE(pool.empty()) << replay;
+      const auto cold =
+          oracle::solve_master_cold(space, transformed, cls, config, pool);
+      ASSERT_TRUE(cold.has_value()) << replay;
+      ASSERT_EQ(warm.has_value(), cold->penalty_free) << replay;
+      ++compared;
+      if (!warm) continue;
+      EXPECT_EQ(warm->stats.lp_cold_starts, 1) << replay;
+      double objective = 0.0;
+      for (std::size_t p = 0; p < warm->patterns.size(); ++p) {
+        objective +=
+            eptas::pattern_cost(warm->patterns[p]) * warm->multiplicity[p];
+      }
+      EXPECT_NEAR(objective, cold->objective,
+                  1e-9 * std::max(1.0, std::abs(cold->objective)))
+          << replay;
+    }
+  }
+  EXPECT_EQ(compared, 40);
 }
 
 }  // namespace
